@@ -45,9 +45,11 @@ from .zeros_potential import (
     count_annulus,
     find_zeros,
     green_annulus,
+    green_circle_mean,
     green_potential,
     jensen_identity_residual,
     riesz_decompose,
+    riesz_kappa,
     riesz_mass,
     zero_count_vs_acceleration,
 )

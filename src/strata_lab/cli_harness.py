@@ -48,6 +48,7 @@ from .zeros_potential import (
     green_annulus,
     jensen_identity_residual,
     riesz_decompose,
+    riesz_kappa,
     riesz_mass,
     zero_count_vs_acceleration,
 )
@@ -495,6 +496,11 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     quad = cfg.section("quadrature")
     R_eps = float(sec["R_eps"])
     R = math.exp(TWO_PI * R_eps)
+    try:
+        kappa = riesz_kappa(cfg.potential, cfg.alpha, E, float(sec["eps_r"]),
+                            kappa_n=cfg.n, kappa_K=int(quad["K"]))
+    except ValueError as exc:
+        raise _Precondition(str(exc)) from exc
     fam = det_family(cfg.potential, cfg.alpha, E, cfg.n)
     inv = find_zeros(fam)
     dec = riesz_decompose(fam, inv, R, n_radii=int(sec["n_radii"]),
@@ -511,9 +517,8 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
                                     math.exp(TWO_PI * r2), R,
                                     K=int(sec["K"]))
     mass = riesz_mass(cfg.potential, cfg.alpha, E, cfg.n,
-                      float(sec["eps_r"]), K=int(sec["K"]),
-                      fam=fam, inv=inv, kappa_n=cfg.n,
-                      kappa_K=int(quad["K"]))
+                      float(sec["eps_r"]), K=int(sec["K"]), kappa=kappa,
+                      fam=fam, inv=inv)
     row = {"E": E, "n": cfg.n, "R_eps": R_eps,
            "boundary_max_dev": dec.boundary_max_dev,
            "mean_value_max_resid": dec.mean_value_max_resid,

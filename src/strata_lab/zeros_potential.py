@@ -26,6 +26,11 @@ class RootConvergenceError(RuntimeError):
     """The simultaneous root iteration failed its residual certificate."""
 
 
+# Pairwise loops (roots x roots, points x roots) run in row blocks of about
+# this many elements, so that their temporaries stay in the L2 cache.
+_BLOCK = 1 << 13
+
+
 # ----------------------------------------------------------------------
 # polynomial roots (Aberth simultaneous iteration)
 # ----------------------------------------------------------------------
@@ -114,7 +119,7 @@ def aberth_roots(
         w = _newton_ratio(c, z)
         # pairwise repulsion sums, chunked to bound memory at large degree
         S = np.zeros(d, dtype=np.complex128)
-        step = max(1, (1 << 21) // d)
+        step = max(1, _BLOCK // d)
         for a in range(0, d, step):
             diff = z[a:a + step, None] - z[None, :]
             np.fill_diagonal(diff[:, a:a + step], np.inf)
@@ -184,7 +189,7 @@ def _nearest_pairing(roots: np.ndarray, targets: np.ndarray, tol: float,
     out = np.full(N, -1, dtype=np.int64)
     if N == 0:
         return out
-    step = max(1, (1 << 21) // N)
+    step = max(1, _BLOCK // N)
     for a in range(0, N, step):
         d2 = np.abs(targets[a:a + step, None] - roots[None, :])
         j = np.argmin(d2, axis=1)
@@ -303,6 +308,22 @@ def green_trunc_order(R: float, digits: float = 10.0) -> int:
     return min(64, max(1, math.ceil(digits * math.log(10.0) / (4.0 * math.log(R)))))
 
 
+def _green_order(R: float, K_trunc: Optional[int]) -> int:
+    if R <= 1.0:
+        raise ValueError("annulus parameter R must exceed 1")
+    K = green_trunc_order(R) if K_trunc is None else int(K_trunc)
+    if K < 1:
+        raise ValueError("K_trunc must be >= 1")
+    return K
+
+
+def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
+    slack = 1.0 + 1e-12
+    for m in moduli:
+        if np.any(m > R * slack) or np.any(m < 1.0 / (R * slack)):
+            raise ValueError("argument outside the closed annulus")
+
+
 def green_annulus(z, w, R: float, K_trunc: Optional[int] = None):
     """Green's function of the annulus 1/R <= |z| <= R with pole at w.
 
@@ -313,17 +334,10 @@ def green_annulus(z, w, R: float, K_trunc: Optional[int] = None):
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    if R <= 1.0:
-        raise ValueError("annulus parameter R must exceed 1")
+    K = _green_order(R, K_trunc)
     lr = math.log(R)
-    K = green_trunc_order(R) if K_trunc is None else int(K_trunc)
-    if K < 1:
-        raise ValueError("K_trunc must be >= 1")
     az, aw = np.abs(z), np.abs(w)
-    slack = 1.0 + 1e-12
-    if np.any(az > R * slack) or np.any(az < 1.0 / (R * slack)) or \
-       np.any(aw > R * slack) or np.any(aw < 1.0 / (R * slack)):
-        raise ValueError("argument outside the closed annulus")
+    _check_in_annulus(R, az, aw)
     if np.any(z == w):
         raise ValueError("Green's function is singular on the diagonal z = w")
 
@@ -375,11 +389,72 @@ def green_potential(
     out = np.zeros(len(zs), dtype=np.float64)
     if len(roots) == 0:
         return out
-    step = max(1, (1 << 21) // len(roots))
+    step = max(1, _BLOCK // len(roots))
     for a in range(0, len(zs), step):
         block = green_annulus(zs[a:a + step, None], roots[None, :], R, K_trunc)
         out[a:a + step] = np.sum(block, axis=1)
     return out * TWO_PI / n
+
+
+def _mean_log_abs(a, b, K: int):
+    """(1/K) sum_j log|a + b e^{2 pi i j/K}|, exactly and elementwise.
+
+    Over the K-th roots of unity, prod_j (a + b e^{2 pi i j/K}) equals
+    a^K - (-b)^K.  The larger of |a|, |b| is factored out, so the K-th
+    power stays in the unit disc and cannot overflow.
+    """
+    swap = np.abs(b) > np.abs(a)
+    big = np.where(swap, b, a)
+    u = -np.where(swap, a, b) / big
+    return np.log(np.abs(big)) + np.log(np.abs(1.0 - u ** K)) / K
+
+
+def green_circle_mean(
+    center: complex, rho: float, K: int, roots: np.ndarray, R: float, n: int,
+    K_trunc: Optional[int] = None,
+) -> float:
+    """Mean of green_potential over the K points center + rho e^{2 pi i j/K}.
+
+    Every factor of the truncated image product is log|a + b e^{+-2 pi i j/K}|
+    on these points, and its K-point mean has the closed form of
+    _mean_log_abs.  The result is the K-point quadrature of green_potential
+    (not the exact circle mean) at O(roots * K_trunc) cost instead of
+    O(K * roots * K_trunc).
+    """
+    roots = np.asarray(roots, dtype=np.complex128)
+    if len(roots) == 0:
+        return 0.0
+    Kt = _green_order(R, K_trunc)
+    if K < 1:
+        raise ValueError("the circle needs K >= 1 points")
+    lr = math.log(R)
+    c = complex(center)
+    zs = c + rho * np.exp(2j * math.pi * np.arange(K) / K)
+    aw = np.abs(roots)
+    _check_in_annulus(R, np.abs(zs), aw)
+    law = np.log(aw)
+
+    w = roots[:, None]
+    k = np.arange(1, Kt + 1, dtype=np.float64)[None, :]
+    e4k = np.exp(-4.0 * k * lr)
+    e4k2 = np.exp(-(4.0 * k - 2.0) * lr)
+    # The image factors are taken in the order of green_annulus, with
+    # log|1 - e4k w/z| = log|z - e4k w| - log|z| and
+    # log|1 - e4k2/(conj(z) w)| = log|conj(z) - e4k2/w| - log|z|; the two
+    # mean log|z| terms cancel.  conj(z_j) runs over the same circle with
+    # e^{-2 pi i j/K}, which leaves the K-point mean unchanged.
+    cc = c.conjugate()
+    images = (_mean_log_abs(1.0 - c * e4k / w, -rho * e4k / w, K)
+              + _mean_log_abs(c - w * e4k, rho, K)
+              - _mean_log_abs(1.0 - w * cc * e4k2, -w * rho * e4k2, K)
+              - _mean_log_abs(cc - e4k2 / w, rho, K))
+    S = _mean_log_abs(c - roots, rho, K) - lr + np.sum(images, axis=1)
+    mean_log_z = float(_mean_log_abs(c, rho, K))
+    term1 = (mean_log_z - lr) * (law - lr) / (4.0 * math.pi * lr)
+    out = float(np.sum(term1 + S / TWO_PI)) * TWO_PI / n
+    if not math.isfinite(out):
+        raise ValueError("a root lies on the circle's quadrature points")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -452,24 +527,23 @@ def riesz_decompose(
     radii = np.exp(s)
     thetas = np.arange(n_angles) / n_angles
     u = np.stack([fam.log_abs_per_site_circle(r, n_angles) for r in radii])
-    green = np.stack([
-        green_potential(r * np.exp(2j * math.pi * thetas), roots, R, fam.n, K_trunc)
-        for r in radii])
+    grid = radii[:, None] * np.exp(2j * math.pi * thetas)[None, :]
+    green = green_potential(grid.ravel(), roots, R, fam.n, K_trunc).reshape(grid.shape)
     harm = u - green
 
     boundary_max_dev = float(np.max(np.abs(harm[[0, -1], :] - u[[0, -1], :])))
 
-    # discrete mean-value property of the harmonic part at interior nodes
-    worst = 0.0
+    # discrete mean-value property of the harmonic part at interior nodes,
+    # on a ring around every mv_subsample-th node of each interior row
     ang_mv = np.exp(2j * math.pi * np.arange(mv_points) / mv_points)
-    for i in range(1, n_radii - 1):
-        for j in range(0, n_angles, mv_subsample):
-            zc = radii[i] * np.exp(2j * math.pi * thetas[j])
-            rho = 0.3 * min(R - abs(zc), abs(zc) - 1.0 / R)
-            ring = zc + rho * ang_mv
-            u_ring, _ = fam.poly.eval_log(ring)
-            h_ring = u_ring / fam.n - green_potential(ring, roots, R, fam.n, K_trunc)
-            worst = max(worst, abs(float(np.mean(h_ring)) - harm[i, j]))
+    zc = grid[1:-1, ::mv_subsample, None]
+    rho = 0.3 * np.minimum(R - np.abs(zc), np.abs(zc) - 1.0 / R)
+    rings = zc + rho * ang_mv
+    g_rings = green_potential(rings.ravel(), roots, R, fam.n, K_trunc).reshape(rings.shape)
+    # one eval_log call per ring keeps its (points x coefficients) temporaries small
+    u_rings = np.array([fam.poly.eval_log(ring)[0] for ring in rings.reshape(-1, mv_points)])
+    h_means = np.mean(u_rings.reshape(rings.shape) / fam.n - g_rings, axis=-1)
+    worst = float(np.max(np.abs(h_means - harm[1:-1, ::mv_subsample])))
 
     interior = harm[1:-1, :]
     return RieszDecomposition(
@@ -494,13 +568,16 @@ def jensen_identity_residual(
 ) -> float:
     """Residual of the circle-average identity between radii r1 < r2.
 
-    The difference of circle averages of u equals (pi/n) times the exact
-    integral of the annulus zero-counting step function plus the difference
-    of harmonic-part averages.  The left side and the harmonic averages are
-    quadratures (u by FFT on circles, Green potential by the truncated
-    product formula); the step-function integral comes from the inventory.
-    A nonzero residual therefore measures disagreement between the product
-    formula and the zero inventory, not shared roundoff.
+    The identity reads: the difference of circle averages of u equals
+    (pi/n) times the exact integral of the annulus zero-counting step
+    function plus the difference of harmonic-part averages.  The harmonic
+    part is h = u - g, so the u-averages cancel algebraically and the
+    residual is |(g(r2) - g(r1)) - (pi/n) * integral of the step|, with g
+    the K-point circle mean of the Green potential (green_circle_mean, the
+    truncated product formula in closed form) and the step-function
+    integral from the inventory.  A nonzero residual therefore measures
+    disagreement between the product formula and the zero inventory, not
+    shared roundoff.
     """
     if not (1.0 <= r1 < r2 <= R):
         raise ValueError("radii must satisfy 1 <= r1 < r2 <= R")
@@ -509,24 +586,14 @@ def jensen_identity_residual(
         if len(mods) and np.min(np.abs(mods - r)) < 1e-9:
             raise ValueError(f"a zero lies on the quadrature circle r = {r}")
     roots = _roots_in_annulus(inv, R)
-    thetas = np.arange(K) / K
-
-    def avgs(r: float):
-        u_avg = float(np.mean(fam.log_abs_per_site_circle(r, K)))
-        g_avg = float(np.mean(green_potential(
-            r * np.exp(2j * math.pi * thetas), roots, R, fam.n, K_trunc)))
-        return u_avg, u_avg - g_avg
-
-    u1, h1 = avgs(r1)
-    u2, h2 = avgs(r2)
+    g1 = green_circle_mean(0.0, r1, K, roots, R, fam.n, K_trunc)
+    g2 = green_circle_mean(0.0, r2, K, roots, R, fam.n, K_trunc)
     e1 = math.log(r1) / TWO_PI
     e2 = math.log(r2) / TWO_PI
     coords = inv.eps_coords()
     mult = inv.multiplicities.astype(np.float64)
     step_integral = float(np.sum(mult * np.clip(e2 - np.maximum(e1, coords), 0.0, None)))
-    lhs = u2 - u1
-    rhs = (math.pi / fam.n) * step_integral + (h2 - h1)
-    return abs(lhs - rhs)
+    return abs((g2 - g1) - (math.pi / fam.n) * step_integral)
 
 
 # ----------------------------------------------------------------------
@@ -553,6 +620,27 @@ class RieszMassReport:
     quadrature_points: int
 
 
+def riesz_kappa(
+    potential: Potential,
+    alpha: float,
+    E: float,
+    eps_r: float,
+    kappa_n: int = 512,
+    kappa_K: int = 256,
+) -> int:
+    """The acceleration riesz_mass compares with, from a window around eps_r.
+
+    Raises ValueError when L(E, eps) has a kink inside the window (the
+    slope fit is non-affine): the flux comparison does not apply there.
+    """
+    grid = np.linspace(max(eps_r * 0.4, 1e-3), eps_r * 1.6, 5)
+    est = acceleration(potential, alpha, E, grid, n=kappa_n, K=kappa_K)
+    if est.non_affine:
+        raise ValueError(
+            f"slope window around eps_r is non-affine (residual {est.residual:.3f})")
+    return est.kappa
+
+
 def riesz_mass(
     potential: Potential,
     alpha: float,
@@ -577,12 +665,7 @@ def riesz_mass(
     kink-free step is chosen from the inventory when one is supplied.
     """
     if kappa is None:
-        grid = np.linspace(max(eps_r * 0.4, 1e-3), eps_r * 1.6, 5)
-        est = acceleration(potential, alpha, E, grid, n=kappa_n, K=kappa_K)
-        if est.non_affine:
-            raise ValueError(
-                f"slope window around eps_r is non-affine (residual {est.residual:.3f})")
-        kappa = est.kappa
+        kappa = riesz_kappa(potential, alpha, E, eps_r, kappa_n, kappa_K)
 
     eps_flux = eps_r + delta
 

@@ -126,6 +126,19 @@ def test_gap_precondition_is_skipped_not_failed(tmp_path):
     assert "slope break" in man.tasks[0]["error"]
 
 
+def test_riesz_kink_is_skipped_not_failed(tmp_path):
+    # L(E, eps) has a kink inside the riesz slope window at this energy
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"energies": [0.80232244], "n": 64}))
+    code = main(["riesz", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [t["status"] for t in meta["tasks"]] == ["skipped"]
+    assert "non-affine" in meta["tasks"][0]["error"]
+    assert len(read_rows(tmp_path / "out" / "riesz.csv")) == 1  # header only
+
+
 def test_failed_task_keeps_other_outputs(tmp_path):
     # ids below its minimum size fails that task but still writes headers
     bad = dict(SMALL, ids={"n": 50, "samples": 2})

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from strata_lab import (circle_average_green, count_annulus, det_family,
-                        find_zeros, green_annulus, green_potential,
-                        jensen_identity_residual, riesz_decompose, riesz_mass,
+                        find_zeros, green_annulus, green_circle_mean,
+                        green_potential, jensen_identity_residual,
+                        riesz_decompose, riesz_mass,
                         zero_count_vs_acceleration)
 from strata_lab.zeros_potential import (RootConvergenceError, aberth_roots,
                                         clearest_eps, green_trunc_order)
@@ -152,6 +153,42 @@ def test_green_potential_sums_pointwise():
     empty = green_potential(np.array([z, 2.0 * z]),
                             np.array([], dtype=complex), R_STRIP, 10)
     np.testing.assert_array_equal(empty, 0.0)
+
+
+@pytest.mark.parametrize("E", [0.5, 3.339680829])
+@pytest.mark.parametrize("n", [64, 200])
+def test_green_circle_mean_matches_quadrature(amo2, golden, E, n):
+    inv = find_zeros(det_family(amo2, golden, E, n))
+    mods = np.abs(inv.roots)
+    roots = inv.roots[(mods <= R_STRIP) & (mods >= 1.0 / R_STRIP)]
+    assert len(roots) > 0
+
+    def quadrature(center, rho, K):
+        zs = center + rho * np.exp(2j * math.pi * np.arange(K) / K)
+        return float(np.mean(green_potential(zs, roots, R_STRIP, n)))
+
+    circles = [(0.0, math.exp(TWO_PI * eps), K)
+               for eps in (-0.03, 0.0071, 0.045) for K in (64, 4096)]
+    # mean-value rings as riesz_decompose builds them on its default grid
+    radii = np.exp(np.linspace(-TWO_PI * 0.05, TWO_PI * 0.05, 9))
+    for r in radii[1:-1:2]:
+        for theta in (0.0, 0.3125, 0.78125):
+            zc = r * np.exp(2j * math.pi * theta)
+            circles.append((zc, 0.3 * min(R_STRIP - abs(zc),
+                                          abs(zc) - 1.0 / R_STRIP), 16))
+    for center, rho, K in circles:
+        closed = green_circle_mean(center, rho, K, roots, R_STRIP, n)
+        assert abs(closed - quadrature(center, rho, K)) <= 1e-13, (center, rho, K)
+
+
+def test_green_circle_mean_edge_cases():
+    empty = np.array([], dtype=complex)
+    assert green_circle_mean(0.0, 1.01, 4096, empty, R_STRIP, 10) == 0.0
+    roots = np.array([1.02 * np.exp(0.7j)])
+    with pytest.raises(ValueError):
+        green_circle_mean(0.0, 1.5 * R_STRIP, 64, roots, R_STRIP, 10)
+    with pytest.raises(ValueError):
+        green_circle_mean(0.0, 1.01, 64, roots, 1.0, 10)
 
 
 # ----------------------------------------------------------- riesz split
