@@ -28,9 +28,7 @@ from .cocycle import (
     StratumRecord,
     acceleration,
     classify_stratum,
-    lyapunov_extrapolate,
     lyapunov_n,
-    lyapunov_n_auto,
     strata_measure,
     transfer_log_norms,
 )

@@ -2,6 +2,8 @@
 
 One JSON config drives a family of subcommands (Lyapunov sweeps, zero
 inventories, potential-theory checks, IDS and localization diagnostics).
+Each subcommand is one registry entry (tables, task function, plan); `all`
+runs the twelve acceptance gates through the same task runner.
 Each run writes CSV tables with a fixed column order, optional JSON
 side artifacts, and a manifest recording the config hash, per-task
 status, and the file index.  Numbers are printed with 12 significant
@@ -23,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .spectral_localization import (
     expansion_identity_scan,
     holder_exponent,
     ids,
+    tail_window,
 )
 from .zeros_potential import (
     clearest_eps,
@@ -55,11 +58,6 @@ from .zeros_potential import (
 
 TWO_PI = 2.0 * math.pi
 
-SUBCOMMANDS = (
-    "lyapunov", "acceleration", "zeros", "verify-acc-zeros", "green",
-    "riesz", "ids", "holder", "strata", "ldt", "localize", "all",
-)
-
 
 class ConfigError(ValueError):
     """Raised when the experiment config fails validation."""
@@ -69,6 +67,16 @@ class _Precondition(RuntimeError):
     """A task's mathematical preconditions do not hold for this input.
 
     Reported as status "skipped" in the manifest, not as a failure."""
+
+
+class _GateFailed(RuntimeError):
+    """An acceptance gate ran and did not pass.
+
+    Its row is still written to acceptance.csv; the task is "failed"."""
+
+    def __init__(self, row: Dict[str, Any]):
+        super().__init__(row["observed"])
+        self.row = row
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +108,19 @@ _DEFAULTS: Dict[str, Any] = {
     "green": {"samples": 100, "boundary_tol": 1e-10, "symmetry_tol": 1e-12,
               "average_tol": 1e-9},
     "strata": {"tau_pos": 0.05, "spectrum_box": 300, "spectrum_theta": 0.123},
+}
+
+
+# smallest accepted (section, key) values: below these a task fails late or
+# serves NaN, so the config is refused up front instead
+_MINIMUMS = {
+    ("quadrature", "K"): 1,
+    ("quadrature", "lyapunov_K"): 1,
+    ("riesz", "n_radii"): 3,
+    ("riesz", "K"): 1,
+    ("riesz", "n_angles"): 1,
+    ("strata", "spectrum_box"): 1,
+    ("ldt", "grid_per_n"): 64,
 }
 
 
@@ -231,6 +252,12 @@ class ExperimentConfig:
         jr = resolved["riesz"]["jensen_radii"]
         if len(jr) != 2 or not 0 < jr[0] < jr[1] < resolved["riesz"]["R_eps"]:
             raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
+        for (name, key), low in _MINIMUMS.items():
+            if int(resolved[name][key]) < low:
+                raise ConfigError(f"{name}.{key} must be >= {low}")
+        loc = resolved["localize"]
+        if int(loc["window_len"]) > int(loc["n"]) - 3:
+            raise ConfigError("localize.window_len must be <= localize.n - 3")
         return cfg
 
     def section(self, name: str) -> Dict[str, Any]:
@@ -248,73 +275,6 @@ def config_hash(raw: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # output tables
 # ----------------------------------------------------------------------
-
-_TABLES: Dict[str, Dict[str, List[str]]] = {
-    "lyapunov": {
-        "lyapunov.csv": ["E", "n", "K", "eps", "L", "std_error"],
-    },
-    "acceleration": {
-        "acceleration.csv": ["E", "n", "K", "raw_slope", "kappa",
-                             "residual", "non_affine", "n_segments"],
-        "accel_curve.csv": ["E", "eps", "L", "segment"],
-        "accel_segments.csv": ["E", "segment", "eps_min", "eps_max",
-                               "slope", "kappa", "residual"],
-    },
-    "zeros": {
-        "zeros.csv": ["E", "n", "idx", "re", "im", "modulus", "eps_coord",
-                      "multiplicity", "on_circle", "pair_inversive",
-                      "pair_reflection"],
-        "zero_counts.csv": ["E", "n", "eps_half", "count", "ratio_per_2n",
-                            "boundary_margin", "n_flagged"],
-    },
-    "verify-acc-zeros": {
-        "verify_acc_zeros.csv": ["E", "eps", "kappa", "L0", "n", "count",
-                                 "ratio_per_2n", "deviation",
-                                 "decay_exponent", "boundary_clear"],
-    },
-    "green": {
-        "green_suite.csv": ["check", "samples", "max_abs_err", "tol",
-                            "passed"],
-    },
-    "riesz": {
-        "riesz.csv": ["E", "n", "R_eps", "boundary_max_dev",
-                      "mean_value_max_resid", "h_min", "h_max", "L_ref",
-                      "jensen_r1", "jensen_r2", "jensen_residual", "eps_r",
-                      "mass_v", "mass_u", "count_ratio", "kappa",
-                      "dev_from_2kappa"],
-    },
-    "ids": {
-        "ids.csv": ["E", "n", "value", "spread"],
-    },
-    "holder": {
-        "holder.csv": ["E0", "n", "beta", "beta_stderr", "in_gap",
-                       "message"],
-    },
-    "strata": {
-        "strata.csv": ["E", "L0", "kappa", "residual", "non_affine",
-                       "in_spectrum", "label"],
-    },
-    "ldt": {
-        "ldt_arcs.csv": ["E", "n", "threshold", "arc", "left", "right",
-                         "width", "pair"],
-        "resonance_scan.csv": ["E", "scan", "theta", "y", "clear",
-                               "pair_index"],
-    },
-    "localize": {
-        "localize_summary.csv": ["index", "eigenvalue", "center",
-                                 "slope_left", "slope_right", "resid_left",
-                                 "resid_right", "fit_sites_left",
-                                 "fit_sites_right", "decay_rate",
-                                 "localized", "exp_l1", "exp_l2", "exp_y",
-                                 "expansion_residual"],
-        "decay_profiles.csv": ["index", "site", "abs_phi", "log_abs_phi"],
-    },
-    "all": {
-        "acceptance.csv": ["criterion", "name", "passed", "observed",
-                           "seconds"],
-    },
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -602,14 +562,8 @@ def _task_localize(cfg: ExperimentConfig, index: int) -> Dict[str, Any]:
     n, theta = int(sec["n"]), float(sec["theta"])
     prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
                                seed=cfg.seed)
-    margin, wlen = int(sec["window_margin"]), int(sec["window_len"])
-    # tail window away from the localization center; containing it makes
-    # the window determinant near-resonant
-    if prof.center <= n // 2:
-        l1 = prof.center + margin
-    else:
-        l1 = prof.center - margin - wlen
-    l1 = min(max(1, l1), n - 2 - wlen)
+    wlen = int(sec["window_len"])
+    l1 = tail_window(prof.center, n, int(sec["window_margin"]), wlen)
     try:
         resid, (l1, l2), y = expansion_identity_scan(
             cfg.potential, cfg.alpha, theta, prof.eigenvalue,
@@ -634,122 +588,144 @@ def _task_localize(cfg: ExperimentConfig, index: int) -> Dict[str, Any]:
                      "decay_profiles.csv": prows})
 
 
-_TASKS = {
-    "lyapunov": _task_lyapunov,
-    "acceleration": _task_acceleration,
-    "zeros": _task_zeros,
-    "verify": _task_verify,
-    "green": _task_green,
-    "riesz": _task_riesz,
-    "ids": _task_ids,
-    "holder": _task_holder,
-    "strata": _task_strata,
-    "ldt": _task_ldt,
-    "localize": _task_localize,
+def _task_criterion(cfg: ExperimentConfig, number: int) -> Dict[str, Any]:
+    from .acceptance import run_criterion  # acceptance imports this module
+    row = dataclasses.asdict(run_criterion(number))
+    if not row["passed"]:
+        raise _GateFailed(row)
+    return _payload({"acceptance.csv": [row]})
+
+
+# ----------------------------------------------------------------------
+# subcommand registry
+# ----------------------------------------------------------------------
+
+_Plan = List[Tuple[str, Dict[str, Any]]]
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand: its tables (file -> columns, in write order), its
+    module-level task function, and a plan of (task key, task params) in
+    output order."""
+
+    tables: Dict[str, List[str]]
+    task: Callable[..., Dict[str, Any]]
+    plan: Callable[[ExperimentConfig], _Plan]
+
+
+def _per_energy(prefix: str, param: str = "E") -> Callable[..., _Plan]:
+    return lambda cfg: [(f"{prefix}[{param}={E:.6g}]", {param: E})
+                        for E in cfg.energies]
+
+
+def _per_energy_and_n(prefix: str) -> Callable[..., _Plan]:
+    return lambda cfg: [(f"{prefix}[E={E:.6g},n={n}]", {"E": E, "n": n})
+                        for E in cfg.energies for n in cfg.n_ladder]
+
+
+def _plan_ldt(cfg: ExperimentConfig) -> _Plan:
+    return [(f"ldt[E={E:.6g}]", {"E": E, "seed": cfg.seed + i,
+                                 "geom_name": f"ldt_geometry_{i}.json"})
+            for i, E in enumerate(cfg.energies)]
+
+
+def _plan_localize(cfg: ExperimentConfig) -> _Plan:
+    sec = cfg.section("localize")
+    count = int(sec["count"])
+    base = int(sec["n"]) // 2 - count // 2
+    return [(f"localize[index={i}]", {"index": i})
+            for i in range(base, base + count)]
+
+
+def _plan_all(cfg: ExperimentConfig) -> _Plan:
+    from .acceptance import _CRITERIA  # acceptance imports this module
+    return [(f"criterion-{num}", {"number": num}) for num, _, _ in _CRITERIA]
+
+
+_REGISTRY: Dict[str, _Subcommand] = {
+    "lyapunov": _Subcommand(
+        {"lyapunov.csv": ["E", "n", "K", "eps", "L", "std_error"]},
+        _task_lyapunov, _per_energy_and_n("lyapunov")),
+    "acceleration": _Subcommand(
+        {"acceleration.csv": ["E", "n", "K", "raw_slope", "kappa",
+                              "residual", "non_affine", "n_segments"],
+         "accel_curve.csv": ["E", "eps", "L", "segment"],
+         "accel_segments.csv": ["E", "segment", "eps_min", "eps_max",
+                                "slope", "kappa", "residual"]},
+        _task_acceleration, _per_energy("acceleration")),
+    "zeros": _Subcommand(
+        {"zeros.csv": ["E", "n", "idx", "re", "im", "modulus", "eps_coord",
+                       "multiplicity", "on_circle", "pair_inversive",
+                       "pair_reflection"],
+         "zero_counts.csv": ["E", "n", "eps_half", "count", "ratio_per_2n",
+                             "boundary_margin", "n_flagged"]},
+        _task_zeros, _per_energy_and_n("zeros")),
+    "verify-acc-zeros": _Subcommand(
+        {"verify_acc_zeros.csv": ["E", "eps", "kappa", "L0", "n", "count",
+                                  "ratio_per_2n", "deviation",
+                                  "decay_exponent", "boundary_clear"]},
+        _task_verify, _per_energy("verify")),
+    "green": _Subcommand(
+        {"green_suite.csv": ["check", "samples", "max_abs_err", "tol",
+                             "passed"]},
+        _task_green, lambda cfg: [("green[suite]", {"seed": cfg.seed})]),
+    "riesz": _Subcommand(
+        {"riesz.csv": ["E", "n", "R_eps", "boundary_max_dev",
+                       "mean_value_max_resid", "h_min", "h_max", "L_ref",
+                       "jensen_r1", "jensen_r2", "jensen_residual", "eps_r",
+                       "mass_v", "mass_u", "count_ratio", "kappa",
+                       "dev_from_2kappa"]},
+        _task_riesz, _per_energy("riesz")),
+    "ids": _Subcommand(
+        {"ids.csv": ["E", "n", "value", "spread"]},
+        _task_ids, _per_energy("ids")),
+    "holder": _Subcommand(
+        {"holder.csv": ["E0", "n", "beta", "beta_stderr", "in_gap",
+                        "message"]},
+        _task_holder, _per_energy("holder", "E0")),
+    "strata": _Subcommand(
+        {"strata.csv": ["E", "L0", "kappa", "residual", "non_affine",
+                        "in_spectrum", "label"]},
+        _task_strata, _per_energy("strata")),
+    "ldt": _Subcommand(
+        {"ldt_arcs.csv": ["E", "n", "threshold", "arc", "left", "right",
+                          "width", "pair"],
+         "resonance_scan.csv": ["E", "scan", "theta", "y", "clear",
+                                "pair_index"]},
+        _task_ldt, _plan_ldt),
+    "localize": _Subcommand(
+        {"localize_summary.csv": ["index", "eigenvalue", "center",
+                                  "slope_left", "slope_right", "resid_left",
+                                  "resid_right", "fit_sites_left",
+                                  "fit_sites_right", "decay_rate",
+                                  "localized", "exp_l1", "exp_l2", "exp_y",
+                                  "expansion_residual"],
+         "decay_profiles.csv": ["index", "site", "abs_phi", "log_abs_phi"]},
+        _task_localize, _plan_localize),
+    "all": _Subcommand(
+        {"acceptance.csv": ["criterion", "name", "passed", "observed"]},
+        _task_criterion, _plan_all),
 }
+
+SUBCOMMANDS = tuple(_REGISTRY)
 
 
 def _run_task(packed):
-    name, raw, key, params = packed
+    subcommand, raw, key, params = packed
     t0 = time.perf_counter()
     try:
         cfg = ExperimentConfig.from_raw(raw)
-        payload = _TASKS[name](cfg, **params)
+        payload = _REGISTRY[subcommand].task(cfg, **params)
         return key, "ok", payload, "", time.perf_counter() - t0
     except _Precondition as exc:
         return key, "skipped", _payload(), str(exc), time.perf_counter() - t0
+    except _GateFailed as exc:
+        return (key, "failed", _payload({"acceptance.csv": [exc.row]}),
+                str(exc), time.perf_counter() - t0)
     except Exception as exc:  # sibling tasks keep running; manifest records it
         msg = f"{type(exc).__name__}: {exc}"
         return key, "failed", _payload(), msg, time.perf_counter() - t0
-
-
-# ----------------------------------------------------------------------
-# planners
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _TaskSpec:
-    key: str
-    func: str
-    params: Dict[str, Any]
-    cost: int
-
-
-def _plan(subcommand: str, cfg: ExperimentConfig) -> List[_TaskSpec]:
-    quad = cfg.section("quadrature")
-    K, K_ly = int(quad["K"]), int(quad["lyapunov_K"])
-    tasks: List[_TaskSpec] = []
-    if subcommand == "lyapunov":
-        for E in cfg.energies:
-            for n in cfg.n_ladder:
-                tasks.append(_TaskSpec(
-                    f"lyapunov[E={E:.6g},n={n}]", "lyapunov",
-                    {"E": E, "n": n}, (len(cfg.eps_grid) + 1) * n * K_ly))
-    elif subcommand == "acceleration":
-        for E in cfg.energies:
-            tasks.append(_TaskSpec(
-                f"acceleration[E={E:.6g}]", "acceleration", {"E": E},
-                len(cfg.eps_grid) * cfg.n * K))
-    elif subcommand == "zeros":
-        for E in cfg.energies:
-            for n in cfg.n_ladder:
-                tasks.append(_TaskSpec(
-                    f"zeros[E={E:.6g},n={n}]", "zeros",
-                    {"E": E, "n": n}, 50 * (2 * n) ** 2))
-    elif subcommand == "verify-acc-zeros":
-        for E in cfg.energies:
-            cost = sum(50 * (2 * n) ** 2 for n in cfg.n_ladder)
-            tasks.append(_TaskSpec(
-                f"verify[E={E:.6g}]", "verify", {"E": E},
-                cost + cfg.n * K * (len(cfg.eps_grid) + 2)))
-    elif subcommand == "green":
-        tasks.append(_TaskSpec(
-            "green[suite]", "green", {"seed": cfg.seed},
-            int(cfg.section("green")["samples"]) * 4096))
-    elif subcommand == "riesz":
-        sec = cfg.section("riesz")
-        cost = (50 * (2 * cfg.n) ** 2
-                + int(sec["n_radii"]) * int(sec["n_angles"]) * 2 * cfg.n)
-        for E in cfg.energies:
-            tasks.append(_TaskSpec(
-                f"riesz[E={E:.6g}]", "riesz", {"E": E}, cost))
-    elif subcommand == "ids":
-        sec = cfg.section("ids")
-        for E in cfg.energies:
-            tasks.append(_TaskSpec(
-                f"ids[E={E:.6g}]", "ids", {"E": E},
-                int(sec["samples"]) * int(sec["n"]) * 40))
-    elif subcommand == "holder":
-        sec = cfg.section("holder")
-        for E in cfg.energies:
-            tasks.append(_TaskSpec(
-                f"holder[E0={E:.6g}]", "holder", {"E0": E},
-                2 * len(sec["delta_ladder"])
-                * int(cfg.section("ids")["samples"]) * int(sec["n"])))
-    elif subcommand == "strata":
-        for E in cfg.energies:
-            tasks.append(_TaskSpec(
-                f"strata[E={E:.6g}]", "strata", {"E": E},
-                (len(cfg.eps_grid) * K + K_ly) * cfg.n))
-    elif subcommand == "ldt":
-        sec = cfg.section("ldt")
-        for i, E in enumerate(cfg.energies):
-            tasks.append(_TaskSpec(
-                f"ldt[E={E:.6g}]", "ldt",
-                {"E": E, "seed": cfg.seed + i,
-                 "geom_name": f"ldt_geometry_{i}.json"},
-                int(sec["grid_per_n"]) * cfg.n * 40))
-    elif subcommand == "localize":
-        sec = cfg.section("localize")
-        n, count = int(sec["n"]), int(sec["count"])
-        base = n // 2 - count // 2
-        for j in range(count):
-            tasks.append(_TaskSpec(
-                f"localize[index={base + j}]", "localize",
-                {"index": base + j}, 30 * n * n))
-    else:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return tasks
 
 
 # ----------------------------------------------------------------------
@@ -829,54 +805,28 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
     overridden here).  Planning order fixes row order, so thread count
     never changes the bytes written.
     """
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in _REGISTRY:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     raw = _load_config(config)
     if seed is not None:
         raw["seed"] = int(seed)
     cfg = ExperimentConfig.from_raw(raw)
-    resolved_raw = cfg.raw
     target = out_dir if out_dir is not None else cfg.out_dir
     started = _utc_now()
+    spec = _REGISTRY[subcommand]
+    plan = spec.plan(cfg)
 
-    if subcommand == "all":
-        from .acceptance import run_all
-        if dry_run:
-            print("dry run: 12 acceptance criteria, nothing computed")
-            return RunManifest(subcommand, __version__, config_hash(raw),
-                               cfg.seed, threads, target, started,
-                               _utc_now(), (), ())
-        os.makedirs(target, exist_ok=True)
-        records = run_all()
-        rows = [dataclasses.asdict(r) for r in records]
-        _write_table(os.path.join(target, "acceptance.csv"),
-                     _TABLES["all"]["acceptance.csv"], rows)
-        tasks = tuple({"key": f"criterion-{r.criterion}",
-                       "status": "ok" if r.passed else "failed",
-                       "seconds": round(r.seconds, 3),
-                       "error": "" if r.passed else r.observed}
-                      for r in records)
-        manifest = RunManifest(subcommand, __version__, config_hash(raw),
-                               cfg.seed, threads, target, started,
-                               _utc_now(), tasks, ("acceptance.csv",))
-        with open(os.path.join(target, "manifest.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        return manifest
-
-    specs = _plan(subcommand, cfg)
     if dry_run:
-        total = sum(s.cost for s in specs)
-        print(f"dry run: {len(specs)} task(s), cost proxy {total:.3g}")
-        for s in specs:
-            print(f"  {s.key}  cost {s.cost:.3g}")
+        print(f"dry run: {len(plan)} task(s), nothing computed")
+        for key, _ in plan:
+            print(f"  {key}")
         return RunManifest(subcommand, __version__, config_hash(raw),
                            cfg.seed, threads, target, started, _utc_now(),
-                           tuple({"key": s.key, "status": "planned",
+                           tuple({"key": key, "status": "planned",
                                   "seconds": 0.0, "error": ""}
-                                 for s in specs), ())
+                                 for key, _ in plan), ())
 
-    packed = [(s.func, resolved_raw, s.key, s.params) for s in specs]
+    packed = [(subcommand, cfg.raw, key, params) for key, params in plan]
     if threads > 1 and len(packed) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_task, packed))
@@ -884,7 +834,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
         results = [_run_task(p) for p in packed]
 
     os.makedirs(target, exist_ok=True)
-    tables: Dict[str, List[dict]] = {f: [] for f in _TABLES[subcommand]}
+    tables: Dict[str, List[dict]] = {f: [] for f in spec.tables}
     json_files: Dict[str, Any] = {}
     task_records = []
     for key, status, payload, err, secs in results:
@@ -900,7 +850,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
             json_files["strata_summary.json"] = summary
 
     files = []
-    for fname, columns in _TABLES[subcommand].items():
+    for fname, columns in spec.tables.items():
         _write_table(os.path.join(target, fname), columns, tables[fname])
         files.append(fname)
     for fname, obj in json_files.items():

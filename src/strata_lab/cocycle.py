@@ -15,33 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import TWO_PI, Potential
-
-
-@dataclass(frozen=True)
-class CocycleParams:
-    """Frozen description of one cocycle evaluation."""
-
-    potential: Potential
-    alpha: float          # rotation frequency, in (0, 1)
-    E: float              # spectral parameter
-    eps: float = 0.0      # imaginary shift of the phase, |eps| < eta
-
-    def __post_init__(self):
-        if abs(self.eps) >= self.potential.eta:
-            raise ValueError(
-                f"|eps| = {abs(self.eps)} must stay below eta = {self.potential.eta}")
-
-
-def one_step(potential: Potential, theta: float, E: float,
-             eps: float = 0.0) -> np.ndarray:
-    """The single transfer matrix A(theta + i eps) as a 2x2 complex array."""
-    f = potential.eval_theta(theta, eps)
-    return np.array([[E - f, -1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 def transfer_log_norms(
@@ -90,14 +68,6 @@ def transfer_log_norms(
     return acc
 
 
-def transfer_product(params: CocycleParams, theta: float, n: int):
-    """(log ||A_n||, residual unit matrix) at a single phase."""
-    logs, mats = transfer_log_norms(
-        params.potential, params.alpha, np.array([theta]),
-        params.E, params.eps, n, return_matrices=True)
-    return float(logs[0]), mats[0]
-
-
 # ----------------------------------------------------------------------
 # Lyapunov averages
 # ----------------------------------------------------------------------
@@ -133,41 +103,6 @@ def lyapunov_n(
         value=float(np.mean(vals)), E=float(E), eps=float(eps), n=n,
         quadrature_points=K,
         std_error=float(np.std(vals) / math.sqrt(K)))
-
-
-def lyapunov_n_auto(
-    potential: Potential,
-    alpha: float,
-    E: float,
-    n: int,
-    eps: float = 0.0,
-    K0: int = 128,
-    tol: float = 1e-4,
-    K_cap: int = 16384,
-) -> LyapunovEstimate:
-    """Double the phase grid until successive averages agree.
-
-    Stops when |L(K) - L(2K)| < max(tol, std_error) or the grid cap is hit;
-    returns the finest estimate.
-    """
-    est = lyapunov_n(potential, alpha, E, n, eps, K0)
-    K = K0
-    while 2 * K <= K_cap:
-        K *= 2
-        finer = lyapunov_n(potential, alpha, E, n, eps, K)
-        if abs(finer.value - est.value) < max(tol, finer.std_error):
-            return finer
-        est = finer
-    return est
-
-
-def lyapunov_extrapolate(
-    est_n: LyapunovEstimate, est_2n: LyapunovEstimate
-) -> float:
-    """Richardson step assuming an O(1/n) tail: 2 L_{2n} - L_n."""
-    if est_2n.n != 2 * est_n.n:
-        raise ValueError("extrapolation expects the n and 2n estimates")
-    return 2.0 * est_2n.value - est_n.value
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,13 @@ class ScaledLaurentPoly:
 
     # -- evaluation ------------------------------------------------------
 
+    def _log_unit_coeffs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(log|c_k|, c_k/|c_k|), with -inf and 0 for zero coefficients."""
+        mag = np.abs(self.coeffs)
+        safe = np.maximum(mag, 1e-300)
+        return (np.where(mag > 0, np.log(safe), -np.inf),
+                np.where(mag > 0, self.coeffs / safe, 0.0))
+
     def eval_log(self, z):
         """Evaluate at complex z (scalar or 1d array), in log form.
 
@@ -101,10 +108,7 @@ class ScaledLaurentPoly:
         if np.any(zs == 0):
             raise ValueError("Laurent polynomial evaluation requires z != 0")
         ks = np.arange(self.lo, self.hi + 1, dtype=np.float64)
-        logc = np.where(np.abs(self.coeffs) > 0,
-                        np.log(np.maximum(np.abs(self.coeffs), 1e-300)), -np.inf)
-        unitc = np.where(np.abs(self.coeffs) > 0,
-                         self.coeffs / np.maximum(np.abs(self.coeffs), 1e-300), 0.0)
+        logc, unitc = self._log_unit_coeffs()
         log_abs = np.empty(len(zs), dtype=np.float64)
         unit = np.empty(len(zs), dtype=np.complex128)
         step = max(1, (1 << 22) // (len(ks) + 1))
@@ -132,13 +136,10 @@ class ScaledLaurentPoly:
         whole grid costs one FFT.  Returns log_abs array of length m.
         """
         ks = np.arange(self.lo, self.hi + 1, dtype=np.float64)
-        expo = ks * math.log(radius) + np.where(
-            np.abs(self.coeffs) > 0,
-            np.log(np.maximum(np.abs(self.coeffs), 1e-300)), -np.inf)
+        logc, unitc = self._log_unit_coeffs()
+        expo = ks * math.log(radius) + logc
         S = float(np.max(expo))
-        scaled = np.exp(expo - S) * np.where(
-            np.abs(self.coeffs) > 0,
-            self.coeffs / np.maximum(np.abs(self.coeffs), 1e-300), 0.0)
+        scaled = np.exp(expo - S) * unitc
         folded = np.zeros(m, dtype=np.complex128)
         idx = np.mod(np.arange(self.lo, self.hi + 1), m)
         np.add.at(folded, idx, scaled)

@@ -8,15 +8,16 @@ irrational rotation,
 
 This module holds the two static ingredients, the potential f and the
 frequency alpha, together with the small-divisor checks (Diophantine and
-phase-resonance conditions) that the localization diagnostics rely on.
+phase-resonance conditions) under which the paper's localization results
+hold.  No pipeline path calls these checks yet: the localization
+diagnostics run on the configured alpha and phase without testing them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -87,10 +88,6 @@ class Potential:
     def k0(self) -> int:
         """Largest frequency present (degree of the trigonometric polynomial)."""
         return self._k0
-
-    def coeff(self, k: int) -> complex:
-        idx = np.nonzero(self._ks == k)[0]
-        return complex(self._cs[idx[0]]) if len(idx) else 0.0 + 0.0j
 
     def coeffs_dict(self) -> Dict[int, complex]:
         return dict(zip(self._ks.tolist(), self._cs.tolist()))
@@ -169,19 +166,6 @@ class Potential:
     def zero(cls, eta: float = 0.5) -> "Potential":
         """Free potential f = 0 (the discrete Laplacian)."""
         return cls({}, eta=eta)
-
-    @classmethod
-    def truncate(
-        cls, coeffs: Mapping[int, complex], k0: int, eta: float = 0.5
-    ) -> Tuple["Potential", float]:
-        """Keep only |k| <= k0 and return (potential, tail bound).
-
-        The discarded tail satisfies |f - f_trunc| <= sum_{|k|>k0} |c_k| on
-        the real phase; the bound is returned so callers can budget for it.
-        """
-        kept = {k: v for k, v in coeffs.items() if abs(int(k)) <= k0}
-        tail = sum(abs(v) for k, v in coeffs.items() if abs(int(k)) > k0)
-        return cls(kept, eta=eta), float(tail)
 
     def to_dict(self) -> dict:
         return {

@@ -12,13 +12,13 @@ interior expansion of a solution through window determinants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
-from .model import Potential, TWO_PI
+from .model import Potential
 from .cocycle import lyapunov_n
 from .determinant import det_at_phase, det_family
 
@@ -27,7 +27,6 @@ __all__ = [
     "sturm_count",
     "DirichletSpectrum",
     "dirichlet_eigenvalues",
-    "dirichlet_root_residual",
     "dirichlet_eigenpair",
     "DecayProfile",
     "eigenfunction_decay",
@@ -41,6 +40,7 @@ __all__ = [
     "double_resonance_scan",
     "expansion_identity_check",
     "expansion_identity_scan",
+    "tail_window",
 ]
 
 # pivot floor for the inertia recurrence; a pivot this small is treated as
@@ -118,32 +118,6 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
                                    lapack_driver="stebz")
         evs = np.sort(evs)
     return DirichletSpectrum(theta=float(theta), n=n, eigenvalues=evs)
-
-
-def dirichlet_root_residual(potential: Potential, alpha: float, theta: float,
-                            E: float, n: int) -> float:
-    """Newton correction |D_n(E)/D_n'(E)| at a real phase, scale-free.
-
-    Runs the value and E-derivative recurrences jointly with a shared
-    renormalization, so the quotient measures the distance from E to the
-    nearest root of the characteristic polynomial regardless of overall
-    magnitude.  Returns inf when the derivative vanishes.
-    """
-    f = dirichlet_diagonal(potential, alpha, theta, n)
-    d_prev, d = 0.0, 1.0
-    g_prev, g = 0.0, 0.0
-    for j in range(n):
-        t = E - f[j]
-        d_new = t * d - d_prev
-        g_new = d + t * g - g_prev
-        m = max(abs(d_new), abs(g_new), abs(d), abs(g))
-        if m == 0.0:
-            m = 1.0
-        d_prev, d = d / m, d_new / m
-        g_prev, g = g / m, g_new / m
-    if g == 0.0:
-        return math.inf
-    return abs(d / g)
 
 
 def _box_residual(d: np.ndarray, lam: float, v: np.ndarray) -> float:
@@ -739,6 +713,17 @@ def expansion_identity_check(
 
     expansion = term(l2 - y, zy, phi_left) + term(y - l1, z1, phi_right)
     return abs(float(phi[y]) - expansion) / norm
+
+
+def tail_window(center: int, n: int, margin: int, length: int) -> int:
+    """Left end l1 of the expansion window [l1, l1 + length] in an n-site box.
+
+    The window starts `margin` sites past the localization center, on the
+    roomier side of it: a window containing the center has a near-resonant
+    determinant.  l1 is clamped to [1, n - 2 - length].
+    """
+    l1 = center + margin if center <= n // 2 else center - margin - length
+    return min(max(1, l1), n - 2 - length)
 
 
 def expansion_identity_scan(

@@ -39,10 +39,29 @@ def read_rows(path):
     {"energies": {"start": 0.0, "stop": 1.0, "count": 0}},
     {"energies": 0.5},
     {"riesz": {"jensen_radii": [0.04, 0.01]}},
+    {"quadrature": {"K": 0}},                  # NaN slope, late failure
+    {"quadrature": {"lyapunov_K": 0}},         # would serve L = nan
+    {"riesz": {"n_radii": 2}},
+    {"riesz": {"K": 0}},
+    {"riesz": {"n_angles": 0}},
+    {"strata": {"spectrum_box": 0}},
+    {"ldt": {"grid_per_n": 8}},                # was a late "skipped"
+    {"localize": {"n": 600, "window_len": 700}},
+    {"localize": {"n": 600, "window_len": 598}},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_raw(raw)
+
+
+def test_config_accepts_the_minimums():
+    ExperimentConfig.from_raw({
+        "quadrature": {"K": 1, "lyapunov_K": 1},
+        "riesz": {"n_radii": 3, "K": 1, "n_angles": 1},
+        "strata": {"spectrum_box": 1},
+        "ldt": {"grid_per_n": 64},
+        "localize": {"n": 600, "window_len": 597},
+    })
 
 
 def test_config_energy_range_form():
@@ -220,6 +239,34 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
     assert (tmp_path / "out" / "lyapunov.csv").exists()
+
+
+def test_all_dry_run_plans_one_task_per_criterion(tmp_path):
+    man = run("all", out_dir=str(tmp_path), dry_run=True)
+    assert [t["key"] for t in man.tasks] == [
+        f"criterion-{i}" for i in range(1, 13)]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_failing_gate_keeps_its_row_and_exits_three(tmp_path,
+                                                         monkeypatch):
+    from strata_lab import acceptance
+    monkeypatch.setattr(acceptance, "_CRITERIA", (
+        (1, "holds", lambda: (True, "fine")),
+        (2, "breaks", lambda: (False, "off by 2")),
+        (3, "raises", lambda: (1 / 0, ""))))
+    assert main(["all", "--out", str(tmp_path)]) == 3
+    assert read_rows(tmp_path / "acceptance.csv") == [
+        ["criterion", "name", "passed", "observed"],
+        ["1", "holds", "1", "fine"],
+        ["2", "breaks", "0", "off by 2"],
+        ["3", "raises", "0", "ZeroDivisionError: division by zero"]]
+    meta = json.loads((tmp_path / "manifest.json").read_text())
+    assert [(t["key"], t["status"], t["error"]) for t in meta["tasks"]] == [
+        ("criterion-1", "ok", ""),
+        ("criterion-2", "failed", "off by 2"),
+        ("criterion-3", "failed", "ZeroDivisionError: division by zero")]
+    assert meta["files"] == ["acceptance.csv"]
 
 
 def test_subcommand_listing_is_stable():

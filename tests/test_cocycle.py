@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (acceleration, classify_stratum, lyapunov_extrapolate,
-                        lyapunov_n, lyapunov_n_auto, strata_measure,
-                        transfer_log_norms)
-from strata_lab.cocycle import LyapunovEstimate, one_step
+from strata_lab import (acceleration, classify_stratum, lyapunov_n,
+                        strata_measure, transfer_log_norms)
 
 LOG2 = math.log(2.0)
 
@@ -20,7 +18,8 @@ def test_transfer_log_norms_oracle(amo2, golden):
     for i, th in enumerate(thetas):
         M = np.eye(2, dtype=complex)
         for j in range(n):
-            M = one_step(amo2, th + j * golden, E, eps) @ M
+            f = amo2.eval_theta(th + j * golden, eps)
+            M = np.array([[E - f, -1.0], [1.0, 0.0]]) @ M
         sup = float(np.max(np.abs(M)))
         assert logs[i] == pytest.approx(math.log(sup), abs=1e-10)
         np.testing.assert_allclose(math.exp(logs[i]) * units[i], M,
@@ -49,22 +48,6 @@ def test_strip_slope_adds_two_pi_eps(amo2, golden, eps):
 
 def test_free_lyapunov_vanishes(free, golden):
     assert abs(lyapunov_n(free, golden, 1.0, 256, 0.0, K=64).value) < 0.05
-
-
-def test_extrapolate_cancels_one_over_n():
-    def mk(n):
-        return LyapunovEstimate(value=0.7 + 1.0 / n, E=0.5, eps=0.0, n=n,
-                                quadrature_points=64, std_error=0.0)
-
-    assert lyapunov_extrapolate(mk(100), mk(200)) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        lyapunov_extrapolate(mk(100), mk(300))
-
-
-def test_lyapunov_auto_matches_fixed_quadrature(amo2, golden):
-    auto = lyapunov_n_auto(amo2, golden, 0.5, 256, tol=1e-4)
-    ref = lyapunov_n(amo2, golden, 0.5, 256, 0.0, K=2048)
-    assert auto.value == pytest.approx(ref.value, abs=3e-4)
 
 
 def test_acceleration_unit_slope(amo2, golden):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import Potential, center_family, det_at_phase, det_family
-from strata_lab.cocycle import CocycleParams, transfer_product
+from strata_lab import (Potential, center_family, det_at_phase, det_family,
+                        transfer_log_norms)
 from strata_lab.determinant import DegreeCapError, ScaledLaurentPoly
 
 
@@ -80,9 +80,9 @@ def test_stage_ladder_matches_direct(amo2, golden):
 def test_transfer_matrix_carries_determinants(amo2, golden):
     # A_n = [[D_n(th), -D_{n-1}(th+a)], [D_{n-1}(th), -D_{n-2}(th+a)]]
     theta, E, n = 0.137, 0.5, 8
-    params = CocycleParams(potential=amo2, alpha=golden, E=E, eps=0.0)
-    log_norm, unit = transfer_product(params, theta, n)
-    M = math.exp(log_norm) * unit
+    logs, units = transfer_log_norms(amo2, golden, np.array([theta]), E, 0.0,
+                                     n, return_matrices=True)
+    M = math.exp(logs[0]) * units[0]
 
     def D(k, phase):
         if k == 0:

@@ -93,12 +93,6 @@ class TestPotential:
         assert back.coeffs_dict() == pot.coeffs_dict()
         assert back.eta == pot.eta
 
-    def test_truncate_reports_tail(self):
-        coeffs = {0: 1.0, 1: 0.5, -1: 0.5, 3: 0.01, -3: 0.01}
-        pot, tail = Potential.truncate(coeffs, 1)
-        assert pot.k0 == 1
-        assert tail == pytest.approx(0.02)
-
 
 class TestFrequency:
     def test_golden_quotients_all_one(self):

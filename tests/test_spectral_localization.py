@@ -8,8 +8,7 @@ from strata_lab import (deviation_set, dirichlet_eigenvalues,
                         expansion_identity_check, expansion_identity_scan,
                         holder_exponent, ids, sturm_count)
 from strata_lab.spectral_localization import (DeviationSetGeometry,
-                                              dirichlet_eigenpair,
-                                              dirichlet_root_residual)
+                                              dirichlet_eigenpair)
 
 LOG2 = math.log(2.0)
 
@@ -44,17 +43,6 @@ def test_sturm_count_matches_spectrum(amo2, golden):
     counts = sturm_count(amo2, golden, 0.37, Es, n)
     for E, c in zip(Es, counts):
         assert c == spec.count_below(float(E))
-
-
-def test_root_residual_flags_eigenvalues(amo2, golden):
-    n = 40
-    spec = dirichlet_eigenvalues(amo2, golden, 0.3, n)
-    at = dirichlet_root_residual(amo2, golden, 0.3,
-                                 float(spec.eigenvalues[20]), n)
-    mid = 0.5 * float(spec.eigenvalues[20] + spec.eigenvalues[21])
-    off = dirichlet_root_residual(amo2, golden, 0.3, mid, n)
-    assert at < 1e-10
-    assert off > 1e-3
 
 
 def test_eigenpair_residual_and_normalization(amo2, golden, dense_box):
