@@ -34,6 +34,7 @@ from .model import GOLDEN_MEAN, Potential
 from .cocycle import acceleration, classify_stratum, lyapunov_n, strata_measure
 from .determinant import det_family
 from .spectral_localization import (
+    check_delta_ladder,
     deviation_set,
     dirichlet_eigenvalues,
     eigenfunction_decay,
@@ -121,6 +122,11 @@ _MINIMUMS = {
     ("riesz", "n_angles"): 1,
     ("strata", "spectrum_box"): 1,
     ("ldt", "grid_per_n"): 64,
+    ("localize", "n"): 500,      # decay diagnostics
+    ("ids", "n"): 100,           # IDS estimates
+    ("ids", "samples"): 1,
+    ("holder", "n"): 100,        # the holder fit runs IDS estimates
+    ("green", "samples"): 4,     # samples // 4 circle-average checks
 }
 
 
@@ -138,10 +144,31 @@ def _check_unknown_keys(raw: Dict[str, Any]) -> None:
     for k, v in raw.items():
         if k not in _DEFAULTS:
             raise ConfigError(f"unknown config key {k!r}")
-        if isinstance(_DEFAULTS[k], dict) and isinstance(v, dict):
+        if isinstance(_DEFAULTS[k], dict) and not isinstance(v, dict):
+            raise ConfigError(f"section {k!r} must be an object")
+        if isinstance(_DEFAULTS[k], dict):
             bad = set(v) - set(_DEFAULTS[k])
             if bad:
                 raise ConfigError(f"unknown keys {sorted(bad)} in section {k!r}")
+
+
+def _typed(value, kind, key: str):
+    """int(value) or float(value); a value that does not convert, or a
+    float that is not finite, is a config error naming its key."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
+
+
+def _typed_list(values, kind, key: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(_typed(v, kind, f"{key} entry") for v in values)
 
 
 def _parse_energies(spec) -> Tuple[float, ...]:
@@ -149,14 +176,18 @@ def _parse_energies(spec) -> Tuple[float, ...]:
         bad = set(spec) - {"start", "stop", "count"}
         if bad:
             raise ConfigError(f"unknown keys {sorted(bad)} in energies range")
-        count = int(spec["count"])
+        missing = {"start", "stop", "count"} - set(spec)
+        if missing:
+            raise ConfigError(f"energies range lacks {sorted(missing)}")
+        count = _typed(spec["count"], int, "energies.count")
         if count < 1:
             raise ConfigError("energies range needs count >= 1")
-        return tuple(float(E) for E in
-                     np.linspace(float(spec["start"]), float(spec["stop"]), count))
+        return tuple(float(E) for E in np.linspace(
+            _typed(spec["start"], float, "energies.start"),
+            _typed(spec["stop"], float, "energies.stop"), count))
     if not isinstance(spec, (list, tuple)):
         raise ConfigError("energies must be a list or a start/stop/count range")
-    return tuple(float(E) for E in spec)
+    return _typed_list(spec, float, "energies")
 
 
 def _parse_potential(spec) -> Potential:
@@ -175,7 +206,7 @@ def _parse_alpha(spec) -> float:
         if spec.strip().lower() == "golden":
             return GOLDEN_MEAN
         raise ConfigError(f"unknown alpha preset {spec!r}")
-    a = float(spec)
+    a = _typed(spec, float, "alpha")
     if not 0.0 < a < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     return a
@@ -218,20 +249,21 @@ class ExperimentConfig:
         potential = _parse_potential(resolved["potential"])
         alpha = _parse_alpha(resolved["alpha"])
         energies = _parse_energies(resolved["energies"])
-        eps = float(resolved["eps"])
-        eps_grid = tuple(float(e) for e in resolved["eps_grid"])
+        eps = _typed(resolved["eps"], float, "eps")
+        eps_grid = _typed_list(resolved["eps_grid"], float, "eps_grid")
         if eps <= 0:
             raise ConfigError("eps must be positive")
         if len(eps_grid) < 2 or any(e < 0 for e in eps_grid):
             raise ConfigError("eps_grid needs >= 2 nonnegative entries")
         if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
             raise ConfigError("eps_grid must be strictly increasing")
-        strip_reach = max(eps, max(eps_grid), float(resolved["riesz"]["R_eps"]))
+        R_eps = _typed(resolved["riesz"]["R_eps"], float, "riesz.R_eps")
+        strip_reach = max(eps, max(eps_grid), R_eps)
         if strip_reach >= potential.eta:
             raise ConfigError(
                 f"strip half-widths reach {strip_reach} but the potential is "
                 f"only analytic up to eta = {potential.eta}")
-        n = int(resolved["n"])
+        n = _typed(resolved["n"], int, "n")
         if n < 2:
             raise ConfigError("n must be >= 2")
         cfg = cls(
@@ -243,21 +275,26 @@ class ExperimentConfig:
             eps_grid=eps_grid,
             n=n,
             n_ladder=_positive_int_ladder(resolved["n_ladder"], "n_ladder"),
-            seed=int(resolved["seed"]),
+            seed=_typed(resolved["seed"], int, "seed"),
             out_dir=str(resolved["out_dir"]),
         )
-        _positive_int_ladder(
-            sorted({int(resolved["ids"]["n"]), int(resolved["holder"]["n"]),
-                    int(resolved["localize"]["n"])}) or [2], "section box sizes")
-        jr = resolved["riesz"]["jensen_radii"]
-        if len(jr) != 2 or not 0 < jr[0] < jr[1] < resolved["riesz"]["R_eps"]:
+        jr = _typed_list(resolved["riesz"]["jensen_radii"], float,
+                         "riesz.jensen_radii")
+        if len(jr) != 2 or not 0 < jr[0] < jr[1] < R_eps:
             raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
         for (name, key), low in _MINIMUMS.items():
-            if int(resolved[name][key]) < low:
+            if _typed(resolved[name][key], int, f"{name}.{key}") < low:
                 raise ConfigError(f"{name}.{key} must be >= {low}")
         loc = resolved["localize"]
-        if int(loc["window_len"]) > int(loc["n"]) - 3:
+        window = _typed(loc["window_len"], int, "localize.window_len")
+        if window > int(loc["n"]) - 3:
             raise ConfigError("localize.window_len must be <= localize.n - 3")
+        hol = resolved["holder"]
+        ladder = _typed_list(hol["delta_ladder"], float, "holder.delta_ladder")
+        try:
+            check_delta_ladder(ladder, int(hol["n"]))
+        except ValueError as exc:
+            raise ConfigError(f"holder: {exc}") from exc
         return cfg
 
     def section(self, name: str) -> Dict[str, Any]:
@@ -308,11 +345,11 @@ def _payload(tables: Optional[Dict[str, List[dict]]] = None,
 
 def _task_lyapunov(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
     K = int(cfg.section("quadrature")["lyapunov_K"])
-    rows = []
-    for eps in (0.0,) + cfg.eps_grid:
-        est = lyapunov_n(cfg.potential, cfg.alpha, E, n, eps, K)
-        rows.append({"E": E, "n": n, "K": K, "eps": eps, "L": est.value,
-                     "std_error": est.std_error})
+    grid = (0.0,) + cfg.eps_grid
+    rows = [{"E": E, "n": n, "K": K, "eps": eps, "L": est.value,
+             "std_error": est.std_error}
+            for eps, est in zip(grid, lyapunov_n(cfg.potential, cfg.alpha,
+                                                 E, n, grid, K))]
     return _payload({"lyapunov.csv": rows})
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class Potential:
                 )
         self._ks = ks
         self._cs = cs
+        self._terms = list(zip(ks.tolist(), cs.tolist()))
         self._eta = float(eta)
         self._k0 = int(np.max(np.abs(ks))) if len(ks) else 0
 
@@ -90,7 +91,7 @@ class Potential:
         return self._k0
 
     def coeffs_dict(self) -> Dict[int, complex]:
-        return dict(zip(self._ks.tolist(), self._cs.tolist()))
+        return dict(self._terms)
 
     def laurent_coeffs(self) -> np.ndarray:
         """Dense coefficient vector for exponents -k0 .. k0 (ascending)."""
@@ -101,7 +102,7 @@ class Potential:
     @property
     def is_even(self) -> bool:
         """True when f(-theta) = f(theta), i.e. c_k = c_{-k} for all k."""
-        lookup = dict(zip(self._ks.tolist(), self._cs.tolist()))
+        lookup = dict(self._terms)
         scale = max((abs(c) for c in lookup.values()), default=1.0)
         return all(
             abs(c - lookup.get(-k, 0.0 + 0.0j)) <= self._REALITY_TOL * scale
@@ -114,6 +115,14 @@ class Potential:
 
     # -- evaluation -------------------------------------------------------
 
+    def _laurent(self, z: np.ndarray) -> np.ndarray:
+        """sum_k c_k z^k, term by term in ascending k, with no annulus check."""
+        out = np.zeros(z.shape, dtype=z.dtype)
+        for k, c in self._terms:
+            # z ** 1 runs numpy's general complex power; z is the same bits
+            out = out + c * (z if k == 1 else z ** k)
+        return out
+
     def eval_z(self, z):
         """Evaluate the Laurent form sum_k c_k z^k at complex z (scalar or array).
 
@@ -124,35 +133,71 @@ class Potential:
         lim = math.exp(TWO_PI * self._eta)
         if np.any(r > lim * (1 + 1e-9)) or np.any(r < (1 - 1e-9) / lim):
             raise ValueError("evaluation point outside the declared annulus")
-        out = np.zeros_like(z)
-        for k, c in zip(self._ks.tolist(), self._cs.tolist()):
-            out = out + c * z ** k
+        out = self._laurent(z)
         return out if out.ndim else complex(out)
 
-    def eval_theta(self, theta, eps: float = 0.0):
-        """Evaluate f at the (possibly complexified) phase theta + i*eps.
+    def eval_theta(self, theta, eps: Union[float, Sequence[float]] = 0.0):
+        """Evaluate f at the complexified phases theta + i*eps.
 
-        For eps == 0 the result is real (imaginary part discarded, it is
-        roundoff by the reality constraint).  For eps != 0 the result is the
-        value of the analytic extension, a complex number.
+        `eps` is a scalar or a 1-D grid.  For a scalar the result has the
+        shape of theta: real at eps == 0 (the c_k, c_{-k} pairs collapse to
+        a cosine form; the imaginary roundoff is discarded), otherwise the
+        complex value of the analytic extension.  For a grid it is a complex
+        array of shape (len(eps),) + theta.shape, one row per entry, the
+        eps == 0 rows with zero imaginary part; a scalar is the one-row grid.
+
+        All rows share one evaluation of cos and sin of 2 pi theta.  A row
+        with eps != 0 sums the Laurent form at z = e^{-2 pi eps} (cos, sin),
+        which is e^{2 pi i (theta + i eps)} as the C library's complex exp
+        rounds it, bit for bit.
         """
         theta = np.asarray(theta, dtype=np.float64)
-        if eps == 0.0:
-            out = np.zeros(theta.shape, dtype=np.float64)
-            for k, c in zip(self._ks.tolist(), self._cs.tolist()):
-                if k < 0:
-                    continue
-                ang = TWO_PI * k * theta
-                if k == 0:
-                    out = out + c.real
-                else:
-                    # c_k e^{ik.} + conj pair collapse to a real cosine form
-                    out = out + 2.0 * (c.real * np.cos(ang) - c.imag * np.sin(ang))
-            return out if out.ndim else float(out)
-        if abs(eps) > self._eta * (1 + 1e-12):
+        grid = np.asarray(eps, dtype=np.float64)
+        if grid.ndim > 1:
+            raise ValueError("eps must be a scalar or a 1-D grid")
+        rows = grid.reshape(-1).tolist()
+        if any(abs(e) > self._eta * (1 + 1e-12) for e in rows):
             raise ValueError("phase imaginary part exceeds the declared strip")
-        z = np.exp(2j * math.pi * (theta + 1j * eps))
-        return self.eval_z(z)
+        ang = TWO_PI * theta
+        cos1, sin1 = np.cos(ang), np.sin(ang)
+        real = [e == 0.0 for e in rows]
+        shape = (len(rows),) + theta.shape
+        if all(real):
+            out = np.empty(shape, dtype=np.complex128)
+        else:
+            # the eps == 0 rows (scale 1) are overwritten below
+            scale = np.array([math.exp(-TWO_PI * e) for e in rows])
+            scale = scale.reshape(scale.shape + (1,) * theta.ndim)
+            z = np.empty(shape, dtype=np.complex128)
+            z.real = scale * cos1
+            z.imag = scale * sin1
+            out = self._laurent(z)
+        if any(real):
+            f0 = self._cosine_form(theta, cos1, sin1)
+            out[real] = f0
+        if grid.ndim:
+            return out
+        if real[0]:
+            return f0 if theta.ndim else float(f0)
+        return out[0] if theta.ndim else complex(out[0])
+
+    def _cosine_form(self, theta, cos1, sin1) -> np.ndarray:
+        """f on the real circle, from the k >= 0 terms; cos1, sin1 at k = 1."""
+        out = np.zeros(theta.shape, dtype=np.float64)
+        for k, c in self._terms:
+            if k < 0:
+                continue
+            if k == 0:
+                out = out + c.real
+                continue
+            if k == 1:
+                co, si = cos1, sin1
+            else:
+                ang = TWO_PI * k * theta
+                co, si = np.cos(ang), np.sin(ang)
+            # c_k e^{ik.} + conj pair collapse to a real cosine form
+            out = out + 2.0 * (c.real * co - c.imag * si)
+        return out
 
     # -- constructors / serialization --------------------------------------
 

@@ -365,21 +365,11 @@ class HolderFit:
     message: str
 
 
-def holder_exponent(
-    potential: Potential,
-    alpha: float,
-    E0: float,
-    delta_ladder: Sequence[float],
-    n: int,
-    theta_samples=8,
-) -> HolderFit:
-    """Hoelder exponent of the IDS at E0 from a ladder of increments.
+def check_delta_ladder(delta_ladder: Sequence[float], n: int) -> np.ndarray:
+    """The sorted ladder of IDS half-widths; ValueError names a broken rule.
 
-    Fits log(k(E0+delta) - k(E0-delta)) against log delta.  Symmetric
-    increments cancel the odd part of the finite-volume error.  The ladder
-    must span at least two decades and stay above the eigenvalue-spacing
-    resolution 10/n^2.  A vanishing increment at the smallest half-width
-    means the IDS is locally constant: reported as a gap, not fitted.
+    The ladder needs three or more positive rungs spanning at least two
+    decades, all above the eigenvalue-spacing resolution 10/n^2 of the box.
     """
     deltas = np.sort(np.asarray(delta_ladder, dtype=np.float64))
     if deltas.size < 3:
@@ -392,7 +382,26 @@ def holder_exponent(
         raise ValueError(
             f"smallest delta {deltas[0]:g} is below the resolution "
             f"guard 10/n^2 = {10.0 / n ** 2:g}")
+    return deltas
 
+
+def holder_exponent(
+    potential: Potential,
+    alpha: float,
+    E0: float,
+    delta_ladder: Sequence[float],
+    n: int,
+    theta_samples=8,
+) -> HolderFit:
+    """Hoelder exponent of the IDS at E0 from a ladder of increments.
+
+    Fits log(k(E0+delta) - k(E0-delta)) against log delta.  Symmetric
+    increments cancel the odd part of the finite-volume error.  The ladder
+    must pass `check_delta_ladder`.  A vanishing increment at the smallest
+    half-width means the IDS is locally constant: reported as a gap, not
+    fitted.
+    """
+    deltas = check_delta_ladder(delta_ladder, n)
     thetas = _ids_phases(theta_samples)
     Es = np.concatenate([E0 + deltas, E0 - deltas])
     vals = _ids_values(potential, alpha, Es, n, thetas).mean(axis=0)

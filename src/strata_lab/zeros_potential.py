@@ -669,11 +669,14 @@ def riesz_mass(
 
     eps_flux = eps_r + delta
 
-    def circle_mean_v(eps: float) -> float:
-        return lyapunov_n(potential, alpha, E, n, eps, K).value
-
-    outer = (circle_mean_v(eps_flux + delta) - circle_mean_v(eps_flux - delta))
-    inner = (circle_mean_v(-eps_flux + delta) - circle_mean_v(-eps_flux - delta))
+    # the four flux circles in one batched call
+    v_out_hi, v_out_lo, v_in_hi, v_in_lo = (
+        est.value for est in lyapunov_n(
+            potential, alpha, E, n,
+            [eps_flux + delta, eps_flux - delta,
+             -eps_flux + delta, -eps_flux - delta], K))
+    outer = v_out_hi - v_out_lo
+    inner = v_in_hi - v_in_lo
     mass_v = (outer - inner) / (4.0 * math.pi * delta)
 
     if fam is None:

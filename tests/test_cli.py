@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strata_lab import cli_harness
 from strata_lab.cli_harness import (SUBCOMMANDS, ConfigError,
                                     ExperimentConfig, _fmt, config_hash, main,
                                     run)
@@ -48,6 +49,25 @@ def read_rows(path):
     {"ldt": {"grid_per_n": 8}},                # was a late "skipped"
     {"localize": {"n": 600, "window_len": 700}},
     {"localize": {"n": 600, "window_len": 598}},
+    # values that do not convert, named by key instead of a traceback
+    {"n": "abc"},
+    {"eps_grid": ["x", 0.1]},
+    {"eps_grid": 0.1},
+    {"eps": float("nan")},
+    {"alpha": [0.5]},
+    {"energies": ["a"]},
+    {"energies": {"start": 0.0, "stop": 1.0}},
+    {"riesz": 5},
+    {"riesz": {"jensen_radii": ["a", 0.02]}},
+    {"localize": {"window_len": "x"}},
+    # sizes that used to pass validation and fail every task
+    {"localize": {"n": 499, "window_len": 120}},   # decay needs n >= 500
+    {"ids": {"n": 99}},                            # IDS needs n >= 100
+    {"ids": {"samples": 0}},
+    {"holder": {"n": 99, "delta_ladder": [1e-3, 1e-2, 1e-1]}},
+    {"holder": {"n": 316}},                        # 10/n^2 above 1e-4
+    {"holder": {"delta_ladder": [1e-3, 1e-2]}},
+    {"green": {"samples": 3}},                     # no circle-average sample
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -60,8 +80,20 @@ def test_config_accepts_the_minimums():
         "riesz": {"n_radii": 3, "K": 1, "n_angles": 1},
         "strata": {"spectrum_box": 1},
         "ldt": {"grid_per_n": 64},
-        "localize": {"n": 600, "window_len": 597},
+        "localize": {"n": 500, "window_len": 497},
+        "ids": {"n": 100, "samples": 1},
+        "holder": {"n": 100, "delta_ladder": [1e-3, 1e-2, 1e-1]},
+        "green": {"samples": 4},
     })
+    ExperimentConfig.from_raw({"holder": {"n": 317}})  # the default ladder
+
+
+def test_main_bad_value_exits_two_naming_the_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"eps_grid": ["x", 0.1]}))
+    assert main(["localize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out"), "--dry-run"]) == 2
+    assert "eps_grid" in capsys.readouterr().err
 
 
 def test_config_energy_range_form():
@@ -158,10 +190,14 @@ def test_riesz_kink_is_skipped_not_failed(tmp_path):
     assert len(read_rows(tmp_path / "out" / "riesz.csv")) == 1  # header only
 
 
-def test_failed_task_keeps_other_outputs(tmp_path):
-    # ids below its minimum size fails that task but still writes headers
-    bad = dict(SMALL, ids={"n": 50, "samples": 2})
-    man = run("ids", config=bad, out_dir=str(tmp_path))
+def _ids_raises(*args, **kwargs):
+    raise ValueError("IDS estimate failed")
+
+
+def test_failed_task_keeps_other_outputs(tmp_path, monkeypatch):
+    # a task that raises is marked failed; its table still gets headers
+    monkeypatch.setattr(cli_harness, "ids", _ids_raises)
+    man = run("ids", config=SMALL, out_dir=str(tmp_path))
     assert not man.ok
     assert man.n_failed == 1
     assert (tmp_path / "ids.csv").exists()
@@ -213,9 +249,10 @@ def test_main_missing_config_exits_two(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
-def test_main_failed_task_exits_three(tmp_path):
+def test_main_failed_task_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_harness, "ids", _ids_raises)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(SMALL, ids={"n": 50, "samples": 2})))
+    cfg_path.write_text(json.dumps(SMALL))
     assert main(["ids", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 3
 

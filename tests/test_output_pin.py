@@ -1,9 +1,10 @@
 """Byte pin of every table and side file the subcommands write.
 
 Each of the eleven computing subcommands runs on the c12 determinism config
-(`acceptance._C12_CONFIG`) with one thread; the sha256 of every CSV and JSON
-file it writes, apart from `manifest.json` (which holds timings), must equal
-the hash recorded here.  The manifest must list the same files in the same
+(`acceptance._C12_CONFIG`) with one thread, and the strip-exponent
+subcommands (`lyapunov`, `acceleration`, `strata`) also run on the default
+config; the sha256 of every CSV and JSON file written, apart from
+`manifest.json` (which holds timings), must equal the hash recorded here.  The manifest must list the same files in the same
 order, and the same task keys with the same statuses.  A refactor keeps
 this test passing unchanged; a change that moves digits updates the hashes
 and says which columns moved.
@@ -115,3 +116,41 @@ def test_outputs_match_pinned_hashes(subcommand, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in man.files}
     assert got == PINNED[subcommand]
+
+
+# the default config (about 1 s for the three)
+PINNED_DEFAULT = {
+    "lyapunov": {
+        "lyapunov.csv":
+            "75ab36cac333c95ecec8aa6ab954d93574b568c50d6ff57d0a7d957b00583a24",
+    },
+    "acceleration": {
+        "acceleration.csv":
+            "10882d7a9521b296d479fe409f15d9e46dcd2f275c7614f731b18bf26db8b930",
+        "accel_curve.csv":
+            "d603733fa216b68a26e897308ab72295a7cb7ac7319e8032343f089f53eb362c",
+        "accel_segments.csv":
+            "e2630762e654ac829f17274a9fb2ee4e6339ca1ae0983b13adac871b82767e3f",
+    },
+    "strata": {
+        "strata.csv":
+            "181663a1067d3660c60d26a375792daefb527f76b0c224dfdcff0b81b2158cdb",
+    },
+}
+
+TASKS_DEFAULT = {
+    "lyapunov": [f"lyapunov[E=0.5,n={n}]" for n in (100, 200, 400)],
+    "acceleration": ["acceleration[E=0.5]"],
+    "strata": ["strata[E=0.5]"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(PINNED_DEFAULT))
+def test_default_outputs_match_pinned_hashes(subcommand, tmp_path):
+    man = run(subcommand, config={}, out_dir=str(tmp_path), threads=1)
+    assert [t["key"] for t in man.tasks] == TASKS_DEFAULT[subcommand]
+    assert [t["status"] for t in man.tasks] == ["ok"] * len(man.tasks)
+    assert list(man.files) == list(PINNED_DEFAULT[subcommand])
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in man.files}
+    assert got == PINNED_DEFAULT[subcommand]
