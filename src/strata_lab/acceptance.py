@@ -59,10 +59,8 @@ def _c1_acceleration_integrality() -> Tuple[bool, str]:
     """Fitted strip slopes sit on the integer 1 across a box spectrum."""
     evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50).eigenvalues
     eps_grid = np.linspace(0.02, 0.10, 5)
-    devs = []
-    for E in evs:
-        est = acceleration(_AMO2, _ALPHA, float(E), eps_grid, n=512, K=256)
-        devs.append(abs(est.raw_slope - 1.0))
+    devs = [abs(est.raw_slope - 1.0)
+            for est in acceleration(_AMO2, _ALPHA, evs, eps_grid, n=512, K=256)]
     med, mx = float(np.median(devs)), float(np.max(devs))
     return (med <= 0.05 and mx <= 0.25,
             f"median |slope-1| = {med:.2e}, max = {mx:.2e} over 50 energies")
@@ -208,7 +206,8 @@ def _c9_localization_diagnostics() -> Tuple[bool, str]:
 def _c10_convergence_rate() -> Tuple[bool, str]:
     """|L_n - L_2n| shrinks like 1/n on a doubling ladder."""
     ns = [100, 200, 400, 800, 1600]
-    L = {n: lyapunov_n(_AMO2, _ALPHA, 0.5, n, 0.0, 8192).value for n in ns}
+    L = {est.n: est.value
+         for est in lyapunov_n(_AMO2, _ALPHA, 0.5, ns, 0.0, 8192)}
     diffs = [abs(L[n] - L[2 * n]) for n in ns[:-1]]
     slope = float(np.polyfit(np.log(ns[:-1]), np.log(diffs), 1)[0])
     return slope <= -0.8, f"log-log slope {slope:.3f}"

@@ -54,6 +54,7 @@ from .zeros_potential import (
     riesz_decompose,
     riesz_kappa,
     riesz_mass,
+    window_reach,
     zero_count_vs_acceleration,
 )
 
@@ -112,8 +113,8 @@ _DEFAULTS: Dict[str, Any] = {
 }
 
 
-# smallest accepted (section, key) values: below these a task fails late or
-# serves NaN, so the config is refused up front instead
+# smallest accepted (section, key) values: below these a task fails late,
+# serves NaN or plans nothing, so the config is refused up front instead
 _MINIMUMS = {
     ("quadrature", "K"): 1,
     ("quadrature", "lyapunov_K"): 1,
@@ -127,7 +128,15 @@ _MINIMUMS = {
     ("ids", "samples"): 1,
     ("holder", "n"): 100,        # the holder fit runs IDS estimates
     ("green", "samples"): 4,     # samples // 4 circle-average checks
+    ("localize", "count"): 1,
+    ("localize", "window_margin"): 0,
+    ("ldt", "scan_count"): 0,
 }
+
+# the float-valued (section, key) entries, typed up front like the sizes
+_FLOATS = (("strata", "tau_pos"), ("strata", "spectrum_theta"),
+           ("localize", "theta"), ("green", "boundary_tol"),
+           ("green", "symmetry_tol"), ("green", "average_tol"))
 
 
 def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
@@ -187,6 +196,8 @@ def _parse_energies(spec) -> Tuple[float, ...]:
             _typed(spec["stop"], float, "energies.stop"), count))
     if not isinstance(spec, (list, tuple)):
         raise ConfigError("energies must be a list or a start/stop/count range")
+    if not spec:
+        raise ConfigError("energies must not be empty")
     return _typed_list(spec, float, "energies")
 
 
@@ -217,6 +228,8 @@ def _positive_int_ladder(values, name: str) -> Tuple[int, ...]:
         ladder = tuple(int(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a list of integers") from exc
+    if not ladder:
+        raise ConfigError(f"{name} must not be empty")
     if any(v < 2 for v in ladder):
         raise ConfigError(f"{name} entries must be >= 2")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -258,7 +271,10 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
             raise ConfigError("eps_grid must be strictly increasing")
         R_eps = _typed(resolved["riesz"]["R_eps"], float, "riesz.R_eps")
-        strip_reach = max(eps, max(eps_grid), R_eps)
+        eps_r = _typed(resolved["riesz"]["eps_r"], float, "riesz.eps_r")
+        if eps_r <= 0:
+            raise ConfigError("riesz.eps_r must be positive")
+        strip_reach = max(max(eps_grid), R_eps, window_reach(eps, eps_r))
         if strip_reach >= potential.eta:
             raise ConfigError(
                 f"strip half-widths reach {strip_reach} but the potential is "
@@ -285,10 +301,16 @@ class ExperimentConfig:
         for (name, key), low in _MINIMUMS.items():
             if _typed(resolved[name][key], int, f"{name}.{key}") < low:
                 raise ConfigError(f"{name}.{key} must be >= {low}")
+        for name, key in _FLOATS:
+            _typed(resolved[name][key], float, f"{name}.{key}")
+        if resolved["ldt"]["threshold"] is not None:
+            _typed(resolved["ldt"]["threshold"], float, "ldt.threshold")
         loc = resolved["localize"]
         window = _typed(loc["window_len"], int, "localize.window_len")
         if window > int(loc["n"]) - 3:
             raise ConfigError("localize.window_len must be <= localize.n - 3")
+        if int(loc["count"]) > int(loc["n"]):  # indices past the box
+            raise ConfigError("localize.count must be <= localize.n")
         hol = resolved["holder"]
         ladder = _typed_list(hol["delta_ladder"], float, "holder.delta_ladder")
         try:
@@ -343,13 +365,12 @@ def _payload(tables: Optional[Dict[str, List[dict]]] = None,
     return {"tables": tables or {}, "json": json_files or {}}
 
 
-def _task_lyapunov(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
+def _task_lyapunov(cfg: ExperimentConfig) -> Dict[str, Any]:
     K = int(cfg.section("quadrature")["lyapunov_K"])
-    grid = (0.0,) + cfg.eps_grid
-    rows = [{"E": E, "n": n, "K": K, "eps": eps, "L": est.value,
-             "std_error": est.std_error}
-            for eps, est in zip(grid, lyapunov_n(cfg.potential, cfg.alpha,
-                                                 E, n, grid, K))]
+    ests = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n_ladder,
+                      (0.0,) + cfg.eps_grid, K)
+    rows = [{"E": est.E, "n": est.n, "K": K, "eps": est.eps, "L": est.value,
+             "std_error": est.std_error} for est in ests]
     return _payload({"lyapunov.csv": rows})
 
 
@@ -377,31 +398,38 @@ def _fit_segments(eps: np.ndarray, L: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _task_acceleration(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
+def _task_acceleration(cfg: ExperimentConfig) -> Dict[str, Any]:
     quad = cfg.section("quadrature")
-    est = acceleration(cfg.potential, cfg.alpha, E, cfg.eps_grid,
-                       n=cfg.n, K=int(quad["K"]))
-    eps = np.asarray(est.eps_grid)
-    L = np.asarray(est.L_values)
-    labels = _fit_segments(eps, L) if est.non_affine else np.zeros(len(eps), int)
-    curve = [{"E": E, "eps": e, "L": v, "segment": int(s)}
-             for e, v, s in zip(eps, L, labels)]
-    segments = []
-    for s in sorted(set(labels.tolist())):
-        sel = labels == s
-        slope = float(np.polyfit(eps[sel], L[sel], 1)[0]) / TWO_PI
-        segments.append({
-            "E": E, "segment": int(s),
-            "eps_min": float(eps[sel].min()), "eps_max": float(eps[sel].max()),
-            "slope": slope, "kappa": int(round(slope)),
-            "residual": abs(slope - round(slope))})
-    main_row = {"E": E, "n": est.n, "K": est.quadrature_points,
-                "raw_slope": est.raw_slope, "kappa": est.kappa,
-                "residual": est.residual, "non_affine": est.non_affine,
-                "n_segments": len(segments)}
-    return _payload({"acceleration.csv": [main_row],
-                     "accel_curve.csv": curve,
-                     "accel_segments.csv": segments})
+    tables: Dict[str, List[dict]] = {"acceleration.csv": [],
+                                     "accel_curve.csv": [],
+                                     "accel_segments.csv": []}
+    for est in acceleration(cfg.potential, cfg.alpha, cfg.energies,
+                            cfg.eps_grid, n=cfg.n, K=int(quad["K"])):
+        E = est.E
+        eps = np.asarray(est.eps_grid)
+        L = np.asarray(est.L_values)
+        labels = (_fit_segments(eps, L) if est.non_affine
+                  else np.zeros(len(eps), int))
+        tables["accel_curve.csv"].extend(
+            {"E": E, "eps": e, "L": v, "segment": int(s)}
+            for e, v, s in zip(eps, L, labels))
+        segments = []
+        for s in sorted(set(labels.tolist())):
+            sel = labels == s
+            slope = float(np.polyfit(eps[sel], L[sel], 1)[0]) / TWO_PI
+            segments.append({
+                "E": E, "segment": int(s),
+                "eps_min": float(eps[sel].min()),
+                "eps_max": float(eps[sel].max()),
+                "slope": slope, "kappa": int(round(slope)),
+                "residual": abs(slope - round(slope))})
+        tables["accel_segments.csv"].extend(segments)
+        tables["acceleration.csv"].append({
+            "E": E, "n": est.n, "K": est.quadrature_points,
+            "raw_slope": est.raw_slope, "kappa": est.kappa,
+            "residual": est.residual, "non_affine": est.non_affine,
+            "n_segments": len(segments)})
+    return _payload(tables)
 
 
 def _task_zeros(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
@@ -546,23 +574,27 @@ def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
         "message": fit.message}]})
 
 
-def _task_strata(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
+def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
     quad = cfg.section("quadrature")
     sec = cfg.section("strata")
-    L0 = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, 0.0,
-                    int(quad["lyapunov_K"])).value
-    acc = acceleration(cfg.potential, cfg.alpha, E, cfg.eps_grid,
-                       n=cfg.n, K=int(quad["K"]))
+    L0s = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n, 0.0,
+                     int(quad["lyapunov_K"]))
+    accs = acceleration(cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid,
+                        n=cfg.n, K=int(quad["K"]))
     box = int(sec["spectrum_box"])
+    # the box spectrum does not depend on E: one solve for the whole grid
     spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha,
                                  float(sec["spectrum_theta"]), box)
-    in_spec = bool(np.min(np.abs(spec.eigenvalues - E)) <= 10.0 / box)
-    rec = classify_stratum(E, L0, acc.kappa, tau_pos=float(sec["tau_pos"]),
-                           non_affine=acc.non_affine, in_spectrum=in_spec)
-    return _payload({"strata.csv": [{
-        "E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
-        "non_affine": acc.non_affine, "in_spectrum": in_spec,
-        "label": rec.label}]})
+    rows = []
+    for E, L0, acc in zip(cfg.energies, (est.value for est in L0s), accs):
+        in_spec = bool(np.min(np.abs(spec.eigenvalues - E)) <= 10.0 / box)
+        rec = classify_stratum(E, L0, acc.kappa, tau_pos=float(sec["tau_pos"]),
+                               non_affine=acc.non_affine, in_spectrum=in_spec)
+        rows.append({
+            "E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
+            "non_affine": acc.non_affine, "in_spectrum": in_spec,
+            "label": rec.label})
+    return _payload({"strata.csv": rows})
 
 
 def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
@@ -683,14 +715,14 @@ def _plan_all(cfg: ExperimentConfig) -> _Plan:
 _REGISTRY: Dict[str, _Subcommand] = {
     "lyapunov": _Subcommand(
         {"lyapunov.csv": ["E", "n", "K", "eps", "L", "std_error"]},
-        _task_lyapunov, _per_energy_and_n("lyapunov")),
+        _task_lyapunov, lambda cfg: [("lyapunov[all]", {})]),
     "acceleration": _Subcommand(
         {"acceleration.csv": ["E", "n", "K", "raw_slope", "kappa",
                               "residual", "non_affine", "n_segments"],
          "accel_curve.csv": ["E", "eps", "L", "segment"],
          "accel_segments.csv": ["E", "segment", "eps_min", "eps_max",
                                 "slope", "kappa", "residual"]},
-        _task_acceleration, _per_energy("acceleration")),
+        _task_acceleration, lambda cfg: [("acceleration[all]", {})]),
     "zeros": _Subcommand(
         {"zeros.csv": ["E", "n", "idx", "re", "im", "modulus", "eps_coord",
                        "multiplicity", "on_circle", "pair_inversive",
@@ -724,7 +756,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
     "strata": _Subcommand(
         {"strata.csv": ["E", "L0", "kappa", "residual", "non_affine",
                         "in_spectrum", "label"]},
-        _task_strata, _per_energy("strata")),
+        _task_strata, lambda cfg: [("strata[all]", {})]),
     "ldt": _Subcommand(
         {"ldt_arcs.csv": ["E", "n", "threshold", "arc", "left", "right",
                           "width", "pair"],

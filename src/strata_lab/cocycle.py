@@ -22,34 +22,55 @@ import numpy as np
 from .model import TWO_PI, Potential
 
 
+# `lyapunov_n` walks the energy axis in blocks whose (E, eps, theta) batch
+# holds about this many elements, so that the recurrence's temporaries stay
+# cache-sized and peak memory does not grow with the number of energies.
+_BLOCK = 1 << 14
+
+
 def transfer_log_norms(
     potential: Potential,
     alpha: float,
     thetas: np.ndarray,
-    E: float,
+    E: Union[float, Sequence[float]],
     eps: Union[float, Sequence[float]],
     n: int,
+    ladder: Sequence[int] = (),
     return_matrices: bool = False,
 ):
     """log ||A_n(theta + i eps)|| for a batch of phases, sup-norm renormalized.
 
-    `eps` is a scalar, giving log-norms of shape (K,) for the K phases, or a
-    1-D grid, giving (len(eps), K): one recurrence runs over the whole
-    (eps, theta) batch, and each step evaluates the phases mod 1 and their
-    cos and sin once for every eps row (`Potential.eval_theta`).  The
+    `E` is a scalar or a 1-D array of energies and `eps` a scalar or a 1-D
+    grid; the log-norms have shape E.shape + eps.shape + thetas.shape.  One
+    recurrence runs over the whole (E, eps, theta) batch, and each step
+    evaluates the phases mod 1, their cos and sin and the symbol
+    f(theta + i eps) once for every energy (`Potential.eval_theta`).  The
     running product is scaled by the reciprocal of its largest entry
     modulus after every step, which rounds exactly as dividing by it does;
     the discarded factors accumulate in a log so products of length
-    thousands never overflow.  Optionally also returns the unit-normalized
-    residual matrices, stacked as (..., 2, 2).
+    thousands never overflow.
+
+    `ladder` lists ascending product lengths in 1..n; when it is given the
+    result gains a leading axis with the running log-norm copied at each of
+    those lengths, so one recurrence serves a whole n-ladder.  Optionally
+    also returns the unit-normalized residual matrices at length n, stacked
+    as (..., 2, 2).
     """
     if n < 1:
         raise ValueError("product length n must be >= 1")
+    lengths = [int(m) for m in ladder]
+    if lengths != sorted(lengths) or any(not 1 <= m <= n for m in lengths):
+        raise ValueError("ladder lengths must ascend within 1..n")
+    energies = np.asarray(E, dtype=np.float64)
+    if energies.ndim > 1:
+        raise ValueError("E must be a scalar or a 1-D array")
     grid = np.asarray(eps, dtype=np.float64)
     if np.any(np.abs(grid) >= potential.eta):
         raise ValueError("|eps| must stay below the declared strip width")
     thetas = np.asarray(thetas, dtype=np.float64)
-    shape = grid.shape + thetas.shape
+    shape = energies.shape + grid.shape + thetas.shape
+    # each energy against every (eps, theta) entry of the symbol
+    col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))
     # at eps = 0 the product is real: real arithmetic, the same bits
     dtype = np.complex128 if np.any(grid) else np.float64
     a = np.ones(shape, dtype=dtype)
@@ -57,10 +78,11 @@ def transfer_log_norms(
     c = np.zeros(shape, dtype=dtype)
     d = np.ones(shape, dtype=dtype)
     acc = np.zeros(shape, dtype=np.float64)
+    snapshots = []
     for j in range(n):
         x = thetas + j * alpha
         ph = x - np.floor(x)  # np.mod(x, 1.0) bit for bit, 10x cheaper
-        t = E - potential.eval_theta(ph, grid)
+        t = col - potential.eval_theta(ph, grid)
         a, b, c, d = t * a - c, t * b - d, a, b
         m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
                        np.maximum(np.abs(c), np.abs(d)))
@@ -70,6 +92,10 @@ def transfer_log_norms(
         c *= inv
         d *= inv
         acc += np.log(m)
+        while len(snapshots) < len(lengths) and lengths[len(snapshots)] == j + 1:
+            snapshots.append(acc.copy())
+    if lengths:
+        acc = np.stack(snapshots)
     if return_matrices:
         mats = np.stack([np.stack([a, b], axis=-1),
                          np.stack([c, d], axis=-1)], axis=-2)
@@ -96,29 +122,54 @@ class LyapunovEstimate:
 def lyapunov_n(
     potential: Potential,
     alpha: float,
-    E: float,
-    n: int,
+    E: Union[float, Sequence[float]],
+    n: Union[int, Sequence[int]],
     eps: Union[float, Sequence[float]] = 0.0,
     K: int = 256,
 ) -> Union[LyapunovEstimate, Tuple[LyapunovEstimate, ...]]:
     """L_n(E, eps): trapezoid average of (1/n) log||A_n|| over K phases.
 
     For a periodic integrand the equispaced trapezoid rule is just the grid
-    mean; K should be a power of two so refinement nests.  A scalar eps
-    gives one LyapunovEstimate; a 1-D eps grid gives a tuple of them, one
-    per entry in grid order, from a single batched `transfer_log_norms`
-    call that shares the phases' trigonometry across the grid.
+    mean; K should be a power of two so refinement nests.  `E` is a scalar
+    or a 1-D array of energies, `n` a product length or an ascending
+    ladder of them, `eps` a scalar or a 1-D grid.  When all three are
+    scalars the result is one LyapunovEstimate; otherwise it is a flat
+    tuple in (E, n, eps) order.  The energies run in blocks of about
+    `_BLOCK` batch elements, one `transfer_log_norms` call per block over
+    the longest n with a snapshot at every ladder length; no estimate
+    depends on the block it ran in.
     """
-    thetas = np.arange(K, dtype=np.float64) / K
-    vals = transfer_log_norms(potential, alpha, thetas, E, eps, n) / n
+    ests = tuple(_estimates(potential, alpha, E, n, eps, K))
+    if np.ndim(E) or np.ndim(n) or np.ndim(eps):
+        return ests
+    return ests[0]
+
+
+def _estimates(potential, alpha, E, n, eps, K):
+    """The estimates of `lyapunov_n` in (E, n, eps) order, one energy block
+    at a time, so a caller that keeps only their values never holds more
+    than one block's log-norms."""
+    ns = [int(m) for m in np.atleast_1d(n)]
+    if not ns:
+        raise ValueError("the n-ladder is empty")
     grid = np.asarray(eps, dtype=np.float64)
-    ests = tuple(
-        LyapunovEstimate(
-            value=float(np.mean(v)), E=float(E), eps=float(e), n=n,
-            quadrature_points=K,
-            std_error=float(np.std(v) / math.sqrt(K)))
-        for e, v in zip(grid.reshape(-1), vals.reshape(-1, K)))
-    return ests if grid.ndim else ests[0]
+    thetas = np.arange(K, dtype=np.float64) / K
+    flat = np.asarray(E, dtype=np.float64).reshape(-1)
+    rows = max(1, _BLOCK // max(1, grid.size * K))
+    for lo in range(0, flat.size, rows):
+        block = flat[lo:lo + rows]
+        logs = transfer_log_norms(potential, alpha, thetas, block, grid,
+                                  ns[-1], ladder=ns)
+        logs = logs.reshape(len(ns), len(block), grid.size, K)
+        for i, e_val in enumerate(block.tolist()):
+            for r, m in enumerate(ns):
+                vals = logs[r, i] / m
+                for e, v in zip(grid.reshape(-1).tolist(), vals):
+                    yield LyapunovEstimate(
+                        value=float(np.mean(v)), E=e_val, eps=e, n=m,
+                        quadrature_points=K,
+                        std_error=float(np.std(v) / math.sqrt(K)))
+        del logs, vals  # free this block before the next one is computed
 
 
 # ----------------------------------------------------------------------
@@ -151,28 +202,36 @@ class AccelerationEstimate:
 def acceleration(
     potential: Potential,
     alpha: float,
-    E: float,
+    E: Union[float, Sequence[float]],
     eps_grid: Sequence[float],
     n: int = 512,
     K: int = 256,
-) -> AccelerationEstimate:
+) -> Union[AccelerationEstimate, Tuple[AccelerationEstimate, ...]]:
     """Fit the quantized slope of the strip Lyapunov exponent.
 
     All grid points must be nonnegative; evenness of L in eps means the
-    right derivative is the only free one."""
+    right derivative is the only free one.  A scalar `E` gives one
+    AccelerationEstimate, a 1-D array a tuple of them in energy order,
+    from one batched `lyapunov_n` pass over the whole (E, eps) batch."""
     eps_grid = sorted(float(e) for e in eps_grid)
     if len(eps_grid) < 2:
         raise ValueError("need at least two eps values to fit a slope")
     if eps_grid[0] < 0:
         raise ValueError("eps grid must be nonnegative")
-    L_vals = [est.value
-              for est in lyapunov_n(potential, alpha, E, n, eps_grid, K)]
-    slope = float(np.polyfit(eps_grid, L_vals, 1)[0]) / TWO_PI
-    kappa = int(round(slope))
-    return AccelerationEstimate(
-        E=float(E), n=n, quadrature_points=K,
-        eps_grid=tuple(eps_grid), L_values=tuple(L_vals),
-        raw_slope=slope, kappa=kappa, residual=abs(slope - kappa))
+    energies = np.asarray(E, dtype=np.float64)
+    L_all = [est.value
+             for est in _estimates(potential, alpha, E, n, eps_grid, K)]
+    m = len(eps_grid)
+    out = []
+    for i, e_val in enumerate(energies.reshape(-1).tolist()):
+        L_vals = L_all[i * m:(i + 1) * m]
+        slope = float(np.polyfit(eps_grid, L_vals, 1)[0]) / TWO_PI
+        kappa = int(round(slope))
+        out.append(AccelerationEstimate(
+            E=e_val, n=n, quadrature_points=K,
+            eps_grid=tuple(eps_grid), L_values=tuple(L_vals),
+            raw_slope=slope, kappa=kappa, residual=abs(slope - kappa)))
+    return tuple(out) if energies.ndim else out[0]
 
 
 @dataclass(frozen=True)

@@ -620,6 +620,30 @@ class RieszMassReport:
     quadrature_points: int
 
 
+# riesz_mass's finite-difference half-step: its flux circles sit at
+# |eps| = eps_r + delta +- delta
+_FLUX_DELTA = 1e-3
+
+
+def _kappa_window(eps_r: float) -> np.ndarray:
+    return np.linspace(max(eps_r * 0.4, 1e-3), eps_r * 1.6, 5)
+
+
+def _count_window(eps: float) -> np.ndarray:
+    return np.linspace(eps * 0.2, eps * 1.2, 6)
+
+
+def window_reach(eps: float, eps_r: float) -> float:
+    """Largest |eps| at which the verify and riesz pipelines evaluate L(E, .).
+
+    That is the top of the slope window of `zero_count_vs_acceleration`
+    at `eps`, and at `eps_r` the top of the `riesz_kappa` window and the
+    outer flux circle of `riesz_mass` (default step).  A config whose
+    reach stays inside the potential's strip never fails there late."""
+    return float(max(_count_window(eps)[-1], np.max(_kappa_window(eps_r)),
+                     eps_r + 2.0 * _FLUX_DELTA))
+
+
 def riesz_kappa(
     potential: Potential,
     alpha: float,
@@ -633,8 +657,8 @@ def riesz_kappa(
     Raises ValueError when L(E, eps) has a kink inside the window (the
     slope fit is non-affine): the flux comparison does not apply there.
     """
-    grid = np.linspace(max(eps_r * 0.4, 1e-3), eps_r * 1.6, 5)
-    est = acceleration(potential, alpha, E, grid, n=kappa_n, K=kappa_K)
+    est = acceleration(potential, alpha, E, _kappa_window(eps_r),
+                       n=kappa_n, K=kappa_K)
     if est.non_affine:
         raise ValueError(
             f"slope window around eps_r is non-affine (residual {est.residual:.3f})")
@@ -647,7 +671,7 @@ def riesz_mass(
     E: float,
     n: int,
     eps_r: float,
-    delta: float = 1e-3,
+    delta: float = _FLUX_DELTA,
     K: int = 4096,
     kappa: Optional[int] = None,
     fam: Optional[DeterminantFamily] = None,
@@ -749,8 +773,8 @@ def zero_count_vs_acceleration(
     if L0 < tau_pos:
         raise ValueError(
             f"Lyapunov exponent {L0:.4f} below positivity threshold {tau_pos}")
-    grid = np.linspace(eps * 0.2, eps * 1.2, 6)
-    est = acceleration(potential, alpha, E, grid, n=kappa_n, K=kappa_K)
+    est = acceleration(potential, alpha, E, _count_window(eps),
+                       n=kappa_n, K=kappa_K)
     if est.non_affine:
         raise ValueError(
             f"slope break inside (0, {1.2 * eps:.3f}]: residual {est.residual:.3f}")

@@ -68,6 +68,30 @@ def read_rows(path):
     {"holder": {"n": 316}},                        # 10/n^2 above 1e-4
     {"holder": {"delta_ladder": [1e-3, 1e-2]}},
     {"green": {"samples": 3}},                     # no circle-average sample
+    # plans with no task, which exited 0 with header-only tables
+    {"energies": []},
+    {"n_ladder": []},
+    {"localize": {"count": 0}},
+    {"localize": {"count": -2}},
+    {"localize": {"n": 500, "count": 501}},        # plans index 500 of 500
+    {"localize": {"window_margin": -1}},
+    {"ldt": {"scan_count": -1}},
+    # section floats that used to fail or skip inside the task
+    {"strata": {"tau_pos": "x"}},
+    {"strata": {"spectrum_theta": "x"}},
+    {"localize": {"theta": "x"}},
+    {"green": {"boundary_tol": "x"}},
+    {"green": {"symmetry_tol": "x"}},
+    {"green": {"average_tol": [1e-9]}},
+    {"riesz": {"eps_r": "x"}},
+    {"ldt": {"threshold": "x"}},
+    {"ldt": {"scan_count": "x"}},
+    # L(E, eps) evaluated past the strip by a task's own window
+    {"riesz": {"eps_r": 0.35}},                    # window top 1.6 eps_r
+    {"riesz": {"eps_r": 0.3125}},                  # ... exactly at eta
+    {"riesz": {"eps_r": 0.0}},
+    {"riesz": {"eps_r": -0.02}},
+    {"eps": 0.45},                                 # verify window top 1.2 eps
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -86,6 +110,39 @@ def test_config_accepts_the_minimums():
         "green": {"samples": 4},
     })
     ExperimentConfig.from_raw({"holder": {"n": 317}})  # the default ladder
+    ExperimentConfig.from_raw({"ldt": {"threshold": None}})
+    ExperimentConfig.from_raw({"ldt": {"threshold": 0.05, "scan_count": 0}})
+    ExperimentConfig.from_raw({"riesz": {"eps_r": 0.3124}, "eps": 0.41})
+
+
+def test_riesz_flux_circles_count_in_the_strip_reach():
+    # on a thin strip the outer flux circle eps_r + 2e-3 reaches further
+    # than the slope window top 1.6 eps_r
+    thin = {"potential": {"coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]],
+                          "eta": 0.004},
+            "eps": 0.001, "eps_grid": [0.001, 0.002],
+            "riesz": {"R_eps": 0.003, "jensen_radii": [0.001, 0.002]}}
+    ExperimentConfig.from_raw(dict(thin, riesz=dict(thin["riesz"],
+                                                    eps_r=0.0019)))
+    with pytest.raises(ConfigError, match="strip"):
+        ExperimentConfig.from_raw(dict(thin, riesz=dict(thin["riesz"],
+                                                        eps_r=0.0021)))
+
+
+@pytest.mark.parametrize("section,key", [
+    ("strata", "tau_pos"), ("strata", "spectrum_theta"), ("localize", "theta"),
+    ("green", "boundary_tol"), ("green", "symmetry_tol"), ("riesz", "eps_r"),
+    ("ldt", "threshold")])
+def test_bad_section_float_names_its_key(section, key):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        ExperimentConfig.from_raw({section: {key: "abc"}})
+
+
+def test_largest_accepted_eps_r_is_served(tmp_path):
+    man = run("riesz", config={"riesz": {"eps_r": 0.3124}, "n": 64},
+              out_dir=str(tmp_path))
+    assert [t["status"] for t in man.tasks] == ["ok"]
+    assert read_rows(tmp_path / "riesz.csv")[1][11] == "0.3124"  # eps_r
 
 
 def test_main_bad_value_exits_two_naming_the_key(tmp_path, capsys):
@@ -162,11 +219,13 @@ def test_dry_run_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_empty_energies_yield_headers_only(tmp_path):
-    man = run("ids", config=dict(SMALL, energies=[]), out_dir=str(tmp_path))
-    assert man.ok
-    rows = read_rows(tmp_path / "ids.csv")
-    assert len(rows) == 1  # header only
+def test_empty_energies_exit_two_and_write_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL, energies=[])))
+    assert main(["ids", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "energies" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gap_precondition_is_skipped_not_failed(tmp_path):

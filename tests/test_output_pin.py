@@ -84,16 +84,15 @@ PINNED = {
 }
 
 TASKS = {
-    "lyapunov": [f"lyapunov[E={E},n={n}]" for E in (0.5, 1.5)
-                 for n in (50, 100)],
-    "acceleration": ["acceleration[E=0.5]", "acceleration[E=1.5]"],
+    "lyapunov": ["lyapunov[all]"],
+    "acceleration": ["acceleration[all]"],
     "zeros": [f"zeros[E={E},n={n}]" for E in (0.5, 1.5) for n in (50, 100)],
     "verify-acc-zeros": ["verify[E=0.5]", "verify[E=1.5]"],
     "green": ["green[suite]"],
     "riesz": ["riesz[E=0.5]", "riesz[E=1.5]"],
     "ids": ["ids[E=0.5]", "ids[E=1.5]"],
     "holder": ["holder[E0=0.5]", "holder[E0=1.5]"],
-    "strata": ["strata[E=0.5]", "strata[E=1.5]"],
+    "strata": ["strata[all]"],
     "ldt": ["ldt[E=0.5]", "ldt[E=1.5]"],
     "localize": [f"localize[index={i}]" for i in range(495, 505)],
 }
@@ -139,9 +138,9 @@ PINNED_DEFAULT = {
 }
 
 TASKS_DEFAULT = {
-    "lyapunov": [f"lyapunov[E=0.5,n={n}]" for n in (100, 200, 400)],
-    "acceleration": ["acceleration[E=0.5]"],
-    "strata": ["strata[E=0.5]"],
+    "lyapunov": ["lyapunov[all]"],
+    "acceleration": ["acceleration[all]"],
+    "strata": ["strata[all]"],
 }
 
 

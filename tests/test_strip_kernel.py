@@ -1,19 +1,25 @@
-"""The epsilon-grid transfer kernel against the per-epsilon loop it replaced.
+"""The batched strip kernel against the loops it replaced.
 
-`transfer_log_norms` runs one recurrence over an (eps, theta) batch and
-builds every row's symbol from one cos/sin evaluation per step.  The
-reference below is the loop it replaced: one recurrence per eps, the symbol
+`transfer_log_norms` runs one recurrence over an (E, eps, theta) batch and
+builds every row's symbol from one cos/sin evaluation per step.  The first
+reference below is the per-epsilon loop: one recurrence per eps, the symbol
 from `Potential.eval_z` at the complex exponential (or the real cosine form
-at eps = 0), and renormalization by division.  The two must agree bit for
-bit, which rests on the C library property checked first.
+at eps = 0), and renormalization by division.  The energy axis and the
+n-ladder are checked against per-energy and per-n calls of the kernel
+itself.  Everything must agree bit for bit, which rests on the C library
+property checked first.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from strata_lab import Potential, lyapunov_n, transfer_log_norms
+from strata_lab import (Potential, acceleration, cocycle, lyapunov_n,
+                        transfer_log_norms)
+from strata_lab.cli_harness import ExperimentConfig, _task_strata
 
 POTENTIALS = {
     "amo2": Potential.amo(2.0),
@@ -120,3 +126,92 @@ def test_grid_refuses_eps_outside_the_strip(amo2, golden):
         amo2.eval_theta(np.array([0.1]), [0.0, 0.7])
     with pytest.raises(ValueError):
         amo2.eval_theta(np.array([0.1]), [[0.0, 0.1]])
+
+
+ENERGIES = np.array([-3.1, 0.5, 1.5, 3.7, 5.2])
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+@pytest.mark.parametrize("eps", [np.array(GRID), 0.0, -0.04],
+                         ids=["grid", "real", "negative"])
+def test_energy_batch_matches_per_energy_loop(name, eps, golden):
+    pot = POTENTIALS[name]
+    thetas = np.arange(17) / 17.0
+    got = transfer_log_norms(pot, golden, thetas, ENERGIES, eps, 30)
+    assert got.shape == ENERGIES.shape + np.shape(eps) + thetas.shape
+    for row, E in zip(got, ENERGIES):
+        assert np.array_equal(
+            row, transfer_log_norms(pot, golden, thetas, float(E), eps, 30))
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_ladder_snapshots_match_separate_runs(name, golden):
+    pot = POTENTIALS[name]
+    thetas = np.arange(16) / 16.0
+    ladder = (1, 7, 7, 23, 40)
+    got = transfer_log_norms(pot, golden, thetas, ENERGIES[:3],
+                             np.array(GRID), 40, ladder=ladder)
+    assert got.shape == (len(ladder), 3, len(GRID), len(thetas))
+    for snap, n in zip(got, ladder):
+        assert np.array_equal(snap, transfer_log_norms(
+            pot, golden, thetas, ENERGIES[:3], np.array(GRID), n))
+
+
+def test_kernel_refuses_bad_ladders_and_energy_shapes(amo2, golden):
+    thetas = np.array([0.0, 0.5])
+    for ladder in ((4, 2), (0, 4), (4, 5)):
+        with pytest.raises(ValueError):
+            transfer_log_norms(amo2, golden, thetas, 0.5, 0.0, 4, ladder=ladder)
+    with pytest.raises(ValueError):
+        transfer_log_norms(amo2, golden, thetas, np.ones((2, 2)), 0.0, 4)
+    with pytest.raises(ValueError):
+        lyapunov_n(amo2, golden, 0.5, [], 0.0, K=4)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_lyapunov_flat_order_is_energy_n_eps(name, golden):
+    pot = POTENTIALS[name]
+    Es, ns, grid = [0.5, 3.7], [8, 24], [0.0, 0.05, -0.02]
+    ests = lyapunov_n(pot, golden, Es, ns, grid, K=32)
+    assert len(ests) == len(Es) * len(ns) * len(grid)
+    for est, (E, n, eps) in zip(ests, itertools.product(Es, ns, grid)):
+        assert est == lyapunov_n(pot, golden, E, n, eps, K=32)
+    # a scalar at every position but one still gives the flat tuple
+    assert lyapunov_n(pot, golden, [0.5], 8, 0.0, K=32) == (
+        lyapunov_n(pot, golden, 0.5, 8, 0.0, K=32),)
+
+
+def test_energy_blocks_do_not_change_any_estimate(amo2, golden, monkeypatch):
+    grid, K = [0.0, 0.03, 0.07], 64
+    Es = np.linspace(-4.0, 4.0, 11)
+    whole = lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K)
+    # three energies per block: the batch spans four blocks
+    monkeypatch.setattr(cocycle, "_BLOCK", 3 * len(grid) * K)
+    assert lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K) == whole
+    # below one energy's batch a block still holds one energy
+    monkeypatch.setattr(cocycle, "_BLOCK", 1)
+    assert lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K) == whole
+
+
+def test_acceleration_batch_matches_per_energy_calls(amo2, golden):
+    grid = np.linspace(0.02, 0.1, 5)
+    got = acceleration(amo2, golden, ENERGIES, grid, n=48, K=32)
+    assert got == tuple(acceleration(amo2, golden, float(E), grid, n=48, K=32)
+                        for E in ENERGIES)
+
+
+def _strata_peak(count):
+    cfg = ExperimentConfig.from_raw(
+        {"energies": {"start": -3.0, "stop": 3.0, "count": count}, "n": 16})
+    tracemalloc.start()
+    try:
+        _task_strata(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_strata_peak_memory_does_not_grow_with_energies():
+    # at the default quadrature twelve energies fill one energy block
+    small = _strata_peak(12)
+    assert _strata_peak(240) <= 1.10 * small
