@@ -8,13 +8,7 @@ diagnostics, with a CLI harness for reproducible experiment runs.
 
 __version__ = "0.1.0"
 
-from .model import (
-    GOLDEN_MEAN,
-    Frequency,
-    Potential,
-    diophantine_check,
-    phase_resonance_check,
-)
+from .model import GOLDEN_MEAN, Potential
 from .determinant import (
     DeterminantFamily,
     ScaledLaurentPoly,

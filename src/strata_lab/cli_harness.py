@@ -162,12 +162,16 @@ def _check_unknown_keys(raw: Dict[str, Any]) -> None:
 
 
 def _typed(value, kind, key: str):
-    """int(value) or float(value); a value that does not convert, or a
-    float that is not finite, is a config error naming its key."""
+    """int(value) or float(value); a value that does not convert, a boolean,
+    a non-integral number for an int key, or a float that is not finite, is
+    a config error naming its key."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from exc
     if kind is float and not math.isfinite(out):
         raise ConfigError(f"{key} must be finite, got {value!r}")
@@ -224,10 +228,7 @@ def _parse_alpha(spec) -> float:
 
 
 def _positive_int_ladder(values, name: str) -> Tuple[int, ...]:
-    try:
-        ladder = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a list of integers") from exc
+    ladder = _typed_list(values, int, name)
     if not ladder:
         raise ConfigError(f"{name} must not be empty")
     if any(v < 2 for v in ladder):

@@ -27,6 +27,10 @@ from .model import TWO_PI, Potential
 # cache-sized and peak memory does not grow with the number of energies.
 _BLOCK = 1 << 14
 
+# L(E, 0) above this counts as positive (stratum S<l>+ rather than S<l>0);
+# the zero-count check and the localization verdict use it too
+TAU_POS = 0.05
+
 
 def transfer_log_norms(
     potential: Potential,
@@ -248,7 +252,7 @@ def classify_stratum(
     E: float,
     L0: float,
     kappa: int,
-    tau_pos: float = 0.05,
+    tau_pos: float = TAU_POS,
     non_affine: bool = False,
     in_spectrum: Optional[bool] = None,
 ) -> StratumRecord:

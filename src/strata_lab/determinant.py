@@ -23,12 +23,12 @@ import numpy as np
 
 from .model import TWO_PI, Potential
 
-# refuse polynomials beyond this many one-sided exponents unless overridden
+# refuse polynomials beyond this many one-sided exponents
 DEFAULT_DEGREE_CAP = 4096
 
 
 class DegreeCapError(ValueError):
-    """Polynomial degree k0*n would exceed the configured cap."""
+    """Polynomial degree k0*n would exceed DEFAULT_DEGREE_CAP."""
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +214,6 @@ def det_family(
     E: float,
     n: int,
     keep_stages: bool = False,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> DeterminantFamily:
     """Run the three-term recurrence and return D_n in polynomial form.
 
@@ -225,9 +224,9 @@ def det_family(
     if n < 1:
         raise ValueError("box length n must be >= 1")
     k0 = potential.k0
-    if k0 * n > degree_cap:
-        raise DegreeCapError(
-            f"polynomial half-degree k0*n = {k0 * n} exceeds cap {degree_cap}")
+    if k0 * n > DEFAULT_DEGREE_CAP:
+        raise DegreeCapError(f"polynomial half-degree k0*n = {k0 * n} "
+                             f"exceeds cap {DEFAULT_DEGREE_CAP}")
 
     base = potential.laurent_coeffs()          # exponents -k0..k0
     ks = np.arange(-k0, k0 + 1, dtype=np.float64)

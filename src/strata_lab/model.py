@@ -6,18 +6,13 @@ irrational rotation,
 
     (H phi)_j = phi_{j+1} + phi_{j-1} + f(theta + j*alpha) * phi_j.
 
-This module holds the two static ingredients, the potential f and the
-frequency alpha, together with the small-divisor checks (Diophantine and
-phase-resonance conditions) under which the paper's localization results
-hold.  No pipeline path calls these checks yet: the localization
-diagnostics run on the configured alpha and phase without testing them.
+This module holds the potential f and the default frequency alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -25,15 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 # Golden rotation number, the default frequency for every experiment.
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def torus_dist(x):
-    """Distance from x to the nearest integer (sup metric on R/Z).
-
-    Accepts scalars or arrays.
-    """
-    frac = np.mod(x, 1.0)
-    return np.minimum(frac, 1.0 - frac)
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +128,10 @@ class Potential:
         `eps` is a scalar or a 1-D grid.  For a scalar the result has the
         shape of theta: real at eps == 0 (the c_k, c_{-k} pairs collapse to
         a cosine form; the imaginary roundoff is discarded), otherwise the
-        complex value of the analytic extension.  For a grid it is a complex
-        array of shape (len(eps),) + theta.shape, one row per entry, the
-        eps == 0 rows with zero imaginary part; a scalar is the one-row grid.
+        complex value of the analytic extension.  For a grid it is an array
+        of shape (len(eps),) + theta.shape, one row per entry: float64 when
+        every entry is 0, otherwise complex with zero imaginary part in the
+        eps == 0 rows; a scalar is the one-row grid.
 
         All rows share one evaluation of cos and sin of 2 pi theta.  A row
         with eps != 0 sums the Laurent form at z = e^{-2 pi eps} (cos, sin),
@@ -163,7 +150,7 @@ class Potential:
         real = [e == 0.0 for e in rows]
         shape = (len(rows),) + theta.shape
         if all(real):
-            out = np.empty(shape, dtype=np.complex128)
+            out = np.empty(shape, dtype=np.float64)
         else:
             # the eps == 0 rows (scale 1) are overwritten below
             scale = np.array([math.exp(-TWO_PI * e) for e in rows])
@@ -232,159 +219,3 @@ class Potential:
         if s.startswith("amo(") and s.endswith(")"):
             return cls.amo(float(s[4:-1]), eta=eta)
         raise ValueError(f"unknown potential preset {text!r}")
-
-
-# ----------------------------------------------------------------------
-# frequency
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Frequency:
-    """An irrational rotation number with its continued-fraction data.
-
-    The expansion alpha = [0; a1, a2, ...] is computed by the Gauss map up
-    to `depth` terms, stopping early if the remainder vanishes to machine
-    precision (the float was a small rational) or a partial quotient
-    overflows the reliable range of a double.
-    """
-
-    alpha: float                      # the rotation number, in (0, 1)
-    quotients: Tuple[int, ...]        # partial quotients a1, a2, ...
-    convergents: Tuple[Tuple[int, int], ...]  # (p_k, q_k), q ascending
-    terminated: bool                  # expansion ended exactly: rational input
-
-    _MAX_QUOTIENT = 1e14
-
-    def __init__(self, alpha: float, depth: int = 40):
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"frequency must lie in (0, 1), got {alpha}")
-        quots: List[int] = []
-        convs: List[Tuple[int, int]] = []
-        # p, q recurrences seeded with the standard virtual terms
-        p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
-        x = alpha
-        terminated = False
-        for _ in range(depth):
-            inv = 1.0 / x
-            a = int(math.floor(inv))
-            if a < 1 or a > self._MAX_QUOTIENT:
-                break
-            quots.append(a)
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            convs.append((p_cur, q_cur))
-            x = inv - a
-            if x < 1e-15:
-                terminated = True
-                break
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "quotients", tuple(quots))
-        object.__setattr__(self, "convergents", tuple(convs))
-        object.__setattr__(self, "terminated", terminated)
-
-    @classmethod
-    def golden(cls) -> "Frequency":
-        return cls(GOLDEN_MEAN)
-
-    @classmethod
-    def from_quotients(cls, quots: Sequence[int]) -> "Frequency":
-        """Build the value of [0; a1, a2, ...] and re-expand it."""
-        x = 0.0
-        for a in reversed(list(quots)):
-            x = 1.0 / (a + x)
-        return cls(x)
-
-    def denominators(self, n_max: int) -> List[int]:
-        return [q for _, q in self.convergents if q <= n_max]
-
-
-# ----------------------------------------------------------------------
-# small-divisor checks
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmallDivisorReport:
-    """Outcome of a Diophantine or phase-resonance scan."""
-
-    ok: bool            # condition held for every index scanned
-    worst_n: int        # index minimizing dist/threshold
-    worst_dist: float   # torus distance at the worst index
-    threshold: float    # required lower bound at the worst index
-    n_max: int          # scan range
-
-    @property
-    def margin(self) -> float:
-        """dist/threshold at the worst index; >= 1 means the condition holds."""
-        return self.worst_dist / self.threshold if self.threshold > 0 else math.inf
-
-
-def diophantine_check(
-    freq: Frequency, c: float = 0.1, a: float = 2.0, n_max: int = 100000
-) -> SmallDivisorReport:
-    """Test ||n*alpha|| >= c / (n (log n)^a) for 2 <= n <= n_max.
-
-    Indices 2..1000 are scanned exhaustively.  Beyond that only convergent
-    denominators and their small multiples are tested: best rational
-    approximations occur exactly at the denominators, and both ||n alpha||
-    and the threshold are monotone between them, so any violator yields a
-    violating denominator below it.
-    """
-    if freq.terminated:
-        raise ValueError("frequency resolved to a rational; condition is vacuous")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-
-    cand = set(range(2, min(1000, n_max) + 1))
-    for q in freq.denominators(n_max):
-        for m in range(1, 9):
-            if 2 <= m * q <= n_max:
-                cand.add(m * q)
-    ns = np.array(sorted(cand), dtype=np.float64)
-    dists = np.asarray(torus_dist(ns * freq.alpha))
-    thresholds = c / (ns * np.log(ns) ** a)
-    ratios = dists / thresholds
-    i = int(np.argmin(ratios))
-    return SmallDivisorReport(
-        ok=bool(np.all(dists >= thresholds)),
-        worst_n=int(ns[i]),
-        worst_dist=float(dists[i]),
-        threshold=float(thresholds[i]),
-        n_max=n_max,
-    )
-
-
-def phase_resonance_check(
-    theta: float,
-    freq: Frequency,
-    c: float = 0.1,
-    b: float = 2.0,
-    n_max: int = 100000,
-) -> SmallDivisorReport:
-    """Test ||2*theta + n*alpha|| >= c / |n|^b for 1 <= |n| <= n_max.
-
-    Phases passing this are "non-resonant": the orbit of the doubled phase
-    avoids small divisors at a polynomial rate.  The scan is exhaustive and
-    chunked so large n_max stays within memory.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    best = (math.inf, 0, 0.0, 0.0)  # (ratio, n, dist, threshold)
-    ok = True
-    chunk = 1 << 20
-    for lo in range(1, n_max + 1, chunk):
-        hi = min(lo + chunk - 1, n_max)
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        thresholds = c / ns ** b
-        for sign in (1.0, -1.0):
-            dists = np.asarray(torus_dist(2.0 * theta + sign * ns * freq.alpha))
-            ratios = dists / thresholds
-            i = int(np.argmin(ratios))
-            if ratios[i] < best[0]:
-                best = (float(ratios[i]), int(sign * ns[i]), float(dists[i]),
-                        float(thresholds[i]))
-            if np.any(dists < thresholds):
-                ok = False
-    return SmallDivisorReport(
-        ok=ok, worst_n=best[1], worst_dist=best[2], threshold=best[3], n_max=n_max
-    )

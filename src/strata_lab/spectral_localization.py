@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .model import Potential
-from .cocycle import lyapunov_n
+from .cocycle import TAU_POS, lyapunov_n
 from .determinant import det_at_phase, det_family
 
 __all__ = [
@@ -135,13 +135,12 @@ def dirichlet_eigenpair(
     index: int,
     spectrum: Optional[DirichletSpectrum] = None,
     seed: int = 0,
-    max_iter: int = 6,
 ):
     """Eigenvalue and eigenvector for one spectral index.
 
     The shift comes from the bisection eigensolve; the vector from inverse
-    iteration (two banded solves from a seeded start, more only if the
-    residual has not converged).  Raises RuntimeError when extra
+    iteration (two banded solves from a seeded start, more, up to six, only
+    if the residual has not converged).  Raises RuntimeError when extra
     iterations stop improving the residual.
     """
     if spectrum is None:
@@ -165,7 +164,7 @@ def dirichlet_eigenpair(
 
     best = math.inf
     resid = math.inf
-    for it in range(max_iter):
+    for it in range(6):
         x = solve_banded((1, 1), ab, v)
         nx = np.linalg.norm(x)
         if not np.isfinite(nx) or nx == 0.0:
@@ -229,9 +228,9 @@ class DecayProfile:
             return math.nan
         return float(np.mean(rates))
 
-    def is_localized(self, tau_pos: float = 0.05) -> bool:
+    def is_localized(self) -> bool:
         r = self.decay_rate
-        return math.isfinite(r) and r >= tau_pos
+        return math.isfinite(r) and r >= TAU_POS
 
 
 def _side_fit(dist: np.ndarray, logs: np.ndarray):
@@ -491,16 +490,16 @@ def deviation_set(
     n: int,
     threshold: Optional[float] = None,
     grid_size: Optional[int] = None,
-    refine_tol: float = 1e-12,
     lyapunov_K: int = 1024,
 ) -> DeviationSetGeometry:
     """Extract the arcs where u_n(e^{2 pi i theta}) < L_n - threshold.
 
     Scans u_n by FFT on an equispaced grid, groups sub-level runs into
     maximal arcs, and refines each endpoint by bisection on the scalar
-    recurrence.  The default threshold n^{-0.3} is an explicit reporting
-    convention; at desk scale the arcs shrink like e^{-n t}, so seeing
-    structure needs thresholds around (grid resolution) log / n.
+    recurrence, down to a bracket of 1e-12.  The default threshold
+    n^{-0.3} is an explicit reporting convention; at desk scale the arcs
+    shrink like e^{-n t}, so seeing structure needs thresholds around
+    (grid resolution) log / n.
     """
     if threshold is None:
         threshold = float(n) ** (-0.3)
@@ -549,7 +548,7 @@ def deviation_set(
             return hi if falling else lo
         if not falling and not (g_lo < 0 <= g_hi):
             return lo
-        while hi - lo > refine_tol:
+        while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             if (u_of(mid) - level < 0) == falling:
                 hi = mid
@@ -611,16 +610,15 @@ def double_resonance_scan(
     theta: float,
     alpha: float,
     y: int,
-    n: Optional[int] = None,
 ) -> DoubleResonanceReport:
     """Scan orbit points against arc pairs U_j u (-(n-1)alpha - U_j).
 
     The two offset windows are [-floor(7n/8), -floor(n/8)] and its shift
-    by y, with n < y < 10 n.  A pair holding two or more orbit points is a
-    double resonance; the first such pair is returned as a witness.
+    by y, with n = geometry.n and n < y < 10 n.  A pair holding two or
+    more orbit points is a double resonance; the first such pair is
+    returned as a witness.
     """
-    if n is None:
-        n = geometry.n
+    n = geometry.n
     if not (n < y < 10 * n):
         raise ValueError("window offset y must satisfy n < y < 10 n")
 
@@ -742,7 +740,6 @@ def expansion_identity_scan(
     E: float,
     phi: np.ndarray,
     interval: Tuple[int, int],
-    shifts: Sequence[int] = (0, 7, -7, 14, -14, 21),
 ) -> Tuple[float, Tuple[int, int], int]:
     """Expansion residual on the first well-conditioned shifted window.
 
@@ -757,7 +754,7 @@ def expansion_identity_scan(
     l1, l2 = int(interval[0]), int(interval[1])
     width = l2 - l1
     last: Optional[ValueError] = None
-    for s in shifts:
+    for s in (0, 7, -7, 14, -14, 21):
         a, b = l1 + s, l1 + s + width
         if a < 1 or b > N - 2:
             continue

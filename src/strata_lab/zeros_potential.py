@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cocycle import acceleration, lyapunov_n
+from .cocycle import TAU_POS, acceleration, lyapunov_n
 from .determinant import DeterminantFamily, det_family
 from .model import TWO_PI, Potential
 
@@ -29,6 +29,15 @@ class RootConvergenceError(RuntimeError):
 # Pairwise loops (roots x roots, points x roots) run in row blocks of about
 # this many elements, so that their temporaries stay in the L2 cache.
 _BLOCK = 1 << 13
+
+# every root passes |p(w)| <= _ROOT_TOL * sum_i |c_i| |w|^i
+_ROOT_TOL = 1e-12
+# roots within _CIRCLE_TOL of |w| = 1 count as on the unit circle, and
+# roots within _BOUNDARY_TOL of an annulus circle as on that circle
+_CIRCLE_TOL = 1e-8
+_BOUNDARY_TOL = 1e-9
+# reflection partners w -> phase / w pair within this distance
+_REFLECTION_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -91,16 +100,15 @@ def _relative_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def aberth_roots(
-    coeffs, tol: float = 1e-12, max_iter: int = 500
-) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All roots of an ordinary polynomial given by ascending coefficients.
 
     Simultaneous third-order iteration: Newton corrections coupled through
     pairwise repulsion.  Starting points are roots of unity at the geometric
     mean modulus of the root set (|c_0/c_d|^{1/d}), offset angularly to
     break symmetries.  Every returned root passes the backward-error
-    certificate |p(w)| <= tol * sum_i |c_i| |w|^i.
+    certificate |p(w)| <= _ROOT_TOL * sum_i |c_i| |w|^i, within 500
+    iterations.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if len(c) == 0 or c[0] == 0 or c[-1] == 0:
@@ -115,7 +123,7 @@ def aberth_roots(
     z = r0 * np.exp(1j * ang)
     active = np.ones(d, dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(500):
         w = _newton_ratio(c, z)
         # pairwise repulsion sums, chunked to bound memory at large degree
         S = np.zeros(d, dtype=np.complex128)
@@ -129,7 +137,7 @@ def aberth_roots(
         corr = w / den
         corr = np.where(np.isfinite(corr), corr, w)
         z = np.where(active, z - corr, z)
-        done = np.abs(corr) <= tol * (1.0 + np.abs(z))
+        done = np.abs(corr) <= _ROOT_TOL * (1.0 + np.abs(z))
         active &= ~done
         if not np.any(active):
             break
@@ -138,7 +146,7 @@ def aberth_roots(
     for _ in range(2):
         z = z - _newton_ratio(c, z)
     resid = _relative_residuals(c, z)
-    bad = np.nonzero(resid > tol)[0]
+    bad = np.nonzero(resid > _ROOT_TOL)[0]
     if len(bad):
         raise RootConvergenceError(
             f"{len(bad)} roots failed the residual certificate "
@@ -156,7 +164,7 @@ class ZeroInventory:
     """The full zero set of one determinant family, with symmetry pairings.
 
     pair_inversive[i] is the index of the root closest to 1/conj(roots[i])
-    when that distance is within tolerance, else -1; roots on the unit
+    when that distance is within 1e-7, else -1; roots on the unit
     circle (within circle_tol) are their own inversive partners and carry
     -1.  pair_reflection is the analogous map for w -> phase/w (even
     potentials only, phase = 1 for centered families), or None.
@@ -199,13 +207,7 @@ def _nearest_pairing(roots: np.ndarray, targets: np.ndarray, tol: float,
     return out
 
 
-def find_zeros(
-    fam: DeterminantFamily,
-    tol: float = 1e-12,
-    circle_tol: float = 1e-8,
-    pair_tol: float = 1e-7,
-    reflection_tol: float = 1e-6,
-) -> ZeroInventory:
+def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
     """Locate all zeros of D_n and build the symmetry pairings.
 
     Exactly-zero edge coefficients are deflated before root finding (they
@@ -216,26 +218,27 @@ def find_zeros(
     poly = fam.poly.trimmed()
     if poly.is_zero:
         raise ValueError("determinant is identically zero; no inventory")
-    roots = aberth_roots(poly.coeffs, tol=tol)
+    roots = aberth_roots(poly.coeffs)
     mult = np.ones(len(roots), dtype=np.int64)
-    on_circle = np.abs(np.abs(roots) - 1.0) <= circle_tol
+    on_circle = np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL
 
     inv_targets = 1.0 / np.conj(roots) if len(roots) else roots
-    pair_inv = _nearest_pairing(roots, inv_targets, pair_tol, skip=on_circle)
+    pair_inv = _nearest_pairing(roots, inv_targets, 1e-7, skip=on_circle)
 
     pair_ref = None
     if fam.potential.is_even and len(roots):
         phase = 1.0 if fam.centered else np.exp(-1j * TWO_PI * (fam.n - 1) * fam.alpha)
         ref_targets = phase / roots
-        fixed = np.abs(roots - ref_targets) <= reflection_tol
-        pair_ref = _nearest_pairing(roots, ref_targets, reflection_tol, skip=fixed)
+        fixed = np.abs(roots - ref_targets) <= _REFLECTION_TOL
+        pair_ref = _nearest_pairing(roots, ref_targets, _REFLECTION_TOL,
+                                    skip=fixed)
         idx = np.nonzero(fixed)[0]
         pair_ref[idx] = idx  # fixed points of the reflection pair with themselves
 
     return ZeroInventory(
         roots=roots, multiplicities=mult, n=fam.n, E=fam.E, alpha=fam.alpha,
         centered=fam.centered, pair_inversive=pair_inv, pair_reflection=pair_ref,
-        on_circle=on_circle, circle_tol=circle_tol)
+        on_circle=on_circle, circle_tol=_CIRCLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -245,19 +248,17 @@ class AnnulusCount:
     count: int                 # zeros with e^{-2 pi eps} <= |w| <= e^{2 pi eps}
     eps: float
     boundary_margin: float     # smallest distance of any root to either circle
-    flagged: Tuple[int, ...]   # indices within boundary_tol of a circle
+    flagged: Tuple[int, ...]   # indices within _BOUNDARY_TOL of a circle
 
     @property
     def boundary_clear(self) -> bool:
         return len(self.flagged) == 0
 
 
-def count_annulus(
-    inv: ZeroInventory, eps: float, boundary_tol: float = 1e-9
-) -> AnnulusCount:
+def count_annulus(inv: ZeroInventory, eps: float) -> AnnulusCount:
     """Count inventory zeros in the closed annulus of half-width eps.
 
-    Roots within boundary_tol of either circle are counted as inside and
+    Roots within _BOUNDARY_TOL of either circle are counted as inside and
     flagged, so borderline counts are visible to the caller.
     """
     if eps < 0:
@@ -265,8 +266,8 @@ def count_annulus(
     R = math.exp(TWO_PI * eps)
     mods = np.abs(inv.roots)
     dist = np.minimum(np.abs(mods - R), np.abs(mods - 1.0 / R))
-    inside = (mods <= R + boundary_tol) & (mods >= 1.0 / R - boundary_tol)
-    flagged = np.nonzero(dist <= boundary_tol)[0]
+    inside = (mods <= R + _BOUNDARY_TOL) & (mods >= 1.0 / R - _BOUNDARY_TOL)
+    flagged = np.nonzero(dist <= _BOUNDARY_TOL)[0]
     margin = float(np.min(dist)) if len(dist) else math.inf
     return AnnulusCount(
         count=int(np.sum(inv.multiplicities[inside])), eps=float(eps),
@@ -297,24 +298,15 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
 # annulus Green's function
 # ----------------------------------------------------------------------
 
-def green_trunc_order(R: float, digits: float = 10.0) -> int:
-    """Product truncation order making the tail comparable to 10^-digits.
+def green_trunc_order(R: float) -> int:
+    """Product truncation order making the tail comparable to 1e-10.
 
     Each discarded factor is 1 + O(R^{-4k}), so K factors leave a relative
-    error O(R^{-4K}); solve R^{-4K} <= 10^-digits and cap at 64.
+    error O(R^{-4K}); solve R^{-4K} <= 1e-10 and cap at 64.
     """
     if R <= 1.0:
         raise ValueError("annulus parameter R must exceed 1")
-    return min(64, max(1, math.ceil(digits * math.log(10.0) / (4.0 * math.log(R)))))
-
-
-def _green_order(R: float, K_trunc: Optional[int]) -> int:
-    if R <= 1.0:
-        raise ValueError("annulus parameter R must exceed 1")
-    K = green_trunc_order(R) if K_trunc is None else int(K_trunc)
-    if K < 1:
-        raise ValueError("K_trunc must be >= 1")
-    return K
+    return min(64, max(1, math.ceil(10.0 * math.log(10.0) / (4.0 * math.log(R)))))
 
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
@@ -324,17 +316,18 @@ def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
             raise ValueError("argument outside the closed annulus")
 
 
-def green_annulus(z, w, R: float, K_trunc: Optional[int] = None):
+def green_annulus(z, w, R: float):
     """Green's function of the annulus 1/R <= |z| <= R with pole at w.
 
     Evaluates the separable boundary term plus the log of an image-charge
-    product over reflections across both circles, truncated at K_trunc
-    factors (tail O(R^{-4K})).  Symmetric in (z, w) and rotation invariant
-    by construction.  Vanishes on both boundary circles.
+    product over reflections across both circles, truncated at
+    K = green_trunc_order(R) factors (tail O(R^{-4K})).  Symmetric in
+    (z, w) and rotation invariant by construction.  Vanishes on both
+    boundary circles.
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    K = _green_order(R, K_trunc)
+    K = green_trunc_order(R)
     lr = math.log(R)
     az, aw = np.abs(z), np.abs(w)
     _check_in_annulus(R, az, aw)
@@ -380,10 +373,8 @@ def _roots_in_annulus(inv: ZeroInventory, R: float) -> np.ndarray:
     return inv.roots[(mods <= R) & (mods >= 1.0 / R)]
 
 
-def green_potential(
-    zs: np.ndarray, roots: np.ndarray, R: float, n: int,
-    K_trunc: Optional[int] = None,
-) -> np.ndarray:
+def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
+                    n: int) -> np.ndarray:
     """(2 pi / n) sum_k G_R(z, w_k) over the root set, vectorized in z."""
     zs = np.atleast_1d(np.asarray(zs, dtype=np.complex128))
     out = np.zeros(len(zs), dtype=np.float64)
@@ -391,7 +382,7 @@ def green_potential(
         return out
     step = max(1, _BLOCK // len(roots))
     for a in range(0, len(zs), step):
-        block = green_annulus(zs[a:a + step, None], roots[None, :], R, K_trunc)
+        block = green_annulus(zs[a:a + step, None], roots[None, :], R)
         out[a:a + step] = np.sum(block, axis=1)
     return out * TWO_PI / n
 
@@ -411,20 +402,19 @@ def _mean_log_abs(a, b, K: int):
 
 def green_circle_mean(
     center: complex, rho: float, K: int, roots: np.ndarray, R: float, n: int,
-    K_trunc: Optional[int] = None,
 ) -> float:
     """Mean of green_potential over the K points center + rho e^{2 pi i j/K}.
 
     Every factor of the truncated image product is log|a + b e^{+-2 pi i j/K}|
     on these points, and its K-point mean has the closed form of
     _mean_log_abs.  The result is the K-point quadrature of green_potential
-    (not the exact circle mean) at O(roots * K_trunc) cost instead of
-    O(K * roots * K_trunc).
+    (not the exact circle mean) at O(roots * Kt) cost instead of
+    O(K * roots * Kt), Kt = green_trunc_order(R).
     """
     roots = np.asarray(roots, dtype=np.complex128)
     if len(roots) == 0:
         return 0.0
-    Kt = _green_order(R, K_trunc)
+    Kt = green_trunc_order(R)
     if K < 1:
         raise ValueError("the circle needs K >= 1 points")
     lr = math.log(R)
@@ -502,21 +492,16 @@ def riesz_decompose(
     R: float,
     n_radii: int = 9,
     n_angles: int = 256,
-    K_trunc: Optional[int] = None,
-    boundary_tol: float = 1e-9,
-    mv_subsample: int = 8,
-    mv_points: int = 16,
 ) -> RieszDecomposition:
     """Split (1/n) log|D_n| into Green potential plus harmonic part on A_R.
 
     Only zeros strictly inside the annulus feed the Green potential; the
     harmonic remainder absorbs everything else.  Requires a zero-free
-    boundary: any root within boundary_tol of either circle is an error.
+    boundary: any root within _BOUNDARY_TOL of either circle is an error.
     """
     mods = np.abs(inv.roots)
-    offenders = np.nonzero(
-        (np.abs(mods - R) < boundary_tol) | (np.abs(mods - 1.0 / R) < boundary_tol)
-    )[0]
+    offenders = np.nonzero((np.abs(mods - R) < _BOUNDARY_TOL)
+                           | (np.abs(mods - 1.0 / R) < _BOUNDARY_TOL))[0]
     if len(offenders):
         k = int(offenders[0])
         raise ValueError(
@@ -528,22 +513,23 @@ def riesz_decompose(
     thetas = np.arange(n_angles) / n_angles
     u = np.stack([fam.log_abs_per_site_circle(r, n_angles) for r in radii])
     grid = radii[:, None] * np.exp(2j * math.pi * thetas)[None, :]
-    green = green_potential(grid.ravel(), roots, R, fam.n, K_trunc).reshape(grid.shape)
+    green = green_potential(grid.ravel(), roots, R, fam.n).reshape(grid.shape)
     harm = u - green
 
     boundary_max_dev = float(np.max(np.abs(harm[[0, -1], :] - u[[0, -1], :])))
 
     # discrete mean-value property of the harmonic part at interior nodes,
-    # on a ring around every mv_subsample-th node of each interior row
-    ang_mv = np.exp(2j * math.pi * np.arange(mv_points) / mv_points)
-    zc = grid[1:-1, ::mv_subsample, None]
+    # on a ring of 16 points around every 8th node of each interior row
+    ang_mv = np.exp(2j * math.pi * np.arange(16) / 16)
+    zc = grid[1:-1, ::8, None]
     rho = 0.3 * np.minimum(R - np.abs(zc), np.abs(zc) - 1.0 / R)
     rings = zc + rho * ang_mv
-    g_rings = green_potential(rings.ravel(), roots, R, fam.n, K_trunc).reshape(rings.shape)
+    g_rings = green_potential(rings.ravel(), roots, R, fam.n).reshape(rings.shape)
     # one eval_log call per ring keeps its (points x coefficients) temporaries small
-    u_rings = np.array([fam.poly.eval_log(ring)[0] for ring in rings.reshape(-1, mv_points)])
+    u_rings = np.array([fam.poly.eval_log(ring)[0]
+                        for ring in rings.reshape(-1, len(ang_mv))])
     h_means = np.mean(u_rings.reshape(rings.shape) / fam.n - g_rings, axis=-1)
-    worst = float(np.max(np.abs(h_means - harm[1:-1, ::mv_subsample])))
+    worst = float(np.max(np.abs(h_means - harm[1:-1, ::8])))
 
     interior = harm[1:-1, :]
     return RieszDecomposition(
@@ -564,7 +550,6 @@ def jensen_identity_residual(
     r2: float,
     R: float,
     K: int = 4096,
-    K_trunc: Optional[int] = None,
 ) -> float:
     """Residual of the circle-average identity between radii r1 < r2.
 
@@ -586,8 +571,8 @@ def jensen_identity_residual(
         if len(mods) and np.min(np.abs(mods - r)) < 1e-9:
             raise ValueError(f"a zero lies on the quadrature circle r = {r}")
     roots = _roots_in_annulus(inv, R)
-    g1 = green_circle_mean(0.0, r1, K, roots, R, fam.n, K_trunc)
-    g2 = green_circle_mean(0.0, r2, K, roots, R, fam.n, K_trunc)
+    g1 = green_circle_mean(0.0, r1, K, roots, R, fam.n)
+    g2 = green_circle_mean(0.0, r2, K, roots, R, fam.n)
     e1 = math.log(r1) / TWO_PI
     e2 = math.log(r2) / TWO_PI
     coords = inv.eps_coords()
@@ -638,8 +623,8 @@ def window_reach(eps: float, eps_r: float) -> float:
 
     That is the top of the slope window of `zero_count_vs_acceleration`
     at `eps`, and at `eps_r` the top of the `riesz_kappa` window and the
-    outer flux circle of `riesz_mass` (default step).  A config whose
-    reach stays inside the potential's strip never fails there late."""
+    outer flux circle of `riesz_mass`.  A config whose reach stays inside
+    the potential's strip never fails there late."""
     return float(max(_count_window(eps)[-1], np.max(_kappa_window(eps_r)),
                      eps_r + 2.0 * _FLUX_DELTA))
 
@@ -671,7 +656,6 @@ def riesz_mass(
     E: float,
     n: int,
     eps_r: float,
-    delta: float = _FLUX_DELTA,
     K: int = 4096,
     kappa: Optional[int] = None,
     fam: Optional[DeterminantFamily] = None,
@@ -683,14 +667,16 @@ def riesz_mass(
 
     The v-route takes the net outward flux of the transfer log-norm through
     the two boundary circles, with radial derivatives by central differences
-    of circle averages (step delta).  The u-route differentiates the circle
-    average of the per-site log-determinant, whose radial profile is
-    piecewise linear, so the difference quotient is exact between kinks; the
-    kink-free step is chosen from the inventory when one is supplied.
+    of circle averages (step delta = _FLUX_DELTA).  The u-route
+    differentiates the circle average of the per-site log-determinant,
+    whose radial profile is piecewise linear, so the difference quotient is
+    exact between kinks; the kink-free step is chosen from the inventory
+    when one is supplied.
     """
     if kappa is None:
         kappa = riesz_kappa(potential, alpha, E, eps_r, kappa_n, kappa_K)
 
+    delta = _FLUX_DELTA
     eps_flux = eps_r + delta
 
     # the four flux circles in one batched call
@@ -759,20 +745,19 @@ def zero_count_vs_acceleration(
     E: float,
     eps: float,
     ns: Sequence[int],
-    tau_pos: float = 0.05,
     kappa_n: int = 512,
     kappa_K: int = 256,
 ) -> ZeroCountReport:
     """Compare annulus zero counts at half-width eps/2 with the acceleration.
 
     Preconditions are checked numerically: the Lyapunov exponent at the real
-    phase must clear tau_pos, and the slope over (0, 1.2 eps] must be affine
+    phase must clear TAU_POS, and the slope over (0, 1.2 eps] must be affine
     (single integer slope), otherwise the characterization does not apply.
     """
     L0 = lyapunov_n(potential, alpha, E, kappa_n, 0.0, kappa_K).value
-    if L0 < tau_pos:
+    if L0 < TAU_POS:
         raise ValueError(
-            f"Lyapunov exponent {L0:.4f} below positivity threshold {tau_pos}")
+            f"Lyapunov exponent {L0:.4f} below positivity threshold {TAU_POS}")
     est = acceleration(potential, alpha, E, _count_window(eps),
                        n=kappa_n, K=kappa_K)
     if est.non_affine:

@@ -92,6 +92,12 @@ def read_rows(path):
     {"riesz": {"eps_r": 0.0}},
     {"riesz": {"eps_r": -0.02}},
     {"eps": 0.45},                                 # verify window top 1.2 eps
+    # integer keys take integers: these ran truncated or as 1
+    {"riesz": {"n_angles": 64.5}},
+    {"n": 100.9},
+    {"n_ladder": [100.5, 200]},
+    {"quadrature": {"K": True}},
+    {"strata": {"tau_pos": True}},                 # a boolean is not a number
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -113,6 +119,7 @@ def test_config_accepts_the_minimums():
     ExperimentConfig.from_raw({"ldt": {"threshold": None}})
     ExperimentConfig.from_raw({"ldt": {"threshold": 0.05, "scan_count": 0}})
     ExperimentConfig.from_raw({"riesz": {"eps_r": 0.3124}, "eps": 0.41})
+    ExperimentConfig.from_raw({"ids": {"samples": 8.0}})  # an integral float
 
 
 def test_riesz_flux_circles_count_in_the_strip_reach():

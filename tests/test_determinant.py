@@ -5,7 +5,8 @@ import pytest
 
 from strata_lab import (Potential, center_family, det_at_phase, det_family,
                         transfer_log_norms)
-from strata_lab.determinant import DegreeCapError, ScaledLaurentPoly
+from strata_lab.determinant import (DEFAULT_DEGREE_CAP, DegreeCapError,
+                                   ScaledLaurentPoly)
 
 
 def poly_value(poly, z):
@@ -97,7 +98,7 @@ def test_transfer_matrix_carries_determinants(amo2, golden):
 
 def test_degree_cap_and_length_validation(amo2, golden):
     with pytest.raises(DegreeCapError):
-        det_family(amo2, golden, 0.5, 50, degree_cap=10)
+        det_family(amo2, golden, 0.5, DEFAULT_DEGREE_CAP + 1)  # k0 = 1
     assert issubclass(DegreeCapError, ValueError)
     with pytest.raises(ValueError):
         det_family(amo2, golden, 0.5, 0)

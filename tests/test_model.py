@@ -3,25 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (GOLDEN_MEAN, Frequency, Potential, diophantine_check,
-                        phase_resonance_check)
-from strata_lab.model import torus_dist
+from strata_lab import GOLDEN_MEAN, Potential
 
 
 def test_golden_mean_value():
     assert GOLDEN_MEAN == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-15)
     assert 0.0 < GOLDEN_MEAN < 1.0
-
-
-def test_torus_dist_scalar():
-    assert torus_dist(0.3) == pytest.approx(0.3, abs=1e-15)
-    assert torus_dist(0.7) == pytest.approx(0.3, abs=1e-15)
-    assert torus_dist(0.0) == 0.0
-
-
-def test_torus_dist_array_wraps():
-    np.testing.assert_allclose(torus_dist(np.array([1.25, -0.25, 3.5])),
-                               [0.25, 0.25, 0.5], atol=1e-15)
 
 
 class TestPotential:
@@ -92,62 +79,3 @@ class TestPotential:
         back = Potential.from_dict(pot.to_dict())
         assert back.coeffs_dict() == pot.coeffs_dict()
         assert back.eta == pot.eta
-
-
-class TestFrequency:
-    def test_golden_quotients_all_one(self):
-        fr = Frequency.golden()
-        # float resolution corrupts the deepest few partial quotients
-        assert set(fr.quotients[:30]) == {1}
-        assert not fr.terminated
-
-    def test_convergent_denominators_are_fibonacci(self):
-        fr = Frequency.golden()
-        qs = [q for _, q in fr.convergents]
-        assert qs[:6] == [1, 2, 3, 5, 8, 13]
-        assert fr.denominators(100) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-
-    def test_convergents_approximate_alpha(self):
-        fr = Frequency.golden()
-        p, q = fr.convergents[-1]
-        assert abs(fr.alpha - p / q) < 1.0 / q**2
-
-    def test_rational_terminates(self):
-        fr = Frequency(0.5)
-        assert fr.terminated
-        assert fr.convergents[-1] == (1, 2)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.3])
-    def test_range_validation(self, bad):
-        with pytest.raises(ValueError):
-            Frequency(bad)
-
-    def test_from_quotients_recovers_golden(self):
-        fr = Frequency.from_quotients([1] * 30)
-        assert fr.alpha == pytest.approx(GOLDEN_MEAN, abs=1e-10)
-
-
-def test_diophantine_golden_ok():
-    rep = diophantine_check(Frequency.golden())
-    assert rep.ok
-    assert rep.margin > 1.0
-    assert rep.worst_n >= 2
-
-
-def test_diophantine_rational_raises():
-    with pytest.raises(ValueError):
-        diophantine_check(Frequency(0.5))
-
-
-def test_phase_resonance_generic_phase_ok():
-    rep = phase_resonance_check(0.25, Frequency.golden())
-    assert rep.ok
-    assert rep.margin > 0.0
-
-
-def test_phase_resonance_detects_constructed_resonance():
-    # 2 theta + 5 alpha = 0 mod 1 by construction
-    theta = ((-5.0 * GOLDEN_MEAN) % 1.0) / 2.0
-    rep = phase_resonance_check(theta, Frequency.golden())
-    assert not rep.ok
-    assert rep.worst_n == 5

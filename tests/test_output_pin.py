@@ -1,13 +1,13 @@
 """Byte pin of every table and side file the subcommands write.
 
 Each of the eleven computing subcommands runs on the c12 determinism config
-(`acceptance._C12_CONFIG`) with one thread, and the strip-exponent
-subcommands (`lyapunov`, `acceleration`, `strata`) also run on the default
-config; the sha256 of every CSV and JSON file written, apart from
-`manifest.json` (which holds timings), must equal the hash recorded here.  The manifest must list the same files in the same
-order, and the same task keys with the same statuses.  A refactor keeps
-this test passing unchanged; a change that moves digits updates the hashes
-and says which columns moved.
+(`acceptance._C12_CONFIG`) with one thread, and all but `riesz` and
+`localize` (about 4 s each) also run on the default config; the sha256 of
+every CSV and JSON file written, apart from `manifest.json` (which holds
+timings), must equal the hash recorded here.  The manifest must list the
+same files in the same order, and the same task keys with the same
+statuses.  A refactor keeps this test passing unchanged; a change that
+moves digits updates the hashes and says which columns moved.
 
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11).
 Other versions may round differently in the last printed digit.
@@ -117,7 +117,7 @@ def test_outputs_match_pinned_hashes(subcommand, tmp_path):
     assert got == PINNED[subcommand]
 
 
-# the default config (about 1 s for the three)
+# the default config (about 2 s for the nine)
 PINNED_DEFAULT = {
     "lyapunov": {
         "lyapunov.csv":
@@ -135,12 +135,48 @@ PINNED_DEFAULT = {
         "strata.csv":
             "181663a1067d3660c60d26a375792daefb527f76b0c224dfdcff0b81b2158cdb",
     },
+    "zeros": {
+        "zeros.csv":
+            "356ec175068e676b8f011972f7147e096b70780ecaddaca9bf1a260e6a625214",
+        "zero_counts.csv":
+            "32fa6514c58e96df7db3c8cf8b89d9a253f13bb247edd0f79c048708387b01cf",
+    },
+    "verify-acc-zeros": {
+        "verify_acc_zeros.csv":
+            "8ae27c6e15cd83e4b3ec40294e83cac6a997240746fd05fd3148ec35904e889d",
+    },
+    "green": {
+        "green_suite.csv":
+            "36901ddaa7ad0870a62e2c496fb4f84494c980dfd96e03e7b958d83d3b8437b5",
+    },
+    "ids": {
+        "ids.csv":
+            "95680a8fc4817ad1367d890c651a95e69b97cce3e76c6924e046295c47d45243",
+    },
+    "holder": {
+        "holder.csv":
+            "5cdef4ae8f150c8d8b3ede438e47575294cdc73aa40422c60c91870b919284fa",
+    },
+    "ldt": {
+        "ldt_arcs.csv":
+            "7006aa2ee509f96a337497fbc14961b2c8c322309c702de47e0dca285fd9d765",
+        "resonance_scan.csv":
+            "902664860dcab2a8baec61f89ec2d486ee85bb4ddc67e5fd00de6db76f78727c",
+        "ldt_geometry_0.json":
+            "3f22e6899a0d39f2b433a358cdb6c4d0774665a241a94c9a30d8a8440683a9db",
+    },
 }
 
 TASKS_DEFAULT = {
     "lyapunov": ["lyapunov[all]"],
     "acceleration": ["acceleration[all]"],
     "strata": ["strata[all]"],
+    "zeros": [f"zeros[E=0.5,n={n}]" for n in (100, 200, 400)],
+    "verify-acc-zeros": ["verify[E=0.5]"],
+    "green": ["green[suite]"],
+    "ids": ["ids[E=0.5]"],
+    "holder": ["holder[E0=0.5]"],
+    "ldt": ["ldt[E=0.5]"],
 }
 
 

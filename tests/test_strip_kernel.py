@@ -132,6 +132,19 @@ ENERGIES = np.array([-3.1, 0.5, 1.5, 3.7, 5.2])
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_all_zero_grid_runs_in_real_arithmetic(name, golden):
+    pot = POTENTIALS[name]
+    thetas = np.arange(33) / 33.0
+    rows = pot.eval_theta(thetas, [0.0, 0.0])
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows[1], pot.eval_theta(thetas, 0.0))
+    got = transfer_log_norms(pot, golden, thetas, ENERGIES, [0.0], 40)
+    assert got.shape == (len(ENERGIES), 1, len(thetas))
+    assert np.array_equal(
+        got[:, 0], transfer_log_norms(pot, golden, thetas, ENERGIES, 0.0, 40))
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
 @pytest.mark.parametrize("eps", [np.array(GRID), 0.0, -0.04],
                          ids=["grid", "real", "negative"])
 def test_energy_batch_matches_per_energy_loop(name, eps, golden):
