@@ -162,12 +162,13 @@ def _check_unknown_keys(raw: Dict[str, Any]) -> None:
 
 
 def _typed(value, kind, key: str):
-    """int(value) or float(value); a value that does not convert, a boolean,
-    a non-integral number for an int key, or a float that is not finite, is
-    a config error naming its key."""
+    """int(value) or float(value); a value that does not convert, a string
+    or a boolean, a non-integral number for an int key, or a float that is
+    not finite, is a config error naming its key."""
     noun = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (
+            kind is int and isinstance(value, float)
+            and not value.is_integer()):
         raise ConfigError(f"{key} must be {noun}, got {value!r}")
     try:
         out = kind(value)
@@ -606,7 +607,8 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
         geom = deviation_set(
             cfg.potential, cfg.alpha, E, cfg.n,
             threshold=None if threshold is None else float(threshold),
-            grid_size=int(sec["grid_per_n"]) * cfg.n)
+            grid_size=int(sec["grid_per_n"]) * cfg.n,
+            lyapunov_K=int(cfg.section("quadrature")["lyapunov_K"]))
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
     arows = []
@@ -627,20 +629,26 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
                     {geom_name: geom.to_json_dict()})
 
 
-def _task_localize(cfg: ExperimentConfig, index: int) -> Dict[str, Any]:
+def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     sec = cfg.section("localize")
     n, theta = int(sec["n"]), float(sec["theta"])
-    prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
-                               seed=cfg.seed)
-    wlen = int(sec["window_len"])
-    l1 = tail_window(prof.center, n, int(sec["window_margin"]), wlen)
-    try:
-        resid, (l1, l2), y = expansion_identity_scan(
-            cfg.potential, cfg.alpha, theta, prof.eigenvalue,
-            prof.eigenvector, (l1, l1 + wlen))
-    except ValueError:
-        resid, l2, y = math.nan, l1 + wlen, (2 * l1 + wlen) // 2
-    srow = {"index": index, "eigenvalue": prof.eigenvalue,
+    count, wlen = int(sec["count"]), int(sec["window_len"])
+    base = n // 2 - count // 2
+    # the box spectrum does not depend on the index: one solve for all
+    spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n)
+    srows, prows = [], []
+    for index in range(base, base + count):
+        prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
+                                   spectrum=spec, seed=cfg.seed)
+        l1 = tail_window(prof.center, n, int(sec["window_margin"]), wlen)
+        try:
+            resid, (l1, l2), y = expansion_identity_scan(
+                cfg.potential, cfg.alpha, theta, prof.eigenvalue,
+                prof.eigenvector, (l1, l1 + wlen))
+        except ValueError:
+            resid, l2, y = math.nan, l1 + wlen, (2 * l1 + wlen) // 2
+        srows.append({
+            "index": index, "eigenvalue": prof.eigenvalue,
             "center": prof.center, "slope_left": prof.slope_left,
             "slope_right": prof.slope_right, "resid_left": prof.resid_left,
             "resid_right": prof.resid_right,
@@ -648,13 +656,13 @@ def _task_localize(cfg: ExperimentConfig, index: int) -> Dict[str, Any]:
             "fit_sites_right": prof.fit_sites_right,
             "decay_rate": prof.decay_rate, "localized": prof.is_localized(),
             "exp_l1": l1, "exp_l2": l2, "exp_y": y,
-            "expansion_residual": resid}
-    absv = np.abs(prof.eigenvector)
-    with np.errstate(divide="ignore"):
-        logs = np.log(absv)
-    prows = [{"index": index, "site": j, "abs_phi": float(absv[j]),
-              "log_abs_phi": float(logs[j])} for j in range(n)]
-    return _payload({"localize_summary.csv": [srow],
+            "expansion_residual": resid})
+        absv = np.abs(prof.eigenvector)
+        with np.errstate(divide="ignore"):
+            logs = np.log(absv)
+        prows.extend({"index": index, "site": j, "abs_phi": float(absv[j]),
+                      "log_abs_phi": float(logs[j])} for j in range(n))
+    return _payload({"localize_summary.csv": srows,
                      "decay_profiles.csv": prows})
 
 
@@ -698,14 +706,6 @@ def _plan_ldt(cfg: ExperimentConfig) -> _Plan:
     return [(f"ldt[E={E:.6g}]", {"E": E, "seed": cfg.seed + i,
                                  "geom_name": f"ldt_geometry_{i}.json"})
             for i, E in enumerate(cfg.energies)]
-
-
-def _plan_localize(cfg: ExperimentConfig) -> _Plan:
-    sec = cfg.section("localize")
-    count = int(sec["count"])
-    base = int(sec["n"]) // 2 - count // 2
-    return [(f"localize[index={i}]", {"index": i})
-            for i in range(base, base + count)]
 
 
 def _plan_all(cfg: ExperimentConfig) -> _Plan:
@@ -772,7 +772,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
                                   "localized", "exp_l1", "exp_l2", "exp_y",
                                   "expansion_residual"],
          "decay_profiles.csv": ["index", "site", "abs_phi", "log_abs_phi"]},
-        _task_localize, _plan_localize),
+        _task_localize, lambda cfg: [("localize[all]", {})]),
     "all": _Subcommand(
         {"acceptance.csv": ["criterion", "name", "passed", "observed"]},
         _task_criterion, _plan_all),

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .cocycle import transfer_log_norms
 from .model import TWO_PI, Potential
 
 # refuse polynomials beyond this many one-sided exponents
@@ -165,10 +166,9 @@ class ScaledLaurentPoly:
 class DeterminantFamily:
     """Dirichlet determinant of an n-site box, in phase-polynomial form.
 
-    `poly` is D_n as a ScaledLaurentPoly in z = e^{2 pi i theta}; `stages`
-    optionally retains the whole ladder D_0..D_n (needed by the interior
-    expansion identity).  `centered` marks the rotated variable in which the
-    coefficient sequence of an even potential is palindromic.
+    `poly` is D_n as a ScaledLaurentPoly in z = e^{2 pi i theta}.
+    `centered` marks the rotated variable in which the coefficient sequence
+    of an even potential is palindromic.
     """
 
     potential: Potential
@@ -177,7 +177,6 @@ class DeterminantFamily:
     n: int
     poly: ScaledLaurentPoly
     centered: bool = False
-    stages: Optional[Tuple[ScaledLaurentPoly, ...]] = None
 
     def log_abs_per_site(self, z):
         """(1/n) log|D_n(z)|: the per-site log magnitude of the determinant."""
@@ -213,7 +212,6 @@ def det_family(
     alpha: float,
     E: float,
     n: int,
-    keep_stages: bool = False,
 ) -> DeterminantFamily:
     """Run the three-term recurrence and return D_n in polynomial form.
 
@@ -234,7 +232,6 @@ def det_family(
     prev2 = ScaledLaurentPoly(lo=0, coeffs=np.zeros(1, dtype=np.complex128),
                               log_scale=-math.inf)  # D_{-1}
     prev = ScaledLaurentPoly.constant(1.0)     # D_0
-    stages = [prev] if keep_stages else None
 
     for j in range(1, n + 1):
         # symbol of E - f at phase shift (j-1)*alpha
@@ -249,12 +246,10 @@ def det_family(
             new[off:off + len(prev2.coeffs)] -= fac * prev2.coeffs
         cur = ScaledLaurentPoly.make(lo_new, new, prev.log_scale)
         prev2, prev = prev, cur
-        if keep_stages:
-            stages.append(cur)
 
     return DeterminantFamily(
         potential=potential, alpha=alpha, E=float(E), n=n, poly=prev,
-        centered=False, stages=tuple(stages) if keep_stages else None)
+        centered=False)
 
 
 def center_family(fam: DeterminantFamily) -> DeterminantFamily:
@@ -271,33 +266,25 @@ def center_family(fam: DeterminantFamily) -> DeterminantFamily:
     phases = np.exp(-1j * math.pi * ks * ((fam.n - 1) * fam.alpha))
     return DeterminantFamily(
         potential=fam.potential, alpha=fam.alpha, E=fam.E, n=fam.n,
-        poly=poly.shifted_phases(phases), centered=True, stages=fam.stages)
+        poly=poly.shifted_phases(phases), centered=True)
 
 
-def det_at_phase(potential: Potential, alpha: float, theta: float, E, n: int):
-    """Scaled scalar recurrence for D_n at a real phase.
+def det_at_phase(potential: Potential, alpha: float, theta, E, n: int):
+    """D_n at real phases, read off the strip kernel.
 
-    Runs the same three-term recurrence directly on values, renormalizing
-    every step.  E may be a scalar or a 1d array (vectorized over energies).
-    Returns (log_abs, sign) with D_n = sign * e^{log_abs}; sign = 0 flags an
-    exact zero hit.
+    D_n(theta) is the (1,1) entry of the transfer product A_n(theta), so it
+    is log|a| plus the log-norm that `transfer_log_norms` divided out, with
+    the sign of a.  `theta` and `E` may each be a scalar or a 1-D array;
+    the results have shape E.shape + theta.shape, and floats when both are
+    scalars.  Returns (log_abs, sign) with D_n = sign * e^{log_abs}; sign = 0
+    flags an exact zero hit.
     """
-    E = np.atleast_1d(np.asarray(E, dtype=np.float64))
-    scalar = E.shape == (1,)
-    d_prev = np.zeros_like(E)            # D_{-1}
-    d = np.ones_like(E)                  # D_0
-    acc = np.zeros_like(E)
-    f_vals = potential.eval_theta(theta + alpha * np.arange(n))
-    f_vals = np.atleast_1d(f_vals)
-    for j in range(n):
-        d, d_prev = (E - f_vals[j]) * d - d_prev, d
-        m = np.maximum(np.abs(d), np.abs(d_prev))
-        m = np.where(m > 0, m, 1.0)
-        d /= m
-        d_prev /= m
-        acc += np.log(m)
-    log_abs = np.where(d != 0, acc + np.log(np.maximum(np.abs(d), 1e-300)), -np.inf)
-    sign = np.sign(d)
-    if scalar:
-        return float(log_abs[0]), float(sign[0])
+    logs, mats = transfer_log_norms(potential, alpha, theta, E, 0.0, n,
+                                    return_matrices=True)
+    a = mats[..., 0, 0]
+    with np.errstate(divide="ignore"):
+        log_abs = logs + np.log(np.abs(a))
+    sign = np.sign(a)
+    if np.ndim(log_abs) == 0:
+        return float(log_abs), float(sign)
     return log_abs, sign

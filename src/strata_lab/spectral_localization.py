@@ -495,8 +495,8 @@ def deviation_set(
     """Extract the arcs where u_n(e^{2 pi i theta}) < L_n - threshold.
 
     Scans u_n by FFT on an equispaced grid, groups sub-level runs into
-    maximal arcs, and refines each endpoint by bisection on the scalar
-    recurrence, down to a bracket of 1e-12.  The default threshold
+    maximal arcs, and refines all endpoints by bisection in lockstep on
+    `det_at_phase`, down to a bracket of 1e-12.  The default threshold
     n^{-0.3} is an explicit reporting convention; at desk scale the arcs
     shrink like e^{-n t}, so seeing structure needs thresholds around
     (grid resolution) log / n.
@@ -534,32 +534,32 @@ def deviation_set(
         runs.append((int(s), int(e)))
 
     h = 1.0 / grid_size
-
-    def u_of(theta: float) -> float:
-        la, _ = det_at_phase(potential, alpha, theta, E, n)
-        return la / n
-
-    def refine(lo: float, hi: float, falling: bool) -> float:
-        # bracket [lo, hi] spans one grid cell; `falling` means u crosses
-        # from above the level at lo to below at hi
-        g_lo = u_of(lo) - level
-        g_hi = u_of(hi) - level
-        if falling and not (g_lo >= 0 > g_hi):
-            return hi if falling else lo
-        if not falling and not (g_lo < 0 <= g_hi):
-            return lo
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if (u_of(mid) - level < 0) == falling:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+    m = len(runs)
+    # each endpoint is bracketed by one grid cell; the first m are left
+    # ends, where u falls from above the level at lo to below it at hi,
+    # the last m right ends, where it rises
+    cells = np.array([s - 1 for s, _ in runs] + [e for _, e in runs])
+    lo, hi = cells * h, (cells + 1) * h
+    falling = np.arange(2 * m) < m
+    g = det_at_phase(potential, alpha, np.concatenate([lo, hi]), E, n)[0]
+    g = g / n - level
+    g_lo, g_hi = g[:2 * m], g[2 * m:]
+    valid = np.where(falling, (g_lo >= 0) & (g_hi < 0),
+                     (g_lo < 0) & (g_hi >= 0))
+    fallback = np.where(falling, hi, lo)
+    # bisect every valid bracket in lockstep, one batched call per level
+    active = np.flatnonzero(valid & (hi - lo > 1e-12))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = det_at_phase(potential, alpha, mid, E, n)[0] / n - level < 0
+        to_hi = below == falling[active]
+        hi[active[to_hi]] = mid[to_hi]
+        lo[active[~to_hi]] = mid[~to_hi]
+        active = active[hi[active] - lo[active] > 1e-12]
+    ends = np.where(valid, 0.5 * (lo + hi), fallback).tolist()
 
     intervals = []
-    for s, e in runs:
-        left = refine((s - 1) * h, s * h, falling=True)
-        right = refine(e * h, (e + 1) * h, falling=False)
+    for left, right in zip(ends[:m], ends[m:]):
         left %= 1.0
         width = (right - left) % 1.0
         if width == 0.0:
@@ -665,8 +665,8 @@ def expansion_identity_check(
                 + D_{y-l1}(theta+l1 alpha)   phi_{l2+1} ] / D_W(theta+l1 alpha)
 
     with W = l2-l1+1 and determinants in the det(E - H) normalization.
-    Terms are assembled in the log domain from the stage polynomials, so
-    window size is not limited by double-precision range.  Returns
+    Terms are assembled in the log domain from `det_at_phase`, so window
+    size is not limited by double-precision range.  Returns
     |phi_y - expansion| / max|phi|.
     """
     phi = np.asarray(phi, dtype=np.float64)
@@ -692,19 +692,21 @@ def expansion_identity_check(
     phi_left = phi[l1 - 1] if l1 >= 1 else 0.0
     phi_right = phi[l2 + 1] if l2 + 1 <= N - 1 else 0.0
 
-    fam = det_family(potential, alpha, E, W, keep_stages=True)
-    stages = fam.stages
-    z1 = np.exp(2j * math.pi * ((theta + l1 * alpha) % 1.0))
-    zy = np.exp(2j * math.pi * ((theta + (y + 1) * alpha) % 1.0))
+    def det(order: int, phase: float):
+        # D_order at the phase, with D_0 = 1
+        if order == 0:
+            return 0.0, 1.0
+        return det_at_phase(potential, alpha, phase, E, order)
 
-    la_den, u_den = stages[W].eval_log(z1)
+    p1 = theta + l1 * alpha
+    la_den, s_den = det(W, p1)
     if not math.isfinite(la_den):
         raise ValueError("E is a Dirichlet eigenvalue of the window")
 
-    def term(order: int, z: complex, boundary: float) -> float:
+    def term(order: int, phase: float, boundary: float) -> float:
         if boundary == 0.0:
             return 0.0
-        la, u = stages[order].eval_log(z)
+        la, sign = det(order, phase)
         if not math.isfinite(la):
             return 0.0
         expo = la - la_den + math.log(abs(boundary))
@@ -715,10 +717,10 @@ def expansion_identity_check(
             raise ValueError(
                 "window expansion is ill-conditioned: the window "
                 "determinant is near-resonant at this energy")
-        return float((u / u_den).real * math.copysign(1.0, boundary)
-                     * math.exp(expo))
+        return sign * s_den * math.copysign(math.exp(expo), boundary)
 
-    expansion = term(l2 - y, zy, phi_left) + term(y - l1, z1, phi_right)
+    expansion = (term(l2 - y, theta + (y + 1) * alpha, phi_left)
+                 + term(y - l1, p1, phi_right))
     return abs(float(phi[y]) - expansion) / norm
 
 

@@ -98,6 +98,10 @@ def read_rows(path):
     {"n_ladder": [100.5, 200]},
     {"quadrature": {"K": True}},
     {"strata": {"tau_pos": True}},                 # a boolean is not a number
+    # numeric strings ran the number under a different config hash
+    {"n": "64"},
+    {"strata": {"tau_pos": "0.05"}},
+    {"energies": ["0.5"]},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -278,6 +282,17 @@ def test_ldt_run_writes_geometry_json(tmp_path):
     geom = json.loads((tmp_path / "ldt_geometry_0.json").read_text())
     assert geom["n"] == SMALL["n"]
     assert len(read_rows(tmp_path / "resonance_scan.csv")) >= 2
+
+
+def test_ldt_lyapunov_value_follows_the_quadrature_key(tmp_path):
+    values = []
+    for K in (64, 1024):
+        out = tmp_path / str(K)
+        cfg = dict(SMALL, quadrature={"lyapunov_K": K})
+        assert run("ldt", config=cfg, out_dir=str(out)).ok
+        geom = json.loads((out / "ldt_geometry_0.json").read_text())
+        values.append(geom["lyapunov_value"])
+    assert values[0] != values[1]
 
 
 def test_strata_uniform_grid_writes_summary(tmp_path):

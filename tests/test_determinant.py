@@ -34,6 +34,18 @@ def test_det_at_phase_vector_energy(amo2, golden):
         assert sg == sg1
 
 
+def test_det_at_phase_theta_batch_equals_scalar_calls(amo2, golden):
+    Es = np.array([-1.0, 0.5, 2.0])
+    thetas = np.linspace(-0.3, 1.2, 11)
+    las, sgs = det_at_phase(amo2, golden, thetas, Es, 9)
+    assert las.shape == sgs.shape == (3, 11)
+    for i, E in enumerate(Es.tolist()):
+        for j, theta in enumerate(thetas.tolist()):
+            la, sg = det_at_phase(amo2, golden, theta, E, 9)
+            assert isinstance(la, float) and isinstance(sg, float)
+            assert np.array_equal((las[i, j], sgs[i, j]), (la, sg))
+
+
 def test_sign_zero_flags_exact_root(free, golden):
     # free boxes: D_1(E) = E and D_2(E) = E^2 - 1 vanish exactly in floats
     assert det_at_phase(free, golden, 0.0, 0.0, 1)[1] == 0
@@ -51,12 +63,15 @@ def test_free_determinant_is_chebyshev(free, golden):
 
 
 def test_polynomial_evaluation_matches_phase(amo2, golden):
-    fam = det_family(amo2, golden, 0.5, 11)
-    for theta in (0.0, 0.21, 0.77):
-        z = np.exp(2j * np.pi * theta)
-        val = complex(poly_value(fam.poly, z))
-        la, sg = det_at_phase(amo2, golden, theta, 0.5, 11)
-        assert val == pytest.approx(sg * math.exp(la), rel=1e-9, abs=1e-9)
+    for n, thetas in ((11, (0.0, 0.21, 0.77)), (1, (0.137,)), (5, (0.137,)),
+                      (12, (0.137,))):
+        fam = det_family(amo2, golden, 0.5, n)
+        for theta in thetas:
+            z = np.exp(2j * np.pi * theta)
+            val = complex(poly_value(fam.poly, z))
+            la, sg = det_at_phase(amo2, golden, theta, 0.5, n)
+            assert val == pytest.approx(sg * math.exp(la), rel=1e-9,
+                                        abs=1e-9)
 
 
 def test_span_and_coefficient_normalization(amo2, golden):
@@ -65,17 +80,6 @@ def test_span_and_coefficient_normalization(amo2, golden):
     assert (fam.poly.lo, fam.poly.hi) == (-n, n)
     m = float(np.max(np.abs(fam.poly.coeffs)))
     assert 0.5 <= m <= 2.0
-
-
-def test_stage_ladder_matches_direct(amo2, golden):
-    fam = det_family(amo2, golden, 0.5, 12, keep_stages=True)
-    assert len(fam.stages) == 13
-    z = np.exp(2j * np.pi * 0.137)
-    assert complex(poly_value(fam.stages[0], z)) == pytest.approx(1.0)
-    for k in (1, 5, 12):
-        la, sg = det_at_phase(amo2, golden, 0.137, 0.5, k)
-        assert complex(poly_value(fam.stages[k], z)) == pytest.approx(
-            sg * math.exp(la), rel=1e-9)
 
 
 def test_transfer_matrix_carries_determinants(amo2, golden):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (deviation_set, dirichlet_eigenvalues,
-                        double_resonance_scan, eigenfunction_decay,
-                        expansion_identity_check, expansion_identity_scan,
-                        holder_exponent, ids, sturm_count)
+from strata_lab import (det_at_phase, det_family, deviation_set,
+                        dirichlet_eigenvalues, double_resonance_scan,
+                        eigenfunction_decay, expansion_identity_check,
+                        expansion_identity_scan, holder_exponent, ids,
+                        sturm_count)
 from strata_lab.spectral_localization import (DeviationSetGeometry,
                                               dirichlet_eigenpair)
 
@@ -148,6 +149,45 @@ def test_deviation_set_arc_geometry(amo2, golden):
     left, right = geom.intervals[0]
     assert geom.contains(0.5 * (left + right))
     assert not geom.contains((right + 0.31) % 1.0)
+
+
+def test_deviation_set_lockstep_matches_scalar_bisection(amo2, golden):
+    # reference: the per-endpoint bisection, one scalar call per step
+    E, n = 0.5, 10
+    geom = deviation_set(amo2, golden, E, n, threshold=0.05)
+    assert geom.count > 0
+    h = 1.0 / geom.grid_size
+    u = det_family(amo2, golden, E, n).log_abs_per_site_circle(
+        1.0, geom.grid_size)
+    below = u < geom.level
+    starts = np.flatnonzero(below & ~np.roll(below, 1))
+    ends = np.sort(np.flatnonzero(below & ~np.roll(below, -1)))
+
+    def g(theta):
+        return det_at_phase(amo2, golden, theta, E, n)[0] / n - geom.level
+
+    def refine(lo, hi, falling):
+        g_lo, g_hi = g(lo), g(hi)
+        if falling and not (g_lo >= 0 > g_hi):
+            return hi
+        if not falling and not (g_lo < 0 <= g_hi):
+            return lo
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if (g(mid) < 0) == falling:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    expected = []
+    for s in np.sort(starts).tolist():
+        i = np.searchsorted(ends, s)
+        e = int(ends[i] if i < len(ends) else ends[0])
+        left = refine((s - 1) * h, s * h, True) % 1.0
+        right = refine(e * h, (e + 1) * h, False)
+        expected.append((left, left + ((right - left) % 1.0 or h)))
+    assert geom.intervals == tuple(sorted(expected))
 
 
 def test_deviation_set_validation(amo2, golden):
