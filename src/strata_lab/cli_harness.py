@@ -50,6 +50,7 @@ from .zeros_potential import (
     count_annulus,
     find_zeros,
     green_annulus,
+    green_trunc_order,
     jensen_identity_residual,
     riesz_decompose,
     riesz_kappa,
@@ -476,9 +477,13 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 
 
 def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
+    R = math.exp(TWO_PI * float(cfg.section("riesz")["R_eps"]))
+    try:
+        green_trunc_order(R)    # refuse an annulus the kernel cannot serve
+    except ValueError as exc:
+        raise _Precondition(str(exc)) from exc
     sec = cfg.section("green")
     samples = int(sec["samples"])
-    R = math.exp(TWO_PI * float(cfg.section("riesz")["R_eps"]))
     rng = np.random.default_rng(seed)
     lr = math.log(R)
 
@@ -524,6 +529,7 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     R_eps = float(sec["R_eps"])
     R = math.exp(TWO_PI * R_eps)
     try:
+        green_trunc_order(R)    # refuse an annulus the kernel cannot serve
         kappa = riesz_kappa(cfg.potential, cfg.alpha, E, float(sec["eps_r"]),
                             kappa_n=cfg.n, kappa_K=int(quad["K"]))
     except ValueError as exc:

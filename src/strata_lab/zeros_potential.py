@@ -299,14 +299,16 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
 # ----------------------------------------------------------------------
 
 def green_trunc_order(R: float) -> int:
-    """Product truncation order making the tail comparable to 1e-10.
-
-    Each discarded factor is 1 + O(R^{-4k}), so K factors leave a relative
-    error O(R^{-4K}); solve R^{-4K} <= 1e-10 and cap at 64.
-    """
-    if R <= 1.0:
-        raise ValueError("annulus parameter R must exceed 1")
-    return min(64, max(1, math.ceil(10.0 * math.log(10.0) / (4.0 * math.log(R)))))
+    """Image orders K that bring the product's O(R^{-4K}) tail to 1e-10.
+    Refuses R that needs more than 64 (log(R) / 2 pi < 0.014315), and
+    R > 1e50, where green_annulus's squares would overflow."""
+    if not 1.0 < R <= 1e50:
+        raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, 1e50]")
+    K = max(1, math.ceil(10.0 * math.log(10.0) / (4.0 * math.log(R))))
+    if K > 64:
+        raise ValueError(f"annulus too thin: R = {R:.6g} needs {K} > 64 image "
+                         "orders for a 1e-10 tail (log(R) / 2 pi >= 0.014315)")
+    return K
 
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
@@ -319,33 +321,58 @@ def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
 def green_annulus(z, w, R: float):
     """Green's function of the annulus 1/R <= |z| <= R with pole at w.
 
-    Evaluates the separable boundary term plus the log of an image-charge
-    product over reflections across both circles, truncated at
-    K = green_trunc_order(R) factors (tail O(R^{-4K})).  Symmetric in
-    (z, w) and rotation invariant by construction.  Vanishes on both
-    boundary circles.
+    The separable boundary term plus the log of the image product over
+    reflections across both circles, truncated at K = green_trunc_order(R)
+    orders (tail O(R^{-4K})); served for 10^(10/256) <= R <= 1e50.
+    Symmetric in (z, w), rotation invariant, zero on both circles.
+
+    Real form: with z = r e^{i phi}, w = s e^{i psi}, c = cos(phi - psi),
+    each image factor is |1 - a e^{+-i(phi - psi)}| with a real, and
+    |1 - a e^{it}|^2 = (1 - a)^2 + a d, d = 2 - 2c.  Order k's numerators
+    (a = q r/s, q s/r; q = R^{-4k}) multiply out to N_k = 1 + q^4
+    + q^2 (u^2 + 4c^2 - 2) - 2q (1 + q^2) c u, u = r/s + s/r; its
+    denominators (a = p rs, p/(rs); p = R^{2-4k}) to D_k, the same in p and
+    v = rs + 1/(rs).  Both k = 1 denominators keep the (1 - a)^2 + a d form:
+    they vanish at mirror points on the boundary, where the expanded form
+    cancels.  d = (|z - w|^2 - (r - s)^2) / (rs), from the exact z - w,
+    makes them equal |z - w|^2 / R^2 there to rounding.
     """
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
     K = green_trunc_order(R)
     lr = math.log(R)
-    az, aw = np.abs(z), np.abs(w)
-    _check_in_annulus(R, az, aw)
+    r, s = np.abs(z), np.abs(w)
+    _check_in_annulus(R, r, s)
     if np.any(z == w):
         raise ValueError("Green's function is singular on the diagonal z = w")
 
-    term1 = (np.log(az) - lr) * (np.log(aw) - lr) / (4.0 * math.pi * lr)
-    S = np.log(np.abs(z - w) / R)
-    zw = z / w
-    wz = w / z
-    wzc = w * np.conj(z)
-    izw = 1.0 / (np.conj(z) * w)
-    for k in range(1, K + 1):
-        e4k = math.exp(-4.0 * k * lr)
-        e4k2 = math.exp(-(4.0 * k - 2.0) * lr)
-        S = S + np.log(np.abs(1.0 - zw * e4k)) + np.log(np.abs(1.0 - wz * e4k)) \
-              - np.log(np.abs(1.0 - wzc * e4k2)) - np.log(np.abs(1.0 - izw * e4k2))
-    out = term1 + S / TWO_PI
+    q, p = math.exp(-4.0 * lr), math.exp(-2.0 * lr)
+    dx, dy = z.real - w.real, z.imag - w.imag
+    dist2 = dx * dx + dy * dy
+    rs = r * s
+    d = np.maximum((dist2 - (r - s) ** 2) / rs, 0.0)
+    c = 1.0 - 0.5 * d
+    c2 = 4.0 * c * c - 2.0
+    u, v = r / s + s / r, rs + 1.0 / rs
+    xn, yn, xd, yd = q * (u * u + c2), q * c * u, v * v + c2, c * v
+    a1, a2 = rs * p, p / rs
+    # One log per group of 8 orders.  For R >= 10^(10/256) each N_k, and
+    # D_k for k >= 2, lies in [(1 - R^-2)^4, 16] = [7e-4, 16]: 8 ratios stay
+    # in [1e-35, 1e35].  Group 1 also holds |z - w|^2 / R^2 over both k = 1
+    # denominators, < (1 - R^-2)^-2 < 37 as |z - w| <= R|1 - p w conj(z)|,
+    # R rs|1 - p/(conj(z) w)| (Moebius); underflow needs |z - w| < 1e-136 R.
+    prod = (1.0 + q ** 4 + q * xn - 2.0 * (1.0 + q * q) * yn) * (dist2 * p) \
+        / (((1.0 - a1) ** 2 + a1 * d) * ((1.0 - a2) ** 2 + a2 * d))
+    t = 4.0 * lr * np.arange(2, K + 1)                      # -log q_k
+    an, bn = 2.0 * q * np.cosh(2.0 * t), 4.0 * np.cosh(t)
+    ad, bd = 2.0 * np.cosh(2.0 * t - 4.0 * lr), 4.0 * np.cosh(t - 2.0 * lr)
+    S = 0.0
+    for j in range(K - 1):      # N_k / D_k, both divided by p_k^2
+        prod *= (xn + an[j] - bn[j] * yn) / (xd + ad[j] - bd[j] * yd)
+        if j % 8 == 6:          # order j + 2 closes a group
+            S, prod = S + np.log(prod), 1.0
+    S = S + np.log(prod) + (np.log(r) - lr) * ((np.log(s) - lr) / lr)
+    out = S / (2.0 * TWO_PI)
     return float(out) if out.ndim == 0 else out
 
 
@@ -357,11 +384,8 @@ def circle_average_green(r: float, R: float, w) -> float:
     at r = R and r = 1/R.
     """
     w = np.asarray(w, dtype=np.complex128)
-    if not (1.0 / R * (1 - 1e-12) <= r <= R * (1 + 1e-12)):
-        raise ValueError("circle radius outside the annulus")
     aw = np.abs(w)
-    if np.any(aw > R * (1 + 1e-12)) or np.any(aw < (1 - 1e-12) / R):
-        raise ValueError("pole outside the closed annulus")
+    _check_in_annulus(R, r, aw)
     outer = math.log(r * R) * np.log(aw / R)
     inner = math.log(r / R) * np.log(aw * R)
     out = np.where(aw >= r, outer, inner) / (2.0 * math.log(R) * TWO_PI)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,22 @@ def test_riesz_kink_is_skipped_not_failed(tmp_path):
     assert [t["status"] for t in meta["tasks"]] == ["skipped"]
     assert "non-affine" in meta["tasks"][0]["error"]
     assert len(read_rows(tmp_path / "out" / "riesz.csv")) == 1  # header only
+
+
+@pytest.mark.parametrize("subcommand", ["riesz", "green"])
+def test_thin_annulus_is_skipped_up_front(subcommand, tmp_path):
+    # R_eps = 0.005 would need 184 image orders for the 1e-10 Green tail
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 64, "riesz": {"R_eps": 0.005, "jensen_radii": [0.001, 0.004]}}))
+    t0 = time.perf_counter()
+    code = main([subcommand, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [t["status"] for t in meta["tasks"]] == ["skipped"]
+    assert "annulus too thin" in meta["tasks"][0]["error"]
 
 
 def _ids_raises(*args, **kwargs):

@@ -1,10 +1,9 @@
 """Byte pin of every table and side file the subcommands write.
 
 Each of the eleven computing subcommands runs on the c12 determinism config
-(`acceptance._C12_CONFIG`) with one thread, and all but `riesz` (about
-4 s) and `localize` also run on the default config; the sha256 of
-every CSV and JSON file written, apart from `manifest.json` (which holds
-timings), must equal the hash recorded here.  The manifest must list the
+(`acceptance._C12_CONFIG`) and on the default config with one thread; the
+sha256 of every CSV and JSON file written, apart from `manifest.json` (which
+holds timings), must equal the hash recorded here.  The manifest must list the
 same files in the same order, and the same task keys with the same
 statuses.  A refactor keeps this test passing unchanged; a change that
 moves digits updates the hashes and says which columns moved.
@@ -45,11 +44,11 @@ PINNED = {
     },
     "green": {
         "green_suite.csv":
-            "65413b93ec1ef52081a711a6ae9d29fd5c97da775a4dbbd7b4d16a396d6f7f80",
+            "9d359963dd2a12240bb70d1d0be0e35a92634c9e09123afaec183e9accc87400",
     },
     "riesz": {
         "riesz.csv":
-            "5ab8580669be8c25ce83e56cfc83d8c68d38d26c5b520d62ec3ea4b9d41bf291",
+            "6b6baeaa823c7e73dc0a0bf976ceea0dfefe058253893653ebb118885bae8b87",
     },
     "ids": {
         "ids.csv":
@@ -117,7 +116,7 @@ def test_outputs_match_pinned_hashes(subcommand, tmp_path):
     assert got == PINNED[subcommand]
 
 
-# the default config (about 2 s for the nine)
+# the default config (about 5 s for the eleven, 2 s of it riesz)
 PINNED_DEFAULT = {
     "lyapunov": {
         "lyapunov.csv":
@@ -147,7 +146,7 @@ PINNED_DEFAULT = {
     },
     "green": {
         "green_suite.csv":
-            "36901ddaa7ad0870a62e2c496fb4f84494c980dfd96e03e7b958d83d3b8437b5",
+            "8a9c5a61abf87d544d25a411676926b8785d2f74999b47c6447da886a088cc0d",
     },
     "ids": {
         "ids.csv":
@@ -165,6 +164,16 @@ PINNED_DEFAULT = {
         "ldt_geometry_0.json":
             "3f22e6899a0d39f2b433a358cdb6c4d0774665a241a94c9a30d8a8440683a9db",
     },
+    "riesz": {
+        "riesz.csv":
+            "8e00851710c2fa2ef01b5084afe3f45ff8b7d76a74ad3154f3bb0060ff4e138d",
+    },
+    "localize": {
+        "localize_summary.csv":
+            "09cdacd0cc8960982150acb1d4d11efb50c2e2ddb3c8beb47b071b0c9e0a65de",
+        "decay_profiles.csv":
+            "5e5fcd6e5fc7f018e0fdc706b040fe4e6f053f0dafc18105ebb3d6a92ebb6e62",
+    },
 }
 
 TASKS_DEFAULT = {
@@ -177,6 +186,8 @@ TASKS_DEFAULT = {
     "ids": ["ids[E=0.5]"],
     "holder": ["holder[E0=0.5]"],
     "ldt": ["ldt[E=0.5]"],
+    "riesz": ["riesz[E=0.5]"],
+    "localize": ["localize[all]"],
 }
 
 

@@ -106,9 +106,12 @@ def test_clearest_eps_avoids_coordinates():
 
 def test_green_truncation_order():
     assert green_trunc_order(R_STRIP) == 19
-    assert green_trunc_order(1.0001) == 64  # capped
-    with pytest.raises(ValueError):
-        green_trunc_order(0.9)
+    assert green_trunc_order(math.exp(TWO_PI * 0.01432)) == 64
+    with pytest.raises(ValueError, match="too thin"):
+        green_trunc_order(1.0001)  # 64 orders leave a tail far above 1e-10
+    for R in (0.9, 1.0, 1e51):
+        with pytest.raises(ValueError):
+            green_trunc_order(R)
 
 
 def test_green_vanishes_on_boundary_and_is_symmetric():
