@@ -629,8 +629,10 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
         theta = float(rng.uniform(0.0, 1.0))
         y = int(rng.integers(geom.n + 1, 10 * geom.n))
         rep = double_resonance_scan(geom, theta, cfg.alpha, y)
+        # with no arc there is nothing to resonate with: `clear` stays empty
         srows.append({"E": E, "scan": s, "theta": theta, "y": y,
-                      "clear": rep.clear, "pair_index": rep.pair_index})
+                      "clear": rep.clear if geom.count else None,
+                      "pair_index": rep.pair_index})
     return _payload({"ldt_arcs.csv": arows, "resonance_scan.csv": srows},
                     {geom_name: geom.to_json_dict()})
 

@@ -32,6 +32,37 @@ _BLOCK = 1 << 14
 TAU_POS = 0.05
 
 
+def _rescale_interval(potential: Potential, energies: np.ndarray,
+                      grid: np.ndarray) -> int:
+    """Steps between the strip kernel's power-of-two rescalings.
+
+    A step maps the largest entry modulus M to at most G*M, with G = max|E|
+    + sum_k |c_k| e^{2 pi |k| max|eps|} + 1 (the new entries are t*a - c and
+    t*b - d, and |f(theta + i eps)| <= sum_k |c_k| e^{2 pi |k| |eps|}), and
+    to at least M/G (the step's inverse has the same entries up to sign).
+    A rescaling leaves M in [1/2, 1); with G^S <= 2^900, M stays between
+    2^-901 and 2^900 until the next one, far from overflow and underflow.
+    1 <= S <= 900, so huge energies still run, rescaled at every step.
+    """
+    width = float(np.max(np.abs(grid), initial=0.0))
+    growth = (float(np.max(np.abs(energies), initial=0.0)) + 1.0
+              + sum(abs(c) * math.exp(TWO_PI * abs(k) * width)
+                    for k, c in potential.coeffs_dict().items()))
+    return max(1, int(900.0 / max(1.0, math.log2(growth))))
+
+
+def _largest(a, b, c, d) -> np.ndarray:
+    """The largest entry modulus of the running product."""
+    return np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                      np.maximum(np.abs(c), np.abs(d)))
+
+
+def _log_norm(exponent: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log(m * 2^exponent), exact in the exponent."""
+    mantissa, e = np.frexp(m)
+    return (exponent + e) * math.log(2.0) + np.log(mantissa)
+
+
 def transfer_log_norms(
     potential: Potential,
     alpha: float,
@@ -46,19 +77,21 @@ def transfer_log_norms(
 
     `E` is a scalar or a 1-D array of energies and `eps` a scalar or a 1-D
     grid; the log-norms have shape E.shape + eps.shape + thetas.shape.  One
-    recurrence runs over the whole (E, eps, theta) batch, and each step
-    evaluates the phases mod 1, their cos and sin and the symbol
-    f(theta + i eps) once for every energy (`Potential.eval_theta`).  The
-    running product is scaled by the reciprocal of its largest entry
-    modulus after every step, which rounds exactly as dividing by it does;
-    the discarded factors accumulate in a log so products of length
-    thousands never overflow.
+    recurrence runs over the whole (E, eps, theta) batch; each step
+    evaluates the phases mod 1 and the symbol once for every energy
+    (`Potential.eval_theta`) and writes the product's two new entries into
+    preallocated buffers.  Every `_rescale_interval` steps the product is
+    multiplied by 2^-e, e the frexp exponent of its largest entry modulus,
+    and e joins an integer exponent.  Power-of-two scaling is exact, so the
+    log-norm (exponent + frexp exponent) ln 2 + log(mantissa), taken only at
+    the ladder lengths and at n, is the same bit for bit whatever the
+    interval, the energy batch or the ladder.
 
     `ladder` lists ascending product lengths in 1..n; when it is given the
-    result gains a leading axis with the running log-norm copied at each of
-    those lengths, so one recurrence serves a whole n-ladder.  Optionally
-    also returns the unit-normalized residual matrices at length n, stacked
-    as (..., 2, 2).
+    result gains a leading axis with the log-norm at each of those lengths,
+    so one recurrence serves a whole n-ladder.  Optionally also returns the
+    residual matrices at length n divided by their largest entry modulus,
+    stacked as (..., 2, 2).
     """
     if n < 1:
         raise ValueError("product length n must be >= 1")
@@ -77,34 +110,35 @@ def transfer_log_norms(
     col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))
     # at eps = 0 the product is real: real arithmetic, the same bits
     dtype = np.complex128 if np.any(grid) else np.float64
-    a = np.ones(shape, dtype=dtype)
-    b = np.zeros(shape, dtype=dtype)
-    c = np.zeros(shape, dtype=dtype)
-    d = np.ones(shape, dtype=dtype)
-    acc = np.zeros(shape, dtype=np.float64)
+    every = _rescale_interval(potential, energies, grid)
+    a, b = np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+    c, d = np.zeros(shape, dtype=dtype), np.ones(shape, dtype=dtype)
+    a_next, b_next = np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+    exponent = np.zeros(shape, dtype=np.int64)
     snapshots = []
     for j in range(n):
         x = thetas + j * alpha
         ph = x - np.floor(x)  # np.mod(x, 1.0) bit for bit, 10x cheaper
         t = col - potential.eval_theta(ph, grid)
-        a, b, c, d = t * a - c, t * b - d, a, b
-        m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                       np.maximum(np.abs(c), np.abs(d)))
-        inv = 1.0 / m
-        a *= inv
-        b *= inv
-        c *= inv
-        d *= inv
-        acc += np.log(m)
-        while len(snapshots) < len(lengths) and lengths[len(snapshots)] == j + 1:
-            snapshots.append(acc.copy())
-    if lengths:
-        acc = np.stack(snapshots)
-    if return_matrices:
-        mats = np.stack([np.stack([a, b], axis=-1),
-                         np.stack([c, d], axis=-1)], axis=-2)
-        return acc, mats
-    return acc
+        np.subtract(np.multiply(t, a, out=a_next), c, out=a_next)
+        np.subtract(np.multiply(t, b, out=b_next), d, out=b_next)
+        a, b, c, d, a_next, b_next = a_next, b_next, a, b, c, d
+        hits = lengths.count(j + 1)
+        if hits:
+            snapshots += [_log_norm(exponent, _largest(a, b, c, d))] * hits
+        if (j + 1) % every == 0:
+            e = np.frexp(_largest(a, b, c, d))[1]
+            scale = np.ldexp(1.0, -e)
+            for m in (a, b, c, d):
+                m *= scale
+            exponent += e
+    m = _largest(a, b, c, d)
+    acc = np.stack(snapshots) if lengths else _log_norm(exponent, m)
+    if not return_matrices:
+        return acc
+    mats = np.stack([np.stack([a, b], axis=-1),
+                     np.stack([c, d], axis=-1)], axis=-2)
+    return acc, mats / m[..., None, None]
 
 
 # ----------------------------------------------------------------------

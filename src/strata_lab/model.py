@@ -35,9 +35,7 @@ class Potential:
     theta) of the horizontal strip the analytic extension will be evaluated
     on; the Laurent form converges everywhere, so `eta` is a declared working
     band rather than a convergence radius, and evaluation outside it is
-    refused to keep downstream error budgets honest.
-
-    Instances are immutable; all mutators return new objects.
+    refused to keep downstream error budgets honest.  Instances are immutable.
     """
 
     _REALITY_TOL = 1e-12
@@ -101,42 +99,25 @@ class Potential:
 
     # -- evaluation -------------------------------------------------------
 
-    def _laurent(self, z: np.ndarray) -> np.ndarray:
-        """sum_k c_k z^k, term by term in ascending k, with no annulus check."""
-        out = np.zeros(z.shape, dtype=z.dtype)
-        for k, c in self._terms:
-            # z ** 1 runs numpy's general complex power; z is the same bits
-            out = out + c * (z if k == 1 else z ** k)
-        return out
-
-    def eval_z(self, z):
-        """Evaluate the Laurent form sum_k c_k z^k at complex z (scalar or array).
-
-        z must lie in the closed annulus e^{-2 pi eta} <= |z| <= e^{2 pi eta}.
-        """
-        z = np.asarray(z, dtype=np.complex128)
-        r = np.abs(z)
-        lim = math.exp(TWO_PI * self._eta)
-        if np.any(r > lim * (1 + 1e-9)) or np.any(r < (1 - 1e-9) / lim):
-            raise ValueError("evaluation point outside the declared annulus")
-        out = self._laurent(z)
-        return out if out.ndim else complex(out)
-
     def eval_theta(self, theta, eps: Union[float, Sequence[float]] = 0.0):
         """Evaluate f at the complexified phases theta + i*eps.
 
         `eps` is a scalar or a 1-D grid.  For a scalar the result has the
-        shape of theta: real at eps == 0 (the c_k, c_{-k} pairs collapse to
-        a cosine form; the imaginary roundoff is discarded), otherwise the
-        complex value of the analytic extension.  For a grid it is an array
-        of shape (len(eps),) + theta.shape, one row per entry: float64 when
-        every entry is 0, otherwise complex with zero imaginary part in the
+        shape of theta: real at eps == 0, otherwise the complex value of the
+        analytic extension.  For a grid it is an array of shape
+        (len(eps),) + theta.shape, one row per entry: float64 when every
+        entry is 0, otherwise complex with zero imaginary part in the
         eps == 0 rows; a scalar is the one-row grid.
 
-        All rows share one evaluation of cos and sin of 2 pi theta.  A row
-        with eps != 0 sums the Laurent form at z = e^{-2 pi eps} (cos, sin),
-        which is e^{2 pi i (theta + i eps)} as the C library's complex exp
-        rounds it, bit for bit.
+        Every row uses the real form of the extension.  With c_{-k} =
+        conj(c_k) and p_k + i q_k = c_k e^{2 pi i k theta} for k > 0,
+
+            f(theta + i eps) = c_0 + sum_k [2 cosh(2 pi k eps) p_k
+                                            - 2i sinh(2 pi k eps) q_k],
+
+        so all rows share one cos and sin of 2 pi k theta per k, and no
+        complex power is taken.  At eps == 0, 2 cosh(0) = 2.0 exactly and
+        the real part is the cosine form c_0 + sum_k 2 p_k, bit for bit.
         """
         theta = np.asarray(theta, dtype=np.float64)
         grid = np.asarray(eps, dtype=np.float64)
@@ -145,46 +126,28 @@ class Potential:
         rows = grid.reshape(-1).tolist()
         if any(abs(e) > self._eta * (1 + 1e-12) for e in rows):
             raise ValueError("phase imaginary part exceeds the declared strip")
-        ang = TWO_PI * theta
-        cos1, sin1 = np.cos(ang), np.sin(ang)
-        real = [e == 0.0 for e in rows]
-        shape = (len(rows),) + theta.shape
-        if all(real):
-            out = np.empty(shape, dtype=np.float64)
-        else:
-            # the eps == 0 rows (scale 1) are overwritten below
-            scale = np.array([math.exp(-TWO_PI * e) for e in rows])
-            scale = scale.reshape(scale.shape + (1,) * theta.ndim)
-            z = np.empty(shape, dtype=np.complex128)
-            z.real = scale * cos1
-            z.imag = scale * sin1
-            out = self._laurent(z)
-        if any(real):
-            f0 = self._cosine_form(theta, cos1, sin1)
-            out[real] = f0
-        if grid.ndim:
-            return out
-        if real[0]:
-            return f0 if theta.ndim else float(f0)
-        return out[0] if theta.ndim else complex(out[0])
-
-    def _cosine_form(self, theta, cos1, sin1) -> np.ndarray:
-        """f on the real circle, from the k >= 0 terms; cos1, sin1 at k = 1."""
-        out = np.zeros(theta.shape, dtype=np.float64)
+        real = not any(rows)
+        out = np.zeros((len(rows),) + theta.shape,
+                       dtype=np.float64 if real else np.complex128)
+        re = out.real
+        col = (len(rows),) + (1,) * theta.ndim  # per-row factors
         for k, c in self._terms:
             if k < 0:
                 continue
             if k == 0:
-                out = out + c.real
+                re += c.real
                 continue
-            if k == 1:
-                co, si = cos1, sin1
-            else:
-                ang = TWO_PI * k * theta
-                co, si = np.cos(ang), np.sin(ang)
-            # c_k e^{ik.} + conj pair collapse to a real cosine form
-            out = out + 2.0 * (c.real * co - c.imag * si)
-        return out
+            ang = TWO_PI * k * theta
+            co, si = np.cos(ang), np.sin(ang)
+            s = [TWO_PI * k * e for e in rows]
+            cosh2 = np.reshape([2.0 * math.cosh(x) for x in s], col)
+            re += cosh2 * (c.real * co - c.imag * si)
+            if not real:
+                sinh2 = np.reshape([2.0 * math.sinh(x) for x in s], col)
+                out.imag -= sinh2 * (c.real * si + c.imag * co)
+        if grid.ndim or theta.ndim:
+            return out if grid.ndim else out[0]
+        return float(out[0]) if real else complex(out[0])
 
     # -- constructors / serialization --------------------------------------
 

@@ -34,3 +34,19 @@ def dense_box():
         return H
 
     return build
+
+
+@pytest.fixture(scope="session")
+def laurent():
+    """The Laurent form sum_k c_k z^k at complex z, term by term: the oracle
+    for `Potential.eval_theta` off the real circle, at z = e^{2 pi i (theta +
+    i eps)}."""
+
+    def evaluate(potential, z):
+        z = np.asarray(z, dtype=np.complex128)
+        out = np.zeros(z.shape, dtype=np.complex128)
+        for k, c in sorted(potential.coeffs_dict().items()):
+            out = out + c * z ** k
+        return out
+
+    return evaluate

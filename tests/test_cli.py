@@ -298,7 +298,19 @@ def test_ldt_run_writes_geometry_json(tmp_path):
     assert (tmp_path / "ldt_geometry_0.json").exists()
     geom = json.loads((tmp_path / "ldt_geometry_0.json").read_text())
     assert geom["n"] == SMALL["n"]
-    assert len(read_rows(tmp_path / "resonance_scan.csv")) >= 2
+    scans = read_rows(tmp_path / "resonance_scan.csv")
+    assert len(scans) >= 2
+    assert all(row[scans[0].index("clear")] in ("0", "1") for row in scans[1:])
+
+
+def test_ldt_scan_without_arcs_leaves_clear_empty(tmp_path):
+    # the default config finds no deviation arc, so no scan can read clear
+    man = run("ldt", config={}, out_dir=str(tmp_path), threads=1)
+    assert man.ok
+    assert len(read_rows(tmp_path / "ldt_arcs.csv")) == 1
+    scans = read_rows(tmp_path / "resonance_scan.csv")
+    assert len(scans) == 21
+    assert [row[scans[0].index("clear")] for row in scans[1:]] == [""] * 20
 
 
 def test_ldt_lyapunov_value_follows_the_quadrature_key(tmp_path):

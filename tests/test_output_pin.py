@@ -48,7 +48,7 @@ PINNED = {
     },
     "riesz": {
         "riesz.csv":
-            "6b6baeaa823c7e73dc0a0bf976ceea0dfefe058253893653ebb118885bae8b87",
+            "3b10d43705f87af7257d9a8b2a68da08c686dee0668a0023745289c0fb29dcd0",
     },
     "ids": {
         "ids.csv":
@@ -68,15 +68,15 @@ PINNED = {
         "ldt_arcs.csv":
             "7006aa2ee509f96a337497fbc14961b2c8c322309c702de47e0dca285fd9d765",
         "resonance_scan.csv":
-            "6985bc7536cda78c9e471a697fa9a765c6e2be96c0063a2e96fa914599f909b3",
+            "8ef2643465b091ee64c3d8a6329fa281d5e4203a342a8799f4a8deb8b6021473",
         "ldt_geometry_0.json":
-            "73d734ba952da4b8ff899befb9fd1cbda35c7a2215f183edbdeb4cd85c862cb3",
+            "f8e4b4d3fde36bbe85bf197168f1c275b8af52bcee6d2025a0712de487093f2d",
         "ldt_geometry_1.json":
-            "2b69373d58bcfde01cd65af678371423e7e8f346afe6dde280c577b633db046d",
+            "9d0745beae8a2b264242dc2fabc78fb441e9c34cbd09af327cceaaab273f0ca6",
     },
     "localize": {
         "localize_summary.csv":
-            "b5945a9e79a4418eb4caaf4965eb88480e82073ec9f4a729a566506f3c423fc9",
+            "4ca0eb84bc089f6664d35703ad3fee50d2c04ac55e15c479a126eb729de4e997",
         "decay_profiles.csv":
             "710121b609ad70591f2f3e142c1690f852b7037b5b557814c20da643ba0c0010",
     },
@@ -124,15 +124,15 @@ PINNED_DEFAULT = {
     },
     "acceleration": {
         "acceleration.csv":
-            "10882d7a9521b296d479fe409f15d9e46dcd2f275c7614f731b18bf26db8b930",
+            "de8ba3b8d8802467b200cb2d1d621fa2d124eec9996e7cff7250532ca2560fea",
         "accel_curve.csv":
             "d603733fa216b68a26e897308ab72295a7cb7ac7319e8032343f089f53eb362c",
         "accel_segments.csv":
-            "e2630762e654ac829f17274a9fb2ee4e6339ca1ae0983b13adac871b82767e3f",
+            "334b22d294ea52ad5bf8fde4eae3ae8b93693ece74761a5dfe8cb390f12e699d",
     },
     "strata": {
         "strata.csv":
-            "181663a1067d3660c60d26a375792daefb527f76b0c224dfdcff0b81b2158cdb",
+            "0a1b1295c7a58e71408955e9ee607f3d272094728e875ee2d7da4ab1f885da2b",
     },
     "zeros": {
         "zeros.csv":
@@ -160,17 +160,17 @@ PINNED_DEFAULT = {
         "ldt_arcs.csv":
             "7006aa2ee509f96a337497fbc14961b2c8c322309c702de47e0dca285fd9d765",
         "resonance_scan.csv":
-            "902664860dcab2a8baec61f89ec2d486ee85bb4ddc67e5fd00de6db76f78727c",
+            "8d618c2ab5dd4fc7c63a678552bf241042a15003aefb4e79a36f6cb04f8061a9",
         "ldt_geometry_0.json":
             "3f22e6899a0d39f2b433a358cdb6c4d0774665a241a94c9a30d8a8440683a9db",
     },
     "riesz": {
         "riesz.csv":
-            "8e00851710c2fa2ef01b5084afe3f45ff8b7d76a74ad3154f3bb0060ff4e138d",
+            "cc63578221c5c8114d48b0928646df1b6f7482e9ffa63235af0ff95cb72069cc",
     },
     "localize": {
         "localize_summary.csv":
-            "09cdacd0cc8960982150acb1d4d11efb50c2e2ddb3c8beb47b071b0c9e0a65de",
+            "ba7d3d820c1373f09b1a3eb6ad60109706e103992e53813671654de88b00027d",
         "decay_profiles.csv":
             "5e5fcd6e5fc7f018e0fdc706b040fe4e6f053f0dafc18105ebb3d6a92ebb6e62",
     },
