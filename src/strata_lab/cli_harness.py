@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,6 +41,7 @@ from .spectral_localization import (
     expansion_identity_scan,
     holder_exponent,
     ids,
+    sturm_count,
     tail_window,
 )
 from .zeros_potential import (
@@ -590,12 +590,12 @@ def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
     accs = acceleration(cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid,
                         n=cfg.n, K=int(quad["K"]))
     box = int(sec["spectrum_box"])
-    # the box spectrum does not depend on E: one solve for the whole grid
-    spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha,
-                                 float(sec["spectrum_theta"]), box)
+    h = 10.0 / box  # in spectrum: a box eigenvalue lies in (E - h, E + h]
+    lo, hi = sturm_count(cfg.potential, cfg.alpha, float(sec["spectrum_theta"]),
+                         np.add.outer((-h, h), cfg.energies), box)
     rows = []
-    for E, L0, acc in zip(cfg.energies, (est.value for est in L0s), accs):
-        in_spec = bool(np.min(np.abs(spec.eigenvalues - E)) <= 10.0 / box)
+    for E, L0, acc, in_spec in zip(cfg.energies, (est.value for est in L0s),
+                                   accs, (hi > lo).tolist()):
         rec = classify_stratum(E, L0, acc.kappa, tau_pos=float(sec["tau_pos"]),
                                non_affine=acc.non_affine, in_spectrum=in_spec)
         rows.append({
@@ -906,6 +906,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
 
     packed = [(subcommand, cfg.raw, key, params) for key, params in plan]
     if threads > 1 and len(packed) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_task, packed))
     else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .model import Potential
 from .cocycle import TAU_POS, lyapunov_n
@@ -59,12 +58,12 @@ def dirichlet_diagonal(potential: Potential, alpha: float, theta: float,
 
 def sturm_count(potential: Potential, alpha: float, theta: float, E,
                 n: int):
-    """Number of box eigenvalues strictly below E (LDL^T inertia count).
+    """Number of box eigenvalues at or below E (LDL^T inertia count).
 
     Runs the pivot recurrence q_j = (f_j - E) - 1/q_{j-1} and counts
-    negative pivots.  E may be a scalar or a 1d array.  Pivots smaller in
-    magnitude than the floor are clamped negative, so an exact hit counts
-    as below.
+    negative pivots.  E may be a scalar or an array of any shape.  Pivots
+    smaller in magnitude than the floor are clamped negative, so an exact
+    hit counts as below.
     """
     E_arr = np.atleast_1d(np.asarray(E, dtype=np.float64))
     scalar = np.ndim(E) == 0
@@ -103,13 +102,11 @@ class DirichletSpectrum:
             raise ValueError("eigenvalues must be strictly increasing")
         object.__setattr__(self, "eigenvalues", ev)
 
-    def count_below(self, E: float) -> int:
-        return int(np.searchsorted(self.eigenvalues, E, side="left"))
-
 
 def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
                           n: int) -> DirichletSpectrum:
     """Full box spectrum by bisection with Sturm counts (LAPACK stebz)."""
+    from scipy.linalg import eigvalsh_tridiagonal  # only box solves load scipy
     d = dirichlet_diagonal(potential, alpha, theta, n)
     if n == 1:
         evs = d.copy()
@@ -147,6 +144,7 @@ def dirichlet_eigenpair(
         spectrum = dirichlet_eigenvalues(potential, alpha, theta, n)
     if not 0 <= index < n:
         raise ValueError("eigenvalue index out of range")
+    from scipy.linalg import solve_banded
     lam = float(spectrum.eigenvalues[index])
     d = dirichlet_diagonal(potential, alpha, theta, n)
 

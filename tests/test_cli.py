@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strata_lab import cli_harness
+from strata_lab import cli_harness, dirichlet_eigenvalues
 from strata_lab.cli_harness import (SUBCOMMANDS, ConfigError,
                                     ExperimentConfig, _fmt, config_hash, main,
                                     run)
@@ -333,6 +334,50 @@ def test_strata_uniform_grid_writes_summary(tmp_path):
     summary = json.loads((tmp_path / "strata_summary.json").read_text())
     assert summary["cell_width"] == pytest.approx(0.5)
     assert sum(summary["measure"].values()) == pytest.approx(0.5 * 5)
+
+
+def test_strata_membership_edges_match_the_distance_rule(tmp_path):
+    box, theta = 120, 0.123
+    h = 10.0 / box
+    small = ExperimentConfig.from_raw(SMALL)
+    ev = dirichlet_eigenvalues(small.potential, small.alpha, theta,
+                               box).eigenvalues
+    # the spectrum's ends and the edges of its three widest gaps, where
+    # the points just outside E = ev_k +- h are really outside
+    wide = np.argsort(np.diff(ev))[-3:]
+    ks = sorted({0, box - 1, *wide.tolist(), *(wide + 1).tolist()})
+    energies = [float(ev[k] + side * h * (1.0 + tilt)) for k in ks
+                for side in (-1.0, 1.0) for tilt in (-1e-9, 1e-9)]
+    cfg = dict(SMALL, energies=energies,
+               strata={"spectrum_box": box, "spectrum_theta": theta})
+    assert run("strata", config=cfg, out_dir=str(tmp_path)).ok
+    with open(tmp_path / "strata.csv", newline="") as fh:
+        got = [row["in_spectrum"] == "1" for row in csv.DictReader(fh)]
+    want = [bool(np.min(np.abs(ev - E)) <= h) for E in energies]
+    assert got == want
+    assert any(want) and not all(want)
+
+
+def test_light_subcommands_never_load_scipy(tmp_path):
+    # box-spectrum and eigenvector solves import scipy on demand; no other
+    # path may pay for it
+    script = f"""
+import sys
+from strata_lab.cli_harness import run
+small = {SMALL!r}
+for sub in ("strata", "lyapunov", "riesz"):
+    assert run(sub, config=small, out_dir={str(tmp_path / "light")!r}).ok
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules
+                                          if m.startswith("scipy"))
+cfg = dict(small, localize={{"n": 500, "count": 1}})
+assert run("localize", config=cfg, out_dir={str(tmp_path / "loc")!r}).ok
+assert "scipy" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------------ main

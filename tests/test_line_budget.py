@@ -8,7 +8,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 3749
+CEILING = 3748
 
 
 def line_count() -> int:
