@@ -305,7 +305,11 @@ class ExperimentConfig:
             if _typed(resolved[name][key], int, f"{name}.{key}") < low:
                 raise ConfigError(f"{name}.{key} must be >= {low}")
         for name, key in _FLOATS:
-            _typed(resolved[name][key], float, f"{name}.{key}")
+            value = _typed(resolved[name][key], float, f"{name}.{key}")
+            # a phase is refused outside [0, 1) like alpha: at a huge phase
+            # theta + j alpha rounds to theta, a constant box potential
+            if key.endswith("theta") and not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name}.{key} must lie in [0, 1)")
         if resolved["ldt"]["threshold"] is not None:
             _typed(resolved["ldt"]["threshold"], float, "ldt.threshold")
         loc = resolved["localize"]
@@ -647,7 +651,7 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     srows, prows = [], []
     for index in range(base, base + count):
         prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
-                                   spectrum=spec, seed=cfg.seed)
+                                   spectrum=spec)
         l1 = tail_window(prof.center, n, int(sec["window_margin"]), wlen)
         try:
             resid, (l1, l2), y = expansion_identity_scan(
@@ -666,10 +670,9 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
             "exp_l1": l1, "exp_l2": l2, "exp_y": y,
             "expansion_residual": resid})
         absv = np.abs(prof.eigenvector)
-        with np.errstate(divide="ignore"):
-            logs = np.log(absv)
         prows.extend({"index": index, "site": j, "abs_phi": float(absv[j]),
-                      "log_abs_phi": float(logs[j])} for j in range(n))
+                      "log_abs_phi": float(prof.log_abs[j])}
+                     for j in range(n))
     return _payload({"localize_summary.csv": srows,
                      "decay_profiles.csv": prows})
 

@@ -2,11 +2,12 @@
 
 The box operator on sites [0, n-1] with Dirichlet ends is the symmetric
 tridiagonal matrix with diagonal f(theta + j alpha) and unit off-diagonals.
-This module covers its spectrum (Sturm counts, bisection eigensolves,
-inverse-iteration eigenvectors), the integrated density of states and its
-Hoelder exponent, the sublevel-set geometry of u_n = (1/n) log|D_n| on the
-unit circle, a double-resonance orbit scan over that geometry, and the
-interior expansion of a solution through window determinants.
+This module covers its spectrum (Sturm counts, bisection eigensolves, and
+eigenvectors by twisted factorization on the Sturm counts' LDL^T pivots),
+the integrated density of states and its Hoelder exponent, the sublevel-set
+geometry of u_n = (1/n) log|D_n| on the unit circle, a double-resonance
+orbit scan over that geometry, and the interior expansion of a solution
+through window determinants.
 """
 
 from __future__ import annotations
@@ -56,28 +57,32 @@ def dirichlet_diagonal(potential: Potential, alpha: float, theta: float,
     return np.atleast_1d(np.asarray(vals, dtype=np.float64))
 
 
+def _pivots(d: np.ndarray, E):
+    """LDL^T pivots of the box minus E, one per site, in site order.
+
+    q_j = (d_j - E) - 1/q_{j-1} from q_{-1} = inf.  Rows of `d` may carry a
+    batch axis that broadcasts against E.  Pivots smaller in magnitude than
+    the floor are clamped negative.
+    """
+    q = math.inf
+    for dj in d:
+        q = (dj - E) - 1.0 / q
+        q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
+        yield q
+
+
 def sturm_count(potential: Potential, alpha: float, theta: float, E,
                 n: int):
     """Number of box eigenvalues at or below E (LDL^T inertia count).
 
-    Runs the pivot recurrence q_j = (f_j - E) - 1/q_{j-1} and counts
-    negative pivots.  E may be a scalar or an array of any shape.  Pivots
-    smaller in magnitude than the floor are clamped negative, so an exact
-    hit counts as below.
+    Counts the negative pivots of `_pivots`.  E may be a scalar or an array
+    of any shape.  The pivot floor makes an exact hit count as below.
     """
     E_arr = np.atleast_1d(np.asarray(E, dtype=np.float64))
-    scalar = np.ndim(E) == 0
-    d = dirichlet_diagonal(potential, alpha, theta, n)
     count = np.zeros(E_arr.shape, dtype=np.int64)
-    q = np.zeros_like(E_arr)
-    for j in range(n):
-        if j == 0:
-            q = d[0] - E_arr
-        else:
-            q = (d[j] - E_arr) - 1.0 / q
-        q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
+    for q in _pivots(dirichlet_diagonal(potential, alpha, theta, n), E_arr):
         count += q < 0
-    if scalar:
+    if np.ndim(E) == 0:
         return int(count[0])
     return count
 
@@ -117,95 +122,72 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
     return DirichletSpectrum(theta=float(theta), n=n, eigenvalues=evs)
 
 
-def _box_residual(d: np.ndarray, lam: float, v: np.ndarray) -> float:
-    r = (d - lam) * v
-    r[:-1] += v[1:]
-    r[1:] += v[:-1]
-    return float(np.linalg.norm(r))
+def _twisted_eigenpair(potential: Potential, alpha: float, theta: float,
+                       n: int, index: int,
+                       spectrum: Optional[DirichletSpectrum]):
+    """Eigenvalue, log|phi| and sign(phi) of the unit eigenvector, positive
+    at its peak, by twisted factorization.
 
-
-def dirichlet_eigenpair(
-    potential: Potential,
-    alpha: float,
-    theta: float,
-    n: int,
-    index: int,
-    spectrum: Optional[DirichletSpectrum] = None,
-    seed: int = 0,
-):
-    """Eigenvalue and eigenvector for one spectral index.
-
-    The shift comes from the bisection eigensolve; the vector from inverse
-    iteration (two banded solves from a seeded start, more, up to six, only
-    if the residual has not converged).  Raises RuntimeError when extra
-    iterations stop improving the residual.
+    Forward pivots run on the diagonal, backward pivots on it reversed.  At
+    the twist k minimizing |gamma_j| = |fwd_j + bwd_j - (d_j - lam)|, the
+    vector with z_k = 1, z_j = -z_{j+1}/fwd_j left of k and
+    z_j = -z_{j-1}/bwd_j right of k solves (T - lam) z = gamma_k e_k
+    exactly, so |gamma_k| / |z| is its residual.  Raises RuntimeError when
+    that residual exceeds 1e-10 of the matrix scale.
     """
     if spectrum is None:
         spectrum = dirichlet_eigenvalues(potential, alpha, theta, n)
     if not 0 <= index < n:
         raise ValueError("eigenvalue index out of range")
-    from scipy.linalg import solve_banded
     lam = float(spectrum.eigenvalues[index])
     d = dirichlet_diagonal(potential, alpha, theta, n)
+    piv = np.array(list(_pivots(np.stack([d, d[::-1]], axis=1), lam)))
+    fwd, bwd = piv[:, 0], piv[::-1, 1]
+    gamma = fwd + bwd - (d - lam)
+    k = int(np.argmin(np.abs(gamma)))
+    left, right = fwd[:k][::-1], bwd[k + 1:]
+    logs = np.concatenate([np.cumsum(-np.log(np.abs(left)))[::-1], [0.0],
+                           np.cumsum(-np.log(np.abs(right)))])
+    sign = np.concatenate([np.cumprod(-np.sign(left))[::-1], [1.0],
+                           np.cumprod(-np.sign(right))])
+    peak = int(np.argmax(logs))
+    log_norm = logs[peak] + 0.5 * math.log(
+        float(np.sum(np.exp(2.0 * (logs - logs[peak])))))
+    resid = abs(float(gamma[k])) * math.exp(-log_norm)
+    if resid > 1e-10 * (2.0 + float(np.max(np.abs(d))) + abs(lam)):
+        raise RuntimeError(f"eigenvector residual {resid:.3e} too large")
+    return lam, logs - log_norm, sign * sign[peak]
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0
-    ab[1] = d - lam
-    ab[2, :-1] = 1.0
 
-    scale = 2.0 + float(np.max(np.abs(d))) + abs(lam)
-    tol = 1e-10 * scale
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    best = math.inf
-    resid = math.inf
-    for it in range(6):
-        x = solve_banded((1, 1), ab, v)
-        nx = np.linalg.norm(x)
-        if not np.isfinite(nx) or nx == 0.0:
-            # solve blew up on an exactly singular shift; nudge it
-            ab[1] = d - (lam + 1e-14 * scale)
-            continue
-        v = x / nx
-        resid = _box_residual(d, lam, v)
-        if it >= 1 and resid <= tol:
-            break
-        if it >= 2 and resid >= 0.5 * best:
-            raise RuntimeError(
-                f"inverse iteration stagnated at residual {resid:.3e}")
-        best = min(best, resid)
-    if resid > tol:
-        raise RuntimeError(
-            f"inverse iteration did not converge: residual {resid:.3e}")
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return lam, v
+def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
+                        n: int, index: int,
+                        spectrum: Optional[DirichletSpectrum] = None):
+    """Eigenvalue and unit eigenvector, positive at its peak, for one
+    spectral index: the shift from the bisection eigensolve, the vector by
+    `_twisted_eigenpair`; components too small for a double read 0."""
+    lam, logs, sign = _twisted_eigenpair(potential, alpha, theta, n, index,
+                                         spectrum)
+    return lam, sign * np.exp(logs)
 
 
 # ----------------------------------------------------------------------
 # eigenfunction decay
 # ----------------------------------------------------------------------
 
-# below this the vector has underflowed into denormal noise
-_DECAY_FLOOR = 1e-250
-
-
 @dataclass(frozen=True)
 class DecayProfile:
     """Exponential decay diagnostics for one box eigenvector.
 
-    Slopes are decay rates in nats per site, fitted on log|phi| strictly
-    outside a central window of width n/8 around the peak, one fit per
-    side; residuals are the RMS misfit of each line.  A side with fewer
-    than five usable sites reports nan.
+    `log_abs` is log|phi| of the unit eigenvector at every site, including
+    those where `eigenvector` underflows to 0.  Slopes are decay rates in
+    nats per site, fitted on `log_abs` strictly outside a central window of
+    width n/8 around the peak, one fit per side; residuals are the RMS
+    misfit of each line.  A side with fewer than five sites reports nan.
     """
 
     eigenvalue: float
     eigenvector: np.ndarray
+    log_abs: np.ndarray
     center: int
     slope_left: float
     slope_right: float
@@ -232,66 +214,35 @@ class DecayProfile:
 
 
 def _side_fit(dist: np.ndarray, logs: np.ndarray):
-    """Decay rate (nats per site) and RMS misfit on one side of the peak.
-
-    `dist` is the distance from the peak.  A computed eigenvector follows
-    the true exponential tail only down to the eigensolve's error floor,
-    past which the profile flattens into noise; when the side spans a
-    clear plateau (inner end more than ten nats above the far-quartile
-    median) only the leading stretch above the plateau is kept.  A side
-    without that dynamic range is fitted whole, which is what makes a
-    delocalized state report a flat rate with a large residual.
-    """
+    """Decay rate (nats per site) and RMS misfit of a line fitted to
+    log|phi| against `dist`, the distance from the peak, on one side."""
     if len(dist) < 5:
         return math.nan, math.nan, 0
-    order = np.argsort(dist)
-    dist, logs = dist[order], logs[order]
-    if len(dist) >= 16:
-        quart = max(4, len(dist) // 4)
-        plateau = float(np.median(logs[-quart:]))
-        if logs[0] - plateau > 10.0:
-            bad = np.flatnonzero(logs <= plateau + 2.0)
-            stop = bad[0] if len(bad) else len(logs)
-            dist, logs = dist[:stop], logs[:stop]
-            if len(dist) < 5:
-                return math.nan, math.nan, 0
     coef = np.polyfit(dist, logs, 1)
     resid = logs - np.polyval(coef, dist)
     return -float(coef[0]), float(np.sqrt(np.mean(resid ** 2))), len(dist)
 
 
-def eigenfunction_decay(
-    potential: Potential,
-    alpha: float,
-    theta: float,
-    n: int,
-    which: int,
-    spectrum: Optional[DirichletSpectrum] = None,
-    seed: int = 0,
-) -> DecayProfile:
+def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
+                        n: int, which: int,
+                        spectrum: Optional[DirichletSpectrum] = None
+                        ) -> DecayProfile:
     """Decay profile of the eigenvector at spectral index `which`."""
     if n < 500:
         raise ValueError("decay diagnostics need n >= 500")
-    lam, v = dirichlet_eigenpair(potential, alpha, theta, n, which,
-                                 spectrum=spectrum, seed=seed)
-    absv = np.abs(v)
-    center = int(np.argmax(absv))
+    lam, logs, sign = _twisted_eigenpair(potential, alpha, theta, n, which,
+                                         spectrum)
+    center = int(np.argmax(logs))
     half = max(1, n // 16)
-
-    usable = absv > _DECAY_FLOOR
-    j = np.arange(n)
-
-    left = usable & (j < center - half)
-    right = usable & (j > center + half)
-
-    s_l, r_l, m_l = _side_fit((center - j[left]).astype(np.float64),
-                              np.log(absv[left]))
-    s_r, r_r, m_r = _side_fit((j[right] - center).astype(np.float64),
-                              np.log(absv[right]))
+    left = np.arange(center - half)
+    right = np.arange(center + half + 1, n)
+    s_l, r_l, m_l = _side_fit((center - left).astype(np.float64), logs[left])
+    s_r, r_r, m_r = _side_fit((right - center).astype(np.float64),
+                              logs[right])
 
     return DecayProfile(
-        eigenvalue=lam, eigenvector=v, center=center,
-        slope_left=s_l, slope_right=s_r,
+        eigenvalue=lam, eigenvector=sign * np.exp(logs), log_abs=logs,
+        center=center, slope_left=s_l, slope_right=s_r,
         resid_left=r_l, resid_right=r_r,
         fit_sites_left=m_l, fit_sites_right=m_r,
         theta=float(theta), n=n, index=which)
@@ -665,7 +616,9 @@ def expansion_identity_check(
     with W = l2-l1+1 and determinants in the det(E - H) normalization.
     Terms are assembled in the log domain from `det_at_phase`, so window
     size is not limited by double-precision range.  Returns
-    |phi_y - expansion| / max|phi|.
+    |phi_y - expansion| / |phi_y|, relative to the value it reproduces, so
+    a wrong expansion reads about 1 however small phi_y is; raises
+    ValueError when phi_y is 0.
     """
     phi = np.asarray(phi, dtype=np.float64)
     N = phi.shape[0]
@@ -686,9 +639,19 @@ def expansion_identity_check(
     if eq_resid > 1e-8:
         raise ValueError(
             f"sequence is not a solution on the window: residual {eq_resid:.3e}")
+    if phi[y] == 0.0:
+        raise ValueError("phi_y is 0, so no relative residual exists")
+    expansion = _window_expansion(potential, alpha, theta, E, phi, (l1, l2), y)
+    return abs(float(phi[y]) - expansion) / abs(float(phi[y]))
 
+
+def _window_expansion(potential: Potential, alpha: float, theta: float,
+                      E: float, phi: np.ndarray, window: Tuple[int, int],
+                      y: int) -> float:
+    """The right-hand side of `expansion_identity_check`'s identity."""
+    l1, l2 = window
     phi_left = phi[l1 - 1] if l1 >= 1 else 0.0
-    phi_right = phi[l2 + 1] if l2 + 1 <= N - 1 else 0.0
+    phi_right = phi[l2 + 1] if l2 + 1 < len(phi) else 0.0
 
     def det(order: int, phase: float):
         # D_order at the phase, with D_0 = 1
@@ -697,7 +660,7 @@ def expansion_identity_check(
         return det_at_phase(potential, alpha, phase, E, order)
 
     p1 = theta + l1 * alpha
-    la_den, s_den = det(W, p1)
+    la_den, s_den = det(l2 - l1 + 1, p1)
     if not math.isfinite(la_den):
         raise ValueError("E is a Dirichlet eigenvalue of the window")
 
@@ -708,18 +671,17 @@ def expansion_identity_check(
         if not math.isfinite(la):
             return 0.0
         expo = la - la_den + math.log(abs(boundary))
-        # terms much larger than the sequence scale cancel against each
-        # other; past 15 nats the roundoff floor exceeds what a 1e-8
+        # terms much larger than phi_y cancel against each other; past 15
+        # nats the roundoff floor, relative to phi_y, exceeds what a 1e-9
         # certificate needs, so the window is unusable, not just noisy
-        if expo > 15.0 + math.log(norm):
+        if expo > 15.0 + math.log(abs(phi[y])):
             raise ValueError(
                 "window expansion is ill-conditioned: the window "
                 "determinant is near-resonant at this energy")
         return sign * s_den * math.copysign(math.exp(expo), boundary)
 
-    expansion = (term(l2 - y, theta + (y + 1) * alpha, phi_left)
-                 + term(y - l1, p1, phi_right))
-    return abs(float(phi[y]) - expansion) / norm
+    return (term(l2 - y, theta + (y + 1) * alpha, phi_left)
+            + term(y - l1, p1, phi_right))
 
 
 def tail_window(center: int, n: int, margin: int, length: int) -> int:

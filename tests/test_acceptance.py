@@ -5,6 +5,9 @@ pass/fail record before asserting, so `pytest -v -s` doubles as the
 acceptance report.
 """
 
+import pytest
+
+from strata_lab import acceptance, spectral_localization
 from strata_lab.acceptance import format_line, run_criterion
 
 
@@ -60,3 +63,32 @@ def test_criterion_11_expansion_identity():
 
 def test_criterion_12_determinism():
     check(12)
+
+
+# c11's eigenpair half under three wrong expansions; each must fail the gate
+_EXPANSION = spectral_localization._window_expansion
+
+
+def _zero(*args):
+    return 0.0
+
+
+def _swapped_boundary(potential, alpha, theta, E, phi, window, y):
+    l1, l2 = window
+    phi = phi.copy()
+    phi[l1 - 1], phi[l2 + 1] = phi[l2 + 1], phi[l1 - 1]
+    return _EXPANSION(potential, alpha, theta, E, phi, window, y)
+
+
+def _window_off_by_one(potential, alpha, theta, E, phi, window, y):
+    # determinants of the window one site to the right, boundary values of
+    # the window itself
+    return _EXPANSION(potential, alpha, theta + alpha, E, phi, window, y)
+
+
+@pytest.mark.parametrize("mutant", [_zero, _swapped_boundary,
+                                    _window_off_by_one])
+def test_criterion_11_fails_on_a_wrong_expansion(mutant, monkeypatch):
+    monkeypatch.setattr(spectral_localization, "_window_expansion", mutant)
+    worst = acceptance._c11_eigenpair_residual()
+    assert worst > acceptance._C11_EIGENPAIR_BOUND

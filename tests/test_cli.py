@@ -82,6 +82,14 @@ def read_rows(path):
     {"strata": {"tau_pos": "x"}},
     {"strata": {"spectrum_theta": "x"}},
     {"localize": {"theta": "x"}},
+    # phases outside [0, 1): at 1e300 the orbit theta + j alpha rounds to
+    # theta and a constant box potential was served ok
+    {"strata": {"spectrum_theta": 1e300}},
+    {"strata": {"spectrum_theta": 1.0}},
+    {"strata": {"spectrum_theta": -0.1}},
+    {"localize": {"theta": 1e300}},
+    {"localize": {"theta": 1.0}},
+    {"localize": {"theta": -0.1}},
     {"green": {"boundary_tol": "x"}},
     {"green": {"symmetry_tol": "x"}},
     {"green": {"average_tol": [1e-9]}},
@@ -149,6 +157,14 @@ def test_riesz_flux_circles_count_in_the_strip_reach():
 def test_bad_section_float_names_its_key(section, key):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         ExperimentConfig.from_raw({section: {key: "abc"}})
+
+
+@pytest.mark.parametrize("section,key", [
+    ("strata", "spectrum_theta"), ("localize", "theta")])
+def test_phase_outside_the_unit_interval_names_its_key(section, key):
+    ExperimentConfig.from_raw({section: {key: 0.0}})
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        ExperimentConfig.from_raw({section: {key: 1e300}})
 
 
 def test_largest_accepted_eps_r_is_served(tmp_path):

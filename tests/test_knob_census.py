@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 42
+CEILING = 40
 
 
 def census() -> int:

@@ -76,9 +76,9 @@ PINNED = {
     },
     "localize": {
         "localize_summary.csv":
-            "4ca0eb84bc089f6664d35703ad3fee50d2c04ac55e15c479a126eb729de4e997",
+            "5911a57dbb2441cdf3fca4ea7fc114cb3611ad31cefc1c5333cbfb40f9c7301d",
         "decay_profiles.csv":
-            "710121b609ad70591f2f3e142c1690f852b7037b5b557814c20da643ba0c0010",
+            "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },
 }
 
@@ -170,9 +170,9 @@ PINNED_DEFAULT = {
     },
     "localize": {
         "localize_summary.csv":
-            "ba7d3d820c1373f09b1a3eb6ad60109706e103992e53813671654de88b00027d",
+            "5911a57dbb2441cdf3fca4ea7fc114cb3611ad31cefc1c5333cbfb40f9c7301d",
         "decay_profiles.csv":
-            "5e5fcd6e5fc7f018e0fdc706b040fe4e6f053f0dafc18105ebb3d6a92ebb6e62",
+            "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },
 }
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (det_at_phase, det_family, deviation_set,
+from strata_lab import (Potential, acceleration, classify_stratum,
+                        det_at_phase, det_family, deviation_set,
                         dirichlet_eigenvalues, double_resonance_scan,
                         eigenfunction_decay, expansion_identity_check,
                         expansion_identity_scan, holder_exponent, ids,
-                        sturm_count)
+                        lyapunov_n, sturm_count)
 from strata_lab.spectral_localization import (DeviationSetGeometry,
+                                              _twisted_eigenpair,
                                               dirichlet_eigenpair)
 
 LOG2 = math.log(2.0)
@@ -55,6 +57,19 @@ def test_eigenpair_residual_and_normalization(amo2, golden, dense_box):
     assert v[int(np.argmax(np.abs(v)))] > 0  # deterministic sign convention
 
 
+def test_twisted_log_profile_matches_dense_eigh(amo2, golden, dense_box):
+    n = 60
+    _, oracle = np.linalg.eigh(dense_box(amo2, golden, 0.0, n))
+    for index in range(n):
+        _, logs, sign = _twisted_eigenpair(amo2, golden, 0.0, n, index, None)
+        v = oracle[:, index]
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        seen = np.abs(v) > 1e-12
+        np.testing.assert_allclose(logs[seen], np.log(np.abs(v[seen])),
+                                   rtol=0.0, atol=1e-9)
+        assert np.array_equal(sign[seen], np.sign(v[seen]))
+
+
 def test_eigenpair_index_validation(amo2, golden):
     with pytest.raises(ValueError):
         dirichlet_eigenpair(amo2, golden, 0.0, 10, 10)
@@ -74,6 +89,30 @@ def test_free_state_is_not_localized(free, golden):
     prof = eigenfunction_decay(free, golden, 0.2, 600, 300)
     assert not prof.is_localized()
     assert abs(prof.decay_rate) < 0.05 or math.isnan(prof.decay_rate)
+
+
+def test_first_supercritical_stratum_decays_at_lyapunov_rate(golden):
+    # f = 2*1.6 cos 2 pi theta + 2 cos 4 pi theta: its upper band reaches
+    # L > 1, where a vector with an absolute error floor near 1e-30 of its
+    # peak hits that floor within about 70 sites and reads a rate near 0
+    pot = Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0})
+    n = 1000
+    spec = dirichlet_eigenvalues(pot, golden, 0.0, n)
+    indices = np.arange(0, n, 10)
+    Es = spec.eigenvalues[indices]
+    L = [est.value for est in lyapunov_n(pot, golden, Es, 512, 0.0, 1024)]
+    accs = acceleration(pot, golden, Es, [0.02, 0.04, 0.06, 0.08, 0.1],
+                        n=512, K=256)
+    errors = {}
+    for index, E, L0, acc in zip(indices.tolist(), Es, L, accs):
+        label = classify_stratum(E, L0, acc.kappa, non_affine=acc.non_affine,
+                                 in_spectrum=True).label
+        if label == "S2+":
+            rate = eigenfunction_decay(pot, golden, 0.0, n, index,
+                                       spectrum=spec).decay_rate
+            errors[index] = abs(rate - L0) / L0
+    assert {740, 800, 900} <= set(errors)
+    assert max(errors.values()) <= 0.05, errors
 
 
 def test_decay_needs_room(amo2, golden):
@@ -227,6 +266,24 @@ def test_expansion_identity_on_free_solution(free, golden):
     for y in (5, 20, 50):
         assert expansion_identity_check(free, golden, 0.0, E, phi,
                                         (5, 50), y) < 1e-10
+
+
+def test_expansion_residual_is_relative_to_phi_y(free, golden):
+    # the residual does not depend on the scale of the sequence
+    w = 0.9
+    phi = np.sin((np.arange(60) + 1) * w)
+    E = 2.0 * math.cos(w)
+    for scale in (1e-200, 1e200):
+        assert expansion_identity_check(free, golden, 0.0, E, scale * phi,
+                                        (5, 50), 20) < 1e-10
+    # 1, 0, -1, 0, ... solves the free equation at E = 0, which is not an
+    # eigenvalue of a window of even length
+    alternating = np.tile([1.0, 0.0, -1.0, 0.0], 15)
+    assert expansion_identity_check(free, golden, 0.0, 0.0, alternating,
+                                    (4, 49), 20) < 1e-10
+    with pytest.raises(ValueError, match="phi_y is 0"):
+        expansion_identity_check(free, golden, 0.0, 0.0, alternating,
+                                 (4, 49), 21)
 
 
 def test_expansion_identity_validation(free, golden):
