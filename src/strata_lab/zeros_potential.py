@@ -11,6 +11,8 @@ Jensen-type average identity, and the Riesz-mass flux estimators.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -58,28 +60,21 @@ def _newton_ratio(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """p(z)/p'(z), computed in ratio form so |z| >> 1 cannot overflow.
 
     For |z| > 1 the reversed polynomial q(w) = w^d p(1/w) is evaluated at
-    w = 1/z; then p/p' = z q / (d q - w q').
+    w = 1/z; then p/p' = z q / (d q - w q').  A zero denominator gives a
+    small fixed step instead.
     """
-    d = len(c) - 1
-    out = np.empty_like(z)
+    num, den = np.empty_like(z), np.empty_like(z)
     inner = np.abs(z) <= 1.0
     if np.any(inner):
-        p, dp = _horner_pair(c, z[inner])
-        bad = dp == 0
-        dp = np.where(bad, 1.0, dp)
-        r = p / dp
-        r[bad] = 1e-3 * (1.0 + np.abs(z[inner][bad])) * (0.6 + 0.8j)
-        out[inner] = r
+        num[inner], den[inner] = _horner_pair(c, z[inner])
     if np.any(~inner):
         zz = z[~inner]
         w = 1.0 / zz
         q, dq = _horner_pair(c[::-1], w)
-        den = d * q - w * dq
-        bad = den == 0
-        den = np.where(bad, 1.0, den)
-        r = zz * q / den
-        r[bad] = 1e-3 * (1.0 + np.abs(zz[bad])) * (0.6 + 0.8j)
-        out[~inner] = r
+        num[~inner], den[~inner] = zz * q, (len(c) - 1) * q - w * dq
+    bad = den == 0
+    out = num / np.where(bad, 1.0, den)
+    out[bad] = 1e-3 * (1.0 + np.abs(z[bad])) * (0.6 + 0.8j)
     return out
 
 
@@ -88,27 +83,46 @@ def _relative_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     ca = np.abs(c)
     out = np.empty(len(z), dtype=np.float64)
     inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        p, _ = _horner_pair(c, z[inner])
-        b, _ = _horner_pair(ca, np.abs(z[inner]))
-        out[inner] = np.abs(p) / np.maximum(b, 1e-300)
-    if np.any(~inner):
-        w = 1.0 / z[~inner]
-        q, _ = _horner_pair(c[::-1], w)
-        b, _ = _horner_pair(ca[::-1], np.abs(w))
-        out[~inner] = np.abs(q) / np.maximum(b, 1e-300)
+    for sel, cs, cas, x in ((inner, c, ca, z[inner]),
+                            (~inner, c[::-1], ca[::-1], 1.0 / z[~inner])):
+        if np.any(sel):
+            p, _ = _horner_pair(cs, x)
+            b, _ = _horner_pair(cas, np.abs(x))
+            out[sel] = np.abs(p) / np.maximum(b, 1e-300)
     return out
+
+
+def _newton_polygon_starts(c: np.ndarray) -> np.ndarray:
+    """m starts evenly spaced on the tropical radius |c_i / c_j|^{1/m} of
+    each edge i -> j = i + m of the upper convex hull of (k, log|c_k|),
+    offset per edge; exactly-zero interior coefficients stay off the hull."""
+    ks = np.nonzero(c)[0].tolist()
+    ys = np.log(np.abs(c[ks])).tolist()
+    hull = [0]
+    for i in range(1, len(ks)):
+        # drop the last vertex b while it lies on or below the chord a -> i
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if (ys[b] - ys[a]) * (ks[i] - ks[a]) > (ys[i] - ys[a]) * (ks[b] - ks[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    z = []
+    for a, b in zip(hull[:-1], hull[1:]):
+        m = int(ks[b] - ks[a])
+        ang = TWO_PI * ((np.arange(m) + 0.5) / m + ks[a] / ks[-1]) + 0.31
+        z.append(math.exp((ys[a] - ys[b]) / m) * np.exp(1j * ang))
+    return np.concatenate(z)
 
 
 def aberth_roots(coeffs) -> np.ndarray:
     """All roots of an ordinary polynomial given by ascending coefficients.
 
     Simultaneous third-order iteration: Newton corrections coupled through
-    pairwise repulsion.  Starting points are roots of unity at the geometric
-    mean modulus of the root set (|c_0/c_d|^{1/d}), offset angularly to
-    break symmetries.  Every returned root passes the backward-error
-    certificate |p(w)| <= _ROOT_TOL * sum_i |c_i| |w|^i, within 500
-    iterations.
+    pairwise repulsion, for the roots not yet converged.  Starting points
+    come from the Newton polygon (_newton_polygon_starts).  Every returned
+    root passes the backward-error certificate
+    |p(w)| <= _ROOT_TOL * sum_i |c_i| |w|^i, within 500 iterations.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if len(c) == 0 or c[0] == 0 or c[-1] == 0:
@@ -118,28 +132,24 @@ def aberth_roots(coeffs) -> np.ndarray:
     if d == 0:
         return np.zeros(0, dtype=np.complex128)
 
-    r0 = abs(c[0] / c[-1]) ** (1.0 / d)
-    ang = TWO_PI * (np.arange(d) + 0.5) / d + 0.31
-    z = r0 * np.exp(1j * ang)
-    active = np.ones(d, dtype=bool)
-
+    z = _newton_polygon_starts(c)
+    active = np.arange(d)
     for _ in range(500):
-        w = _newton_ratio(c, z)
+        za = z[active]
+        w = _newton_ratio(c, za)
         # pairwise repulsion sums, chunked to bound memory at large degree
-        S = np.zeros(d, dtype=np.complex128)
+        S = np.empty(len(active), dtype=np.complex128)
         step = max(1, _BLOCK // d)
-        for a in range(0, d, step):
-            diff = z[a:a + step, None] - z[None, :]
-            np.fill_diagonal(diff[:, a:a + step], np.inf)
+        for a in range(0, len(active), step):
+            diff = za[a:a + step, None] - z[None, :]
+            diff[np.arange(len(diff)), active[a:a + step]] = np.inf
             S[a:a + step] = np.sum(1.0 / diff, axis=1)
         den = 1.0 - w * S
-        den = np.where(den == 0, 1.0, den)
-        corr = w / den
+        corr = w / np.where(den == 0, 1.0, den)
         corr = np.where(np.isfinite(corr), corr, w)
-        z = np.where(active, z - corr, z)
-        done = np.abs(corr) <= _ROOT_TOL * (1.0 + np.abs(z))
-        active &= ~done
-        if not np.any(active):
+        z[active] = za - corr
+        active = active[np.abs(corr) > _ROOT_TOL * (1.0 + np.abs(z[active]))]
+        if not len(active):
             break
 
     # Newton polish, then certify backward error
@@ -151,7 +161,9 @@ def aberth_roots(coeffs) -> np.ndarray:
         raise RootConvergenceError(
             f"{len(bad)} roots failed the residual certificate "
             f"(worst {float(np.max(resid)):.3e}); indices {bad[:8].tolist()}")
-    order = np.lexsort((np.abs(z), np.angle(z)))
+    # by angle, then modulus: rounding the angle keeps the pairs w, 1/conj(w)
+    # (equal angles up to rounding) in modulus order
+    order = np.lexsort((np.abs(z), np.round(np.angle(z), 9)))
     return z[order]
 
 
@@ -210,14 +222,20 @@ def _nearest_pairing(roots: np.ndarray, targets: np.ndarray, tol: float,
 def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
     """Locate all zeros of D_n and build the symmetry pairings.
 
-    Exactly-zero edge coefficients are deflated before root finding (they
-    correspond to the excluded point z = 0).  Real energy forces the zero
-    set to be invariant under w -> 1/conj(w); even potentials add the
-    reflection w -> e^{-2 pi i (n-1) alpha} / w (w -> 1/w after centering).
+    The edge coefficients of D_n never vanish, so an edge coefficient that
+    trimmed() drops has underflowed; the inventory would then miss roots,
+    and it is refused.  Real energy forces the zero set to be invariant
+    under w -> 1/conj(w); even potentials add the reflection
+    w -> e^{-2 pi i (n-1) alpha} / w (w -> 1/w after centering).
     """
     poly = fam.poly.trimmed()
     if poly.is_zero:
         raise ValueError("determinant is identically zero; no inventory")
+    dropped = len(fam.poly.coeffs) - len(poly.coeffs)
+    if dropped:
+        raise ValueError(
+            f"{dropped} of {len(fam.poly.coeffs)} coefficients of D_n underflow "
+            "below 1e-300 of the largest; the inventory would miss their roots")
     roots = aberth_roots(poly.coeffs)
     mult = np.ones(len(roots), dtype=np.int64)
     on_circle = np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL
@@ -280,16 +298,10 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
     Candidates are the interval ends and midpoints of gaps between sorted
     coordinates; used to place quadrature circles away from zero moduli.
     """
-    cands = [lo, hi]
-    inside = np.sort(coords[(coords > lo) & (coords < hi)])
-    prev = lo
-    for c in inside:
-        cands.append(0.5 * (prev + c))
-        prev = c
-    cands.append(0.5 * (prev + hi))
-    cands = np.array(cands)
     if len(coords) == 0:
         return float(0.5 * (lo + hi))
+    ends = np.concatenate([[lo], np.sort(coords[(coords > lo) & (coords < hi)]), [hi]])
+    cands = np.concatenate([[lo, hi], 0.5 * (ends[:-1] + ends[1:])])
     d = np.min(np.abs(cands[:, None] - coords[None, :]), axis=1)
     return float(cands[int(np.argmax(d))])
 
@@ -299,16 +311,16 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
 # ----------------------------------------------------------------------
 
 def green_trunc_order(R: float) -> int:
-    """Image orders K that bring the product's O(R^{-4K}) tail to 1e-10.
-    Refuses R that needs more than 64 (log(R) / 2 pi < 0.014315), and
-    R > 1e50, where green_annulus's squares would overflow."""
+    """Image orders K that bring the product's O(R^{-4K}) tail to 1e-16:
+    30 at R = e^{2 pi 0.05}, 103 at the thinnest served R.  Refuses
+    log(R) / 2 pi < 0.014315, and R > 1e50."""
     if not 1.0 < R <= 1e50:
         raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, 1e50]")
-    K = max(1, math.ceil(10.0 * math.log(10.0) / (4.0 * math.log(R))))
-    if K > 64:
-        raise ValueError(f"annulus too thin: R = {R:.6g} needs {K} > 64 image "
-                         "orders for a 1e-10 tail (log(R) / 2 pi >= 0.014315)")
-    return K
+    lr = math.log(R)
+    if lr < 10.0 * math.log(10.0) / 256.0:
+        raise ValueError(f"annulus too thin: R = {R:.6g} has log(R) / 2 pi = "
+                         f"{lr / TWO_PI:.6g} < 0.014315")
+    return math.ceil(37.0 / (4.0 * lr))
 
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
@@ -318,61 +330,82 @@ def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
             raise ValueError("argument outside the closed annulus")
 
 
+@functools.lru_cache(maxsize=16)
+def _dual_theta_poly(lr: float) -> Tuple[Tuple[float, ...], ...]:
+    """|F(X + iY)|^2 as rows a of coefficients of sin^2a X sinh^2b Y.
+
+    F(u) = sum_{m<M} (-1)^m q^{m(m+1)} U_{2m}(cos u) = sum_j c_j cos(2ju),
+    q = e^{-pi^2/(2 lr)}, M = floor(sqrt(7.5 lr)) + 1 for a 1e-16 tail.
+    |F|^2 = (1/2) sum_{j,k} c_j c_k [T_{j+k}(C) T_{|j-k|}(H) + (C <-> H)],
+    C = cos 2X = 1 - 2 sin^2 X, H = cosh 2Y = 1 + 2 sinh^2 Y.
+    """
+    M = int(math.sqrt(7.5 * lr)) + 1
+    q = math.exp(-math.pi ** 2 / (2.0 * lr))
+    t = [(-1) ** m * q ** (m * (m + 1)) for m in range(M)]
+    c = [sum(t)] + [2.0 * sum(t[j:]) for j in range(1, M)]
+    A = np.zeros((2 * M - 1, 2 * M - 1))
+    for j, k in itertools.product(range(M), repeat=2):
+        A[j + k, abs(j - k)] += 0.5 * c[j] * c[k]
+    P = np.polynomial
+    TS, TH = (np.array([np.pad(P.Chebyshev.basis(p)(P.Polynomial([1.0, x])).coef,
+                               (0, 2 * M - 2 - p)) for p in range(2 * M - 1)])
+              for x in (-2.0, 2.0))
+    B = TS.T @ (A + A.T) @ TH
+    return tuple(tuple(np.trim_zeros(row, "b")) for row in B)
+
+
+def _horner(coef, x):
+    return functools.reduce(lambda acc, c: acc * x + c, coef[-2::-1], coef[-1])
+
+
+def _radial_sin_cos(log_mod: np.ndarray, alpha: float, lr: float):
+    """sin a, cos a for a = alpha (log|z| - lr); inside the unit circle from
+    b = a + pi/2, so that sin 2a is an exact zero on both circles."""
+    inner = log_mod < 0.0
+    b = alpha * (log_mod + np.where(inner, lr, -lr))
+    sb, cb = np.sin(b), np.cos(b)
+    return np.where(inner, -cb, sb), np.where(inner, sb, cb)
+
+
 def green_annulus(z, w, R: float):
     """Green's function of the annulus 1/R <= |z| <= R with pole at w.
 
-    The separable boundary term plus the log of the image product over
-    reflections across both circles, truncated at K = green_trunc_order(R)
-    orders (tail O(R^{-4K})); served for 10^(10/256) <= R <= 1e50.
-    Symmetric in (z, w), rotation invariant, zero on both circles.
-
-    Real form: with z = r e^{i phi}, w = s e^{i psi}, c = cos(phi - psi),
-    each image factor is |1 - a e^{+-i(phi - psi)}| with a real, and
-    |1 - a e^{it}|^2 = (1 - a)^2 + a d, d = 2 - 2c.  Order k's numerators
-    (a = q r/s, q s/r; q = R^{-4k}) multiply out to N_k = 1 + q^4
-    + q^2 (u^2 + 4c^2 - 2) - 2q (1 + q^2) c u, u = r/s + s/r; its
-    denominators (a = p rs, p/(rs); p = R^{2-4k}) to D_k, the same in p and
-    v = rs + 1/(rs).  Both k = 1 denominators keep the (1 - a)^2 + a d form:
-    they vanish at mirror points on the boundary, where the expanded form
-    cancels.  d = (|z - w|^2 - (r - s)^2) / (rs), from the exact z - w,
-    makes them equal |z - w|^2 / R^2 there to rounding.
+    log|theta_1| at the pole minus at the mirror point, after Jacobi's
+    imaginary transformation (DLMF 20.7.30) to the nome e^{-pi^2/(2 lr)},
+    lr = log R (2 terms at R = e^{2 pi 0.05}, 7 at e^{2 pi}), whose Gaussian
+    factors cancel the separable term.  With alpha = pi/(4 lr), a =
+    alpha (log|.| - lr), X = a_z - a_w, X* = a_z + a_w, Y = alpha (arg z -
+    arg w wrapped to (-pi, pi]) and F from _dual_theta_poly, G = (1/4pi)
+    log[(sin^2 X + sinh^2 Y) |F(X + iY)|^2 / ((sin^2 X* + sinh^2 Y)
+    |F(X* + iY)|^2)]; sin^2 X* - sin^2 X = sin 2a_z sin 2a_w vanishes exactly
+    on both circles, and near the pole sin^2 X + sinh^2 Y comes from the
+    exact z - w.  Served for 10^(10/256) <= R <= 1e50.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    K = green_trunc_order(R)
+    z, w = (np.asarray(v, dtype=np.complex128) for v in (z, w))
+    green_trunc_order(R)    # refuses R outside the served range
     lr = math.log(R)
     r, s = np.abs(z), np.abs(w)
     _check_in_annulus(R, r, s)
     if np.any(z == w):
         raise ValueError("Green's function is singular on the diagonal z = w")
 
-    q, p = math.exp(-4.0 * lr), math.exp(-2.0 * lr)
-    dx, dy = z.real - w.real, z.imag - w.imag
-    dist2 = dx * dx + dy * dy
-    rs = r * s
-    d = np.maximum((dist2 - (r - s) ** 2) / rs, 0.0)
-    c = 1.0 - 0.5 * d
-    c2 = 4.0 * c * c - 2.0
-    u, v = r / s + s / r, rs + 1.0 / rs
-    xn, yn, xd, yd = q * (u * u + c2), q * c * u, v * v + c2, c * v
-    a1, a2 = rs * p, p / rs
-    # One log per group of 8 orders.  For R >= 10^(10/256) each N_k, and
-    # D_k for k >= 2, lies in [(1 - R^-2)^4, 16] = [7e-4, 16]: 8 ratios stay
-    # in [1e-35, 1e35].  Group 1 also holds |z - w|^2 / R^2 over both k = 1
-    # denominators, < (1 - R^-2)^-2 < 37 as |z - w| <= R|1 - p w conj(z)|,
-    # R rs|1 - p/(conj(z) w)| (Moebius); underflow needs |z - w| < 1e-136 R.
-    prod = (1.0 + q ** 4 + q * xn - 2.0 * (1.0 + q * q) * yn) * (dist2 * p) \
-        / (((1.0 - a1) ** 2 + a1 * d) * ((1.0 - a2) ** 2 + a2 * d))
-    t = 4.0 * lr * np.arange(2, K + 1)                      # -log q_k
-    an, bn = 2.0 * q * np.cosh(2.0 * t), 4.0 * np.cosh(t)
-    ad, bd = 2.0 * np.cosh(2.0 * t - 4.0 * lr), 4.0 * np.cosh(t - 2.0 * lr)
-    S = 0.0
-    for j in range(K - 1):      # N_k / D_k, both divided by p_k^2
-        prod *= (xn + an[j] - bn[j] * yn) / (xd + ad[j] - bd[j] * yd)
-        if j % 8 == 6:          # order j + 2 closes a group
-            S, prod = S + np.log(prod), 1.0
-    S = S + np.log(prod) + (np.log(r) - lr) * ((np.log(s) - lr) / lr)
-    out = S / (2.0 * TWO_PI)
+    alpha = math.pi / (4.0 * lr)
+    (sz, cz), (sw, cw) = (_radial_sin_cos(np.log(m), alpha, lr) for m in (r, s))
+    t1, t2 = sz * cw, cz * sw
+    sx2, sxm2 = (t1 - t2) ** 2, (t1 + t2) ** 2        # sin^2 X, sin^2 X*
+    d = np.abs(np.angle(z) - np.angle(w))
+    sh2 = np.sinh(alpha * np.minimum(d, TWO_PI - d)) ** 2
+    N = np.asarray(sx2 + sh2)
+    near = N < 1e-2
+    if np.any(near):    # log(z / w) = log1p(t), t = (z - w) / w
+        zb, wb = (np.broadcast_to(v, N.shape)[near] for v in (z, w))
+        t = (zb - wb) / wb
+        X = 0.5 * alpha * np.log1p(2.0 * t.real + (t.real ** 2 + t.imag ** 2))
+        Y = alpha * np.arctan2(t.imag, 1.0 + t.real)
+        N[near] = np.sin(X) ** 2 + np.sinh(Y) ** 2
+    g = [_horner(row, sh2) for row in _dual_theta_poly(lr)]
+    P = (4.0 * sz * cz) * (sw * cw)                  # sin^2 X* - sin^2 X
+    out = np.log(N * _horner(g, sx2) / ((N + P) * _horner(g, sxm2))) / (4 * math.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -429,11 +462,12 @@ def green_circle_mean(
 ) -> float:
     """Mean of green_potential over the K points center + rho e^{2 pi i j/K}.
 
-    Every factor of the truncated image product is log|a + b e^{+-2 pi i j/K}|
-    on these points, and its K-point mean has the closed form of
-    _mean_log_abs.  The result is the K-point quadrature of green_potential
-    (not the exact circle mean) at O(roots * Kt) cost instead of
-    O(K * roots * Kt), Kt = green_trunc_order(R).
+    G is also the separable term plus the log of the image product over
+    reflections across both circles, here truncated at Kt =
+    green_trunc_order(R) orders.  On these points each image factor is
+    log|a + b e^{+-2 pi i j/K}|, whose K-point mean is _mean_log_abs: the
+    K-point quadrature of green_potential (not the exact circle mean) at
+    O(roots * Kt) cost instead of O(K * roots).
     """
     roots = np.asarray(roots, dtype=np.complex128)
     if len(roots) == 0:
@@ -452,11 +486,9 @@ def green_circle_mean(
     k = np.arange(1, Kt + 1, dtype=np.float64)[None, :]
     e4k = np.exp(-4.0 * k * lr)
     e4k2 = np.exp(-(4.0 * k - 2.0) * lr)
-    # The image factors are taken in the order of green_annulus, with
-    # log|1 - e4k w/z| = log|z - e4k w| - log|z| and
-    # log|1 - e4k2/(conj(z) w)| = log|conj(z) - e4k2/w| - log|z|; the two
-    # mean log|z| terms cancel.  conj(z_j) runs over the same circle with
-    # e^{-2 pi i j/K}, which leaves the K-point mean unchanged.
+    # log|1 - e4k w/z| = log|z - e4k w| - log|z| and log|1 - e4k2/(conj(z) w)|
+    # = log|conj(z) - e4k2/w| - log|z|: the mean log|z| terms cancel, and
+    # conj(z_j) runs over the same K points
     cc = c.conjugate()
     images = (_mean_log_abs(1.0 - c * e4k / w, -rho * e4k / w, K)
               + _mean_log_abs(c - w * e4k, rho, K)
@@ -494,20 +526,6 @@ class RieszDecomposition:
     mean_value_max_resid: float      # worst interior mean-value defect of harmonic
     h_min: float                     # harmonic range over interior rows
     h_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "radii": list(self.radii),
-            "n_angles": self.n_angles,
-            "u": [list(map(float, row)) for row in self.u_samples],
-            "green": [list(map(float, row)) for row in self.green_part],
-            "harmonic": [list(map(float, row)) for row in self.harmonic_part],
-            "boundary_max_dev": self.boundary_max_dev,
-            "mean_value_max_resid": self.mean_value_max_resid,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-        }
 
 
 def riesz_decompose(
@@ -703,15 +721,12 @@ def riesz_mass(
     delta = _FLUX_DELTA
     eps_flux = eps_r + delta
 
-    # the four flux circles in one batched call
-    v_out_hi, v_out_lo, v_in_hi, v_in_lo = (
-        est.value for est in lyapunov_n(
-            potential, alpha, E, n,
-            [eps_flux + delta, eps_flux - delta,
-             -eps_flux + delta, -eps_flux - delta], K))
-    outer = v_out_hi - v_out_lo
-    inner = v_in_hi - v_in_lo
-    mass_v = (outer - inner) / (4.0 * math.pi * delta)
+    # f(theta - i eps) is the conjugate of f(theta + i eps) bit for bit, so
+    # the strip kernel is even in eps and the inner circles' difference is
+    # minus the outer one's: (outer - inner) / (4 pi delta) = outer / (2 pi delta)
+    v_hi, v_lo = (est.value for est in lyapunov_n(
+        potential, alpha, E, n, [eps_flux + delta, eps_flux - delta], K))
+    mass_v = (v_hi - v_lo) / (TWO_PI * delta)
 
     if fam is None:
         fam = det_family(potential, alpha, E, n)

@@ -280,7 +280,7 @@ def test_riesz_kink_is_skipped_not_failed(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["riesz", "green"])
 def test_thin_annulus_is_skipped_up_front(subcommand, tmp_path):
-    # R_eps = 0.005 would need 184 image orders for the 1e-10 Green tail
+    # R_eps = 0.005 lies below the served floor log(R) / 2 pi = 0.014315
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"n": 64, "riesz": {"R_eps": 0.005, "jensen_radii": [0.001, 0.004]}}))

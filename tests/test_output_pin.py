@@ -34,7 +34,7 @@ PINNED = {
     },
     "zeros": {
         "zeros.csv":
-            "ba283fd54fc0542c2dc6c87708ffeafa43f09d11c747b651b7cf8c8ee8047aba",
+            "5c61c96c4e72dd6665ddf83f7d35d4bcc51b054f8319910c3a03139d4beb533f",
         "zero_counts.csv":
             "dcc1d0b35abab63d699605468d8d9fc01b087271593f1935a3c9c1974f537088",
     },
@@ -44,11 +44,11 @@ PINNED = {
     },
     "green": {
         "green_suite.csv":
-            "9d359963dd2a12240bb70d1d0be0e35a92634c9e09123afaec183e9accc87400",
+            "1f97440ea864a924ddd64d47bcfc2a08eb2d444a0d137c833643721d71ecee70",
     },
     "riesz": {
         "riesz.csv":
-            "3b10d43705f87af7257d9a8b2a68da08c686dee0668a0023745289c0fb29dcd0",
+            "305d0be3006d01ba1c72d11dc869f990c6e0bc2db1795aa4a99f586f8950d06c",
     },
     "ids": {
         "ids.csv":
@@ -136,7 +136,7 @@ PINNED_DEFAULT = {
     },
     "zeros": {
         "zeros.csv":
-            "356ec175068e676b8f011972f7147e096b70780ecaddaca9bf1a260e6a625214",
+            "840a9cb849b736b02dc5e4267a8f924c371de26534a478cb4727bdb5ded3a33b",
         "zero_counts.csv":
             "32fa6514c58e96df7db3c8cf8b89d9a253f13bb247edd0f79c048708387b01cf",
     },
@@ -146,7 +146,7 @@ PINNED_DEFAULT = {
     },
     "green": {
         "green_suite.csv":
-            "8a9c5a61abf87d544d25a411676926b8785d2f74999b47c6447da886a088cc0d",
+            "9d7eafb2d96e622e8f2b01321a94bc93331b9856dfbd02533c72dcd43ce7ffd5",
     },
     "ids": {
         "ids.csv":
@@ -166,7 +166,7 @@ PINNED_DEFAULT = {
     },
     "riesz": {
         "riesz.csv":
-            "cc63578221c5c8114d48b0928646df1b6f7482e9ffa63235af0ff95cb72069cc",
+            "e759fb56561bad0c2de5f7578a2b44a2ef1d58b76aa3635b29a494c00d05880b",
     },
     "localize": {
         "localize_summary.csv":

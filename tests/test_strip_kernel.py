@@ -185,6 +185,19 @@ def test_grid_eval_theta_matches_per_eps(name, laurent):
             np.testing.assert_allclose(one, laurent(pot, z), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("pot", [
+    Potential.amo(2.0), Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}),
+    POTENTIALS["k0_3_complex"]], ids=["amo2", "two_harmonic", "k0_3_complex"])
+@pytest.mark.parametrize("E", [-2.644, 1.7])
+def test_kernel_rows_are_even_in_eps(pot, E, golden):
+    # riesz_mass takes the inner flux circles' values from the outer ones
+    thetas = np.arange(256) / 256
+    logs = transfer_log_norms(pot, golden, thetas, E,
+                              [0.021, 0.019, -0.021, -0.019, 0.3, -0.3], 300)
+    assert np.array_equal(logs[:2], logs[2:4])
+    assert np.array_equal(logs[4], logs[5])
+
+
 def test_lyapunov_grid_form_matches_scalar_calls(amo2, golden):
     grid = [0.0, 0.02, 0.05]
     ests = lyapunov_n(amo2, golden, 0.5, 64, grid, K=32)

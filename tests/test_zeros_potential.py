@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (circle_average_green, count_annulus, det_family,
-                        find_zeros, green_annulus, green_circle_mean,
+from strata_lab import (Potential, circle_average_green, count_annulus,
+                        det_family, find_zeros, green_annulus, green_circle_mean,
                         green_potential, jensen_identity_residual,
                         riesz_decompose, riesz_mass,
                         zero_count_vs_acceleration)
@@ -30,13 +30,30 @@ def test_aberth_recovers_seeded_roots():
     assert set_distance(found, targets) < 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_aberth_roots_of_unity():
+    # the zero interior coefficients stay off the Newton polygon, unlogged
     coeffs = np.zeros(41, dtype=complex)
     coeffs[0], coeffs[40] = -1.0, 1.0
     found = aberth_roots(coeffs)
     targets = np.exp(2j * np.pi * np.arange(40) / 40)
     assert set_distance(found, targets) < 1e-10
     assert set_distance(targets, found) < 1e-10
+
+
+def test_aberth_serves_a_wide_coefficient_log_range(amo2, golden):
+    # the coefficient moduli span 295 decades, so the roots spread over many
+    # radii; starts on one circle of the mean modulus do not converge here
+    inv = find_zeros(det_family(amo2, golden, 7.0, 600))
+    assert inv.total == 1200
+
+
+def test_find_zeros_refuses_underflowed_edge_coefficients(golden):
+    # the edge coefficients lambda^n = 1e-400 of D_n underflow to zero
+    fam = det_family(Potential.amo(0.01), golden, 0.5, 200)
+    assert len(fam.poly.trimmed().coeffs) < len(fam.poly.coeffs)
+    with pytest.raises(ValueError, match="underflow"):
+        find_zeros(fam)
 
 
 def test_aberth_rejects_degenerate_input():
@@ -105,10 +122,12 @@ def test_clearest_eps_avoids_coordinates():
 # ---------------------------------------------------------------- green
 
 def test_green_truncation_order():
-    assert green_trunc_order(R_STRIP) == 19
-    assert green_trunc_order(math.exp(TWO_PI * 0.01432)) == 64
+    assert green_trunc_order(R_STRIP) == 30
+    assert green_trunc_order(math.exp(TWO_PI * 0.01432)) == 103
     with pytest.raises(ValueError, match="too thin"):
-        green_trunc_order(1.0001)  # 64 orders leave a tail far above 1e-10
+        green_trunc_order(math.exp(TWO_PI * 0.01431))
+    with pytest.raises(ValueError, match="too thin"):
+        green_trunc_order(1.0001)
     for R in (0.9, 1.0, 1e51):
         with pytest.raises(ValueError):
             green_trunc_order(R)
@@ -205,7 +224,7 @@ def test_riesz_decomposition_certificates(amo2, golden):
     target = math.log(2.0) + TWO_PI * 0.05
     assert abs(dec.h_min - target) < 0.05
     assert abs(dec.h_max - target) < 0.05
-    assert dec.to_json_dict()["R"] == pytest.approx(R_STRIP)
+    assert dec.R == pytest.approx(R_STRIP)
 
 
 def test_jensen_identity_amo_and_free(amo2, free, golden):
