@@ -443,16 +443,15 @@ def _task_zeros(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
     fam = det_family(cfg.potential, cfg.alpha, E, n)
     inv = find_zeros(fam)
     refl = inv.pair_reflection
-    zrows = []
-    for i, w in enumerate(inv.roots):
-        zrows.append({
-            "E": E, "n": n, "idx": i, "re": float(w.real), "im": float(w.imag),
-            "modulus": float(abs(w)),
-            "eps_coord": float(abs(math.log(abs(w))) / TWO_PI),
-            "multiplicity": int(inv.multiplicities[i]),
-            "on_circle": bool(inv.on_circle[i]),
-            "pair_inversive": int(inv.pair_inversive[i]),
-            "pair_reflection": int(refl[i]) if refl is not None else -2})
+    zrows = [{
+        "E": E, "n": n, "idx": i, "re": float(w.real), "im": float(w.imag),
+        "modulus": float(abs(w)),
+        "eps_coord": float(abs(math.log(abs(w))) / TWO_PI),
+        "multiplicity": int(inv.multiplicities[i]),
+        "on_circle": bool(inv.on_circle[i]),
+        "pair_inversive": int(inv.pair_inversive[i]),
+        "pair_reflection": int(refl[i]) if refl is not None else -2}
+        for i, w in enumerate(inv.roots)]
     ann = count_annulus(inv, cfg.eps / 2.0)
     crow = {"E": E, "n": n, "eps_half": cfg.eps / 2.0, "count": ann.count,
             "ratio_per_2n": ann.count / (2.0 * n),
@@ -469,14 +468,13 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
             kappa_n=cfg.n, kappa_K=int(quad["K"]))
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
-    rows = []
-    for n, count, dev in zip(rep.ns, rep.counts, rep.deviations):
-        rows.append({"E": E, "eps": rep.eps, "kappa": rep.kappa,
-                     "L0": rep.L0, "n": n, "count": count,
-                     "ratio_per_2n": count / (2.0 * n), "deviation": dev,
-                     "decay_exponent": (math.nan if rep.decay_exponent is None
-                                        else rep.decay_exponent),
-                     "boundary_clear": rep.boundary_clear})
+    rows = [{"E": E, "eps": rep.eps, "kappa": rep.kappa,
+             "L0": rep.L0, "n": n, "count": count,
+             "ratio_per_2n": count / (2.0 * n), "deviation": dev,
+             "decay_exponent": (math.nan if rep.decay_exponent is None
+                                else rep.decay_exponent),
+             "boundary_clear": rep.boundary_clear}
+            for n, count, dev in zip(rep.ns, rep.counts, rep.deviations)]
     return _payload({"verify_acc_zeros.csv": rows})
 
 
@@ -513,17 +511,12 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
             r = math.exp(rng.uniform(-0.9 * lr, 0.9 * lr))
         quad = float(np.mean(green_annulus(r * np.exp(1j * phi), w, R)))
         err_avg = max(err_avg, abs(quad - circle_average_green(r, R, w)))
-    rows = [
-        {"check": "boundary_zero", "samples": samples,
-         "max_abs_err": err_boundary, "tol": float(sec["boundary_tol"]),
-         "passed": err_boundary <= float(sec["boundary_tol"])},
-        {"check": "symmetry", "samples": samples,
-         "max_abs_err": err_sym, "tol": float(sec["symmetry_tol"]),
-         "passed": err_sym <= float(sec["symmetry_tol"])},
-        {"check": "circle_average", "samples": samples // 4,
-         "max_abs_err": err_avg, "tol": float(sec["average_tol"]),
-         "passed": err_avg <= float(sec["average_tol"])},
-    ]
+    rows = [{"check": check, "samples": m, "max_abs_err": err,
+             "tol": float(sec[key]), "passed": err <= float(sec[key])}
+            for check, m, err, key in (
+                ("boundary_zero", samples, err_boundary, "boundary_tol"),
+                ("symmetry", samples, err_sym, "symmetry_tol"),
+                ("circle_average", samples // 4, err_avg, "average_tol"))]
     return _payload({"green_suite.csv": rows})
 
 
@@ -621,12 +614,10 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
             lyapunov_K=int(cfg.section("quadrature")["lyapunov_K"]))
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
-    arows = []
-    for j, (left, right) in enumerate(geom.intervals):
-        pair = geom.pair_map[j] if geom.pair_map is not None else -2
-        arows.append({"E": E, "n": geom.n, "threshold": geom.threshold,
-                      "arc": j, "left": left, "right": right,
-                      "width": right - left, "pair": int(pair)})
+    arows = [{"E": E, "n": geom.n, "threshold": geom.threshold, "arc": j,
+              "left": left, "right": right, "width": right - left,
+              "pair": int(geom.pair_map[j]) if geom.pair_map is not None else -2}
+             for j, (left, right) in enumerate(geom.intervals)]
     rng = np.random.default_rng(seed)
     srows = []
     for s in range(int(sec["scan_count"])):

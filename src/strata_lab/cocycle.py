@@ -104,7 +104,8 @@ def transfer_log_norms(
     grid = np.asarray(eps, dtype=np.float64)
     if np.any(np.abs(grid) >= potential.eta):
         raise ValueError("|eps| must stay below the declared strip width")
-    thetas = np.asarray(thetas, dtype=np.float64)
+    # exact reduction mod 1 before the phases meet j alpha
+    thetas = np.fmod(np.asarray(thetas, dtype=np.float64), 1.0)
     shape = energies.shape + grid.shape + thetas.shape
     # each energy against every (eps, theta) entry of the symbol
     col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))

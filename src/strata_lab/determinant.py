@@ -16,8 +16,7 @@ inventories, Riesz masses, deviation sets) is driven by this representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,43 +88,47 @@ class ScaledLaurentPoly:
 
     # -- evaluation ------------------------------------------------------
 
-    def _log_unit_coeffs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(log|c_k|, c_k/|c_k|), with -inf and 0 for zero coefficients."""
-        mag = np.abs(self.coeffs)
-        safe = np.maximum(mag, 1e-300)
-        return (np.where(mag > 0, np.log(safe), -np.inf),
-                np.where(mag > 0, self.coeffs / safe, 0.0))
-
     def eval_log(self, z):
         """Evaluate at complex z (scalar or 1d array), in log form.
 
-        Returns (log_abs, unit) with value = e^{log_abs} * unit.  The sum is
-        taken after rescaling every term by the largest term magnitude, so no
-        intermediate overflows regardless of |z|^k range.  Exact zeros of the
-        polynomial give log_abs = -inf.
+        Returns (log_abs, unit) with value = e^{log_abs} * unit.  With exact
+        zero end coefficients trimmed, points with |z| <= 1 sum in z from
+        the lowest exponent and the others in 1/z from the highest, so no
+        power exceeds modulus 1.  The block sums of `_power_table`, each
+        block normalized to max modulus 1, are added after rescaling by the
+        largest block-term bound, so nothing overflows or underflows
+        whatever the |z|^k range.  Exact zeros give log_abs = -inf.
         """
         scalar_in = np.ndim(z) == 0
         zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         if np.any(zs == 0):
             raise ValueError("Laurent polynomial evaluation requires z != 0")
-        ks = np.arange(self.lo, self.hi + 1, dtype=np.float64)
-        logc, unitc = self._log_unit_coeffs()
-        log_abs = np.empty(len(zs), dtype=np.float64)
-        unit = np.empty(len(zs), dtype=np.complex128)
-        step = max(1, (1 << 22) // (len(ks) + 1))
-        for a in range(0, len(zs), step):
-            zc = zs[a:a + step]
-            t = np.log(np.abs(zc))
-            ang = np.angle(zc)
-            # per-point largest term exponent; subtract before summation
-            expo = t[:, None] * ks[None, :] + logc[None, :]
-            S = np.max(expo, axis=1)
-            phase = np.exp(1j * ang[:, None] * ks[None, :])
-            vals = np.sum(np.exp(expo - S[:, None]) * unitc[None, :] * phase, axis=1)
-            mag = np.abs(vals)
-            log_abs[a:a + step] = np.where(
-                mag > 0, S + np.log(np.maximum(mag, 1e-300)), -np.inf) + self.log_scale
-            unit[a:a + step] = np.where(mag > 0, vals / np.maximum(mag, 1e-300), 0.0)
+        log_abs, unit = np.full(len(zs), -np.inf), np.zeros(len(zs), np.complex128)
+        nz = np.flatnonzero(self.coeffs)
+        inner = np.abs(zs) <= 1.0
+        for flip in (False, True) if len(nz) else ():
+            # p(z) = z^k q(x): x = z from the lowest exponent, 1/z from the highest
+            c = self.coeffs[nz[0]:nz[-1] + 1]
+            C = np.pad(c[::-1] if flip else c, (0, -len(c) % _B)).reshape(-1, _B)
+            m = np.maximum(np.max(np.abs(C), axis=1), 1e-300)
+            C /= m[:, None]
+            k, j = self.lo + int(nz[-1] if flip else nz[0]), np.arange(len(C))
+            idx = np.flatnonzero(inner != flip)
+            step = max(1, _EVAL_CHUNK // (_B + len(C)))
+            for i in (idx[a:a + step] for a in range(0, len(idx), step)):
+                x = 1.0 / zs[i] if flip else zs[i]
+                # block j's term bound m_j |x|^{j _B}, with the phase of x^{j _B}
+                # from (x / |x|)^_B, which cannot underflow
+                expo = np.log(m) + (_B * np.log(np.abs(x)))[:, None] * j
+                S = np.max(expo, axis=1)
+                ang = np.angle((x / np.abs(x)) ** _B)[:, None] * j
+                vals = np.sum((_power_table(x) @ C.T)
+                              * np.exp((expo - S[:, None]) + 1j * ang), axis=1)
+                mag = np.abs(vals)
+                safe = np.where(mag > 0, mag, 1.0)
+                log_abs[i] = np.where(mag > 0, S + np.log(safe), -np.inf) + (
+                    k * np.log(np.abs(zs[i])) + self.log_scale)
+                unit[i] = vals / safe * np.exp(1j * k * np.angle(zs[i]))
         if scalar_in:
             return float(log_abs[0]), complex(unit[0])
         return log_abs, unit
@@ -137,25 +140,59 @@ class ScaledLaurentPoly:
         whole grid costs one FFT.  Returns log_abs array of length m.
         """
         ks = np.arange(self.lo, self.hi + 1, dtype=np.float64)
-        logc, unitc = self._log_unit_coeffs()
-        expo = ks * math.log(radius) + logc
+        mag = np.abs(self.coeffs)
+        safe = np.maximum(mag, 1e-300)
+        expo = ks * math.log(radius) + np.where(mag > 0, np.log(safe), -np.inf)
         S = float(np.max(expo))
-        scaled = np.exp(expo - S) * unitc
+        scaled = np.exp(expo - S) * np.where(mag > 0, self.coeffs / safe, 0.0)
         folded = np.zeros(m, dtype=np.complex128)
         idx = np.mod(np.arange(self.lo, self.hi + 1), m)
         np.add.at(folded, idx, scaled)
         vals = m * np.fft.ifft(folded)
         mag = np.abs(vals)
-        out = np.where(mag > 0,
-                       S + self.log_scale + np.log(np.maximum(mag, 1e-300)),
-                       -np.inf)
-        return out
+        return np.where(mag > 0,
+                        S + self.log_scale + np.log(np.maximum(mag, 1e-300)),
+                        -np.inf)
 
-    def shifted_phases(self, phases: np.ndarray) -> "ScaledLaurentPoly":
-        """Multiply coefficient of z^k by phases[k-lo] (used for recentering)."""
-        return ScaledLaurentPoly(lo=self.lo,
-                                 coeffs=self.coeffs * phases,
-                                 log_scale=self.log_scale)
+
+# coefficients per block of the blocked evaluator; points x (table + blocks)
+# entries per eval_log chunk, so its temporaries stay near 1 MB
+_B = 32
+_EVAL_CHUNK = 1 << 16
+
+
+def _power_table(x: np.ndarray) -> np.ndarray:
+    """x^0 .. x^{_B-1} per point, as a (points x _B) table built by doubling.
+
+    Blocked evaluation (baby steps and giant steps, Paterson & Stockmeyer
+    1973, SIAM J. Comput. 2) takes every block sum s_j(x) = sum_i c[j _B +
+    i] x^i from one product of this table with the coefficients in rows of
+    _B; then p(x) = sum_j s_j(x) (x^_B)^j.
+    """
+    P = np.empty((len(x), _B), dtype=x.dtype)
+    P[:, 0], P[:, 1] = 1.0, x
+    m = 2
+    while m < _B:
+        P[:, m:2 * m] = P[:, :m] * (P[:, m - 1] * x)[:, None]
+        m *= 2
+    return P
+
+
+def _horner_pair(c: np.ndarray, x: np.ndarray):
+    """Value and derivative of ascending coefficients c at points |x| <= 1.
+
+    Block values s_j and derivatives s_j' come from one power table, then
+    Horner's rule runs over the blocks in y = x^_B: p = sum_j s_j y^j and
+    p' = sum_j (s_j' y^j + j s_j y^{j-1} _B x^{_B-1}).  Real c and x stay real.
+    """
+    P = _power_table(x)
+    C = np.pad(c, (0, -len(c) % _B)).reshape(-1, _B)
+    s, ds = C @ P.T, C[:, 1:] @ (P[:, :-1] * np.arange(1, _B)).T
+    y = P[:, -1] * x
+    p = dp = dpy = np.zeros_like(s[0])
+    for j in range(len(C) - 1, -1, -1):
+        dpy, p, dp = dpy * y + p, p * y + s[j], dp * y + ds[j]
+    return p, dp + dpy * (_B * P[:, -1])
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +303,7 @@ def center_family(fam: DeterminantFamily) -> DeterminantFamily:
     phases = np.exp(-1j * math.pi * ks * ((fam.n - 1) * fam.alpha))
     return DeterminantFamily(
         potential=fam.potential, alpha=fam.alpha, E=fam.E, n=fam.n,
-        poly=poly.shifted_phases(phases), centered=True)
+        poly=replace(poly, coeffs=poly.coeffs * phases), centered=True)
 
 
 def det_at_phase(potential: Potential, alpha: float, theta, E, n: int):

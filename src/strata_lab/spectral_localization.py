@@ -50,10 +50,13 @@ _PIVMIN = 1e-300
 
 def dirichlet_diagonal(potential: Potential, alpha: float, theta: float,
                        n: int) -> np.ndarray:
-    """Diagonal f(theta + j alpha), j = 0..n-1, of the n-site box."""
+    """Diagonal f(theta + j alpha), j = 0..n-1, of the n-site box.
+
+    theta is reduced mod 1 exactly (the identity on (-1, 1)) before it
+    meets j alpha, so a huge phase keeps its quasi-periodic diagonal."""
     if n < 1:
         raise ValueError("box length n must be >= 1")
-    vals = potential.eval_theta(theta + alpha * np.arange(n))
+    vals = potential.eval_theta(math.fmod(theta, 1.0) + alpha * np.arange(n))
     return np.atleast_1d(np.asarray(vals, dtype=np.float64))
 
 
@@ -476,11 +479,8 @@ def deviation_set(
     ends = np.flatnonzero(below & ~np.roll(below, -1))
     # align each start with its closing end (circularly)
     ends = np.sort(ends)
-    runs = []
-    for s in np.sort(starts):
-        i = np.searchsorted(ends, s)
-        e = ends[i] if i < len(ends) else ends[0]
-        runs.append((int(s), int(e)))
+    runs = [(int(s), int(ends[np.searchsorted(ends, s) % len(ends)]))
+            for s in np.sort(starts)]
 
     h = 1.0 / grid_size
     m = len(runs)

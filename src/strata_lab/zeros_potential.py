@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .cocycle import TAU_POS, acceleration, lyapunov_n
-from .determinant import DeterminantFamily, det_family
+from .determinant import DeterminantFamily, _horner_pair, det_family
 from .model import TWO_PI, Potential
 
 
@@ -45,16 +45,6 @@ _REFLECTION_TOL = 1e-6
 # ----------------------------------------------------------------------
 # polynomial roots (Aberth simultaneous iteration)
 # ----------------------------------------------------------------------
-
-def _horner_pair(c: np.ndarray, x: np.ndarray):
-    """Value and derivative of the ascending-coefficient polynomial at x."""
-    p = np.zeros_like(x)
-    dp = np.zeros_like(x)
-    for coef in c[::-1]:
-        dp = dp * x + p
-        p = p * x + coef
-    return p, dp
-
 
 def _newton_ratio(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """p(z)/p'(z), computed in ratio form so |z| >> 1 cannot overflow.
@@ -367,6 +357,40 @@ def _radial_sin_cos(log_mod: np.ndarray, alpha: float, lr: float):
     return np.where(inner, -cb, sb), np.where(inner, sb, cb)
 
 
+def _green_terms(v, R: float):
+    """(v, sin a, cos a, sin a cos a, arg v) at annulus points v, with
+    a = alpha (log|v| - log R): the per-point factors of the Green kernel."""
+    v = np.asarray(v, dtype=np.complex128)
+    green_trunc_order(R)    # refuses R outside the served range
+    lr = math.log(R)
+    _check_in_annulus(R, np.abs(v))
+    s, c = _radial_sin_cos(np.log(np.abs(v)), math.pi / (4.0 * lr), lr)
+    return v, s, c, s * c, np.angle(v)
+
+
+def _green_pairs(zt, wt, lr: float) -> np.ndarray:
+    """G(z, w) for the broadcast pairs of two `_green_terms` tuples."""
+    (z, sz, cz, pz, az), (w, sw, cw, pw, aw) = zt, wt
+    if np.any(z == w):
+        raise ValueError("Green's function is singular on the diagonal z = w")
+    alpha = math.pi / (4.0 * lr)
+    t1, t2 = sz * cw, cz * sw
+    sx2, sxm2 = (t1 - t2) ** 2, (t1 + t2) ** 2        # sin^2 X, sin^2 X*
+    d = np.abs(az - aw)
+    sh2 = np.sinh(alpha * np.minimum(d, TWO_PI - d)) ** 2
+    N = np.asarray(sx2 + sh2)
+    near = N < 1e-2
+    if np.any(near):    # log(z / w) = log1p(t), t = (z - w) / w
+        zb, wb = (np.broadcast_to(v, N.shape)[near] for v in (z, w))
+        t = (zb - wb) / wb
+        X = 0.5 * alpha * np.log1p(2.0 * t.real + (t.real ** 2 + t.imag ** 2))
+        Y = alpha * np.arctan2(t.imag, 1.0 + t.real)
+        N[near] = np.sin(X) ** 2 + np.sinh(Y) ** 2
+    g = [_horner(row, sh2) for row in _dual_theta_poly(lr)]
+    P = (4.0 * pz) * pw                              # sin^2 X* - sin^2 X
+    return np.log(N * _horner(g, sx2) / ((N + P) * _horner(g, sxm2))) / (4 * math.pi)
+
+
 def green_annulus(z, w, R: float):
     """Green's function of the annulus 1/R <= |z| <= R with pole at w.
 
@@ -381,31 +405,7 @@ def green_annulus(z, w, R: float):
     on both circles, and near the pole sin^2 X + sinh^2 Y comes from the
     exact z - w.  Served for 10^(10/256) <= R <= 1e50.
     """
-    z, w = (np.asarray(v, dtype=np.complex128) for v in (z, w))
-    green_trunc_order(R)    # refuses R outside the served range
-    lr = math.log(R)
-    r, s = np.abs(z), np.abs(w)
-    _check_in_annulus(R, r, s)
-    if np.any(z == w):
-        raise ValueError("Green's function is singular on the diagonal z = w")
-
-    alpha = math.pi / (4.0 * lr)
-    (sz, cz), (sw, cw) = (_radial_sin_cos(np.log(m), alpha, lr) for m in (r, s))
-    t1, t2 = sz * cw, cz * sw
-    sx2, sxm2 = (t1 - t2) ** 2, (t1 + t2) ** 2        # sin^2 X, sin^2 X*
-    d = np.abs(np.angle(z) - np.angle(w))
-    sh2 = np.sinh(alpha * np.minimum(d, TWO_PI - d)) ** 2
-    N = np.asarray(sx2 + sh2)
-    near = N < 1e-2
-    if np.any(near):    # log(z / w) = log1p(t), t = (z - w) / w
-        zb, wb = (np.broadcast_to(v, N.shape)[near] for v in (z, w))
-        t = (zb - wb) / wb
-        X = 0.5 * alpha * np.log1p(2.0 * t.real + (t.real ** 2 + t.imag ** 2))
-        Y = alpha * np.arctan2(t.imag, 1.0 + t.real)
-        N[near] = np.sin(X) ** 2 + np.sinh(Y) ** 2
-    g = [_horner(row, sh2) for row in _dual_theta_poly(lr)]
-    P = (4.0 * sz * cz) * (sw * cw)                  # sin^2 X* - sin^2 X
-    out = np.log(N * _horner(g, sx2) / ((N + P) * _horner(g, sxm2))) / (4 * math.pi)
+    out = _green_pairs(_green_terms(z, R), _green_terms(w, R), math.log(R))
     return float(out) if out.ndim == 0 else out
 
 
@@ -437,9 +437,10 @@ def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
     out = np.zeros(len(zs), dtype=np.float64)
     if len(roots) == 0:
         return out
+    zt, wt = _green_terms(zs[:, None], R), _green_terms(roots, R)   # once per call
     step = max(1, _BLOCK // len(roots))
     for a in range(0, len(zs), step):
-        block = green_annulus(zs[a:a + step, None], roots[None, :], R)
+        block = _green_pairs([t[a:a + step] for t in zt], wt, math.log(R))
         out[a:a + step] = np.sum(block, axis=1)
     return out * TWO_PI / n
 
@@ -567,10 +568,8 @@ def riesz_decompose(
     rho = 0.3 * np.minimum(R - np.abs(zc), np.abs(zc) - 1.0 / R)
     rings = zc + rho * ang_mv
     g_rings = green_potential(rings.ravel(), roots, R, fam.n).reshape(rings.shape)
-    # one eval_log call per ring keeps its (points x coefficients) temporaries small
-    u_rings = np.array([fam.poly.eval_log(ring)[0]
-                        for ring in rings.reshape(-1, len(ang_mv))])
-    h_means = np.mean(u_rings.reshape(rings.shape) / fam.n - g_rings, axis=-1)
+    u_rings = fam.log_abs_per_site(rings.ravel()).reshape(rings.shape)
+    h_means = np.mean(u_rings - g_rings, axis=-1)
     worst = float(np.max(np.abs(h_means - harm[1:-1, ::8])))
 
     interior = harm[1:-1, :]
@@ -804,16 +803,11 @@ def zero_count_vs_acceleration(
             f"slope break inside (0, {1.2 * eps:.3f}]: residual {est.residual:.3f}")
     kappa = est.kappa
 
-    counts = []
-    devs = []
-    clear = True
-    for n in ns:
-        fam = det_family(potential, alpha, E, int(n))
-        inv = find_zeros(fam)
-        ac = count_annulus(inv, eps / 2.0)
-        counts.append(ac.count)
-        devs.append(abs(ac.count / (2.0 * n) - kappa))
-        clear = clear and ac.boundary_clear
+    acs = [count_annulus(find_zeros(det_family(potential, alpha, E, int(n))),
+                         eps / 2.0) for n in ns]
+    counts = [ac.count for ac in acs]
+    devs = [abs(ac.count / (2.0 * n) - kappa) for ac, n in zip(acs, ns)]
+    clear = all(ac.boundary_clear for ac in acs)
 
     decay = None
     if all(d > 0 for d in devs) and len(devs) >= 2:

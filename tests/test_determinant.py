@@ -6,7 +6,7 @@ import pytest
 from strata_lab import (Potential, center_family, det_at_phase, det_family,
                         transfer_log_norms)
 from strata_lab.determinant import (DEFAULT_DEGREE_CAP, DegreeCapError,
-                                   ScaledLaurentPoly)
+                                   ScaledLaurentPoly, _horner_pair)
 
 
 def poly_value(poly, z):
@@ -171,3 +171,115 @@ def test_scaled_poly_circle_log_matches_eval_log():
     for j in (0, 5, 11):
         z = 1.1 * np.exp(2j * np.pi * j / 16)
         assert vals[j] == pytest.approx(p.eval_log(z)[0], abs=1e-10)
+
+
+# ------------------------------------------------- blocked evaluator
+
+def _mp_reference(poly, zs):
+    """log|p(z)| and the condition sum_k |c_k| |z|^k / |p(z)|, 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    c = [mp.mpc(complex(x)) for x in poly.coeffs[::-1]]
+    ca = [abs(x) for x in c]
+    ref, cond = [], []
+    with mp.workdps(60):
+        for z in zs:
+            z = mp.mpc(complex(z))
+            v = mp.polyval(c, z) * z ** poly.lo
+            ref.append(float(mp.log(abs(v)) + mp.mpf(poly.log_scale)))
+            cond.append(float(mp.polyval(ca, abs(z)) * abs(z) ** poly.lo / abs(v)))
+    return np.array(ref), np.array(cond)
+
+
+def _eval_bound(cond):
+    # fixed before the evaluator was written
+    return 1e-13 * (1.0 + cond)
+
+
+# ring points of riesz_decompose (n_radii 9, n_angles 256) at the riesz
+# workload's E for seed 703; the first eight are where the exp-sum
+# evaluator this one replaced was worst (7.5e-12 at index 1928)
+_RING_INDICES = [1928, 2238, 1887, 2385, 2237, 1895, 1207, 2398,
+                 1653, 2319, 2286, 1815, 2270, 2121] + list(range(0, 3584, 256))
+
+
+def test_eval_log_matches_60_digits_at_riesz_ring_points(amo2, golden):
+    fam = det_family(amo2, golden, -2.643653005, 256)
+    R = math.exp(2.0 * math.pi * 0.05)
+    radii = np.exp(np.linspace(-math.log(R), math.log(R), 9))
+    grid = radii[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)[None, :]
+    zc = grid[1:-1, ::8, None]
+    rho = 0.3 * np.minimum(R - np.abs(zc), np.abs(zc) - 1.0 / R)
+    rings = (zc + rho * np.exp(2j * np.pi * np.arange(16) / 16)).ravel()
+    la = fam.poly.eval_log(rings)[0][_RING_INDICES]
+    ref, cond = _mp_reference(fam.poly, rings[_RING_INDICES])
+    assert np.all(np.abs(la - ref) <= _eval_bound(cond))
+
+
+def _spaced_bound(ref, cond):
+    # at |log_abs| ~ 1e6 (|z| = 1e+-100) or 3e4 (the degree cap) a double
+    # holds log_abs only to its spacing, 1.2e-10 or 3.6e-12
+    return _eval_bound(cond) + 4.0 * np.spacing(np.abs(ref))
+
+
+def test_eval_log_at_the_degree_cap_and_extreme_moduli(golden):
+    two = Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0})
+    fam = det_family(two, golden, 2.49, DEFAULT_DEGREE_CAP // two.k0)
+    assert fam.poly.hi == DEFAULT_DEGREE_CAP
+    zs = np.array([1e-100 * np.exp(0.3j), 1e100 * np.exp(-2.0j),
+                   0.97 * np.exp(1.1j), 1.02 * np.exp(-0.4j)])
+    la, unit = fam.poly.eval_log(zs)
+    ref, cond = _mp_reference(fam.poly, zs)
+    assert np.all(np.abs(la - ref) <= _spaced_bound(ref, cond))
+    assert np.allclose(np.abs(unit), 1.0)
+
+
+def test_eval_log_with_zero_blocks_and_zero_ends():
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(135) + 1j * rng.standard_normal(135)
+    c[:3] = c[-4:] = 0.0          # exact zero ends, trimmed before summing
+    c[35:67] = 0.0                # an all-zero block, in z and in 1/z
+    p = ScaledLaurentPoly.make(-60, c, log_scale=3.0)
+    zs = np.array([0.5 * np.exp(1j), 0.999 * np.exp(2j), np.exp(0.7j),
+                   1.7 * np.exp(-1j), 3e-5 + 0j, -4e4 + 1j,
+                   1e-100 * np.exp(2.5j), 1e100 * np.exp(-0.5j)])
+    la, _ = p.eval_log(zs)
+    ref, cond = _mp_reference(p, zs)
+    assert np.all(np.abs(la - ref) <= _spaced_bound(ref, cond))
+
+
+def test_eval_log_scalar_zero_and_exact_root():
+    rng = np.random.default_rng(11)
+    p = ScaledLaurentPoly.make(-40, rng.standard_normal(81))
+    la, u = p.eval_log(0.8 + 0.3j)
+    assert isinstance(la, float) and isinstance(u, complex)
+    las, us = p.eval_log(np.array([0.8 + 0.3j, 2.0, 0.1j]))
+    assert la == pytest.approx(las[0], abs=1e-13)
+    assert u == pytest.approx(us[0], abs=1e-13)
+    with pytest.raises(ValueError):
+        p.eval_log(np.array([1.0, 0.0]))
+    # z - 1 vanishes exactly at z = 1
+    assert ScaledLaurentPoly.make(0, [-1.0, 1.0]).eval_log(1.0) == (-np.inf, 0j)
+    assert ScaledLaurentPoly.make(0, [0.0]).eval_log(2.0) == (-np.inf, 0j)
+
+
+@pytest.mark.parametrize("degree", [0, 4, 31, 32, 100])
+def test_horner_pair_matches_exact_sums(degree):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    x = rng.uniform(0.0, 1.0, 9) * np.exp(2j * np.pi * rng.uniform(0, 1, 9))
+    p, dp = _horner_pair(c, x)
+    for xi, pi, dpi in zip(x, p, dp):
+        X = mp.mpc(complex(xi))
+        exact = mp.fsum(mp.mpc(complex(ck)) * X ** k for k, ck in enumerate(c))
+        dexact = mp.fsum(k * mp.mpc(complex(ck)) * X ** (k - 1)
+                         for k, ck in enumerate(c) if k)
+        scale = sum(abs(ck) * abs(xi) ** k for k, ck in enumerate(c))
+        dscale = sum(k * abs(ck) * abs(xi) ** (k - 1) for k, ck in enumerate(c))
+        assert abs(complex(pi) - complex(exact)) <= 1e-14 * scale
+        assert abs(complex(dpi) - complex(dexact)) <= 1e-14 * (1.0 + dscale)
+    # real coefficients at real points stay real
+    pr, dpr = _horner_pair(np.abs(c), np.abs(x))
+    assert pr.dtype == dpr.dtype == np.float64
+    np.testing.assert_allclose(pr, np.polynomial.polynomial.polyval(np.abs(x), np.abs(c)),
+                               rtol=1e-14)

@@ -34,7 +34,7 @@ PINNED = {
     },
     "zeros": {
         "zeros.csv":
-            "5c61c96c4e72dd6665ddf83f7d35d4bcc51b054f8319910c3a03139d4beb533f",
+            "62fd02a42c88025792d241a87193b0a39de11719390202ef98ad97dbba621134",
         "zero_counts.csv":
             "dcc1d0b35abab63d699605468d8d9fc01b087271593f1935a3c9c1974f537088",
     },
@@ -76,7 +76,7 @@ PINNED = {
     },
     "localize": {
         "localize_summary.csv":
-            "5911a57dbb2441cdf3fca4ea7fc114cb3611ad31cefc1c5333cbfb40f9c7301d",
+            "796bf704242ac5b0be0a4c91f82aad8c7f50b78f6854f76203c0c3da650fe04e",
         "decay_profiles.csv":
             "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },
@@ -136,7 +136,7 @@ PINNED_DEFAULT = {
     },
     "zeros": {
         "zeros.csv":
-            "840a9cb849b736b02dc5e4267a8f924c371de26534a478cb4727bdb5ded3a33b",
+            "8dfb397c332376d716fc00b004333bf2d8013728c9a1a08fd03448fce6ccb0b5",
         "zero_counts.csv":
             "32fa6514c58e96df7db3c8cf8b89d9a253f13bb247edd0f79c048708387b01cf",
     },
@@ -166,11 +166,11 @@ PINNED_DEFAULT = {
     },
     "riesz": {
         "riesz.csv":
-            "e759fb56561bad0c2de5f7578a2b44a2ef1d58b76aa3635b29a494c00d05880b",
+            "e6770da054461a645abc1e817d8d5cc744f53c36350729fb13b8a179b4fcc9eb",
     },
     "localize": {
         "localize_summary.csv":
-            "5911a57dbb2441cdf3fca4ea7fc114cb3611ad31cefc1c5333cbfb40f9c7301d",
+            "796bf704242ac5b0be0a4c91f82aad8c7f50b78f6854f76203c0c3da650fe04e",
         "decay_profiles.csv":
             "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },

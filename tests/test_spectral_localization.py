@@ -9,8 +9,10 @@ from strata_lab import (Potential, acceleration, classify_stratum,
                         eigenfunction_decay, expansion_identity_check,
                         expansion_identity_scan, holder_exponent, ids,
                         lyapunov_n, sturm_count)
+from strata_lab import transfer_log_norms
 from strata_lab.spectral_localization import (DeviationSetGeometry,
                                               _twisted_eigenpair,
+                                              dirichlet_diagonal,
                                               dirichlet_eigenpair)
 
 LOG2 = math.log(2.0)
@@ -36,6 +38,30 @@ def test_eigenvalues_match_dense_solver(amo2, golden, dense_box):
     spec = dirichlet_eigenvalues(amo2, golden, 0.3, n)
     oracle = np.linalg.eigvalsh(dense_box(amo2, golden, 0.3, n))
     np.testing.assert_allclose(spec.eigenvalues, oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 3, 2 ** 40])
+def test_phase_plus_an_integer_is_the_same_phase(amo2, golden, m):
+    theta = 0.3125     # theta + m is exact, so its reduction must be theta
+    for th in (theta, theta + m):
+        assert np.array_equal(dirichlet_diagonal(amo2, golden, th, 500),
+                              dirichlet_diagonal(amo2, golden, theta, 500))
+        assert np.array_equal(
+            transfer_log_norms(amo2, golden, [th], 0.7, [0.0, 0.01], 200),
+            transfer_log_norms(amo2, golden, [theta], 0.7, [0.0, 0.01], 200))
+    assert sturm_count(amo2, golden, theta + m, 0.7, 300) == \
+        sturm_count(amo2, golden, theta, 0.7, 300)
+
+
+def test_huge_phase_equals_its_reduction(amo2, golden):
+    # 1e300 and 1e17 are integers in floating point: theta + j alpha would
+    # round to theta, a constant diagonal, without the reduction
+    for huge in (1e300, 1e17):
+        d = dirichlet_diagonal(amo2, golden, huge, 1000)
+        assert np.array_equal(d, dirichlet_diagonal(amo2, golden, 0.0, 1000))
+        assert len(np.unique(d)) > 990
+        assert det_at_phase(amo2, golden, huge, 0.7, 50) == \
+            det_at_phase(amo2, golden, 0.0, 0.7, 50)
 
 
 def test_sturm_count_matches_spectrum(amo2, golden):

@@ -56,6 +56,25 @@ def test_find_zeros_refuses_underflowed_edge_coefficients(golden):
         find_zeros(fam)
 
 
+@pytest.mark.parametrize("coeffs, E, n", [
+    ({1: 2.0, -1: 2.0}, 0.5, 16),                       # AMO(2), in the spectrum
+    ({1: 2.0, -1: 2.0}, 6.0, 16),                       # AMO(2), off it
+    ({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}, 2.49, 10),     # two harmonics
+])
+def test_aberth_matches_50_digit_polyroots(golden, coeffs, E, n):
+    mp = pytest.importorskip("mpmath")
+    c = det_family(Potential(coeffs), golden, E, n).poly.trimmed().coeffs
+    found = aberth_roots(c)
+    with mp.workdps(50):
+        ref = np.array([complex(r) for r in mp.polyroots(
+            [mp.mpc(complex(x)) for x in c[::-1]], maxsteps=50, extraprec=50)])
+    # the bound was fixed before running
+    dist = np.abs(found[:, None] - ref[None, :]) / np.abs(ref)[None, :]
+    assert len(found) == len(ref) == len(c) - 1
+    assert np.max(np.min(dist, axis=0)) <= 1e-13
+    assert np.max(np.min(dist, axis=1)) <= 1e-13
+
+
 def test_aberth_rejects_degenerate_input():
     with pytest.raises(ValueError):
         aberth_roots(np.array([0.0, 1.0, 1.0]))  # vanishing constant term
@@ -175,6 +194,22 @@ def test_green_potential_sums_pointwise():
     empty = green_potential(np.array([z, 2.0 * z]),
                             np.array([], dtype=complex), R_STRIP, 10)
     np.testing.assert_array_equal(empty, 0.0)
+
+
+def test_green_potential_is_the_blocked_kernel_sum(amo2, golden):
+    # the root factors are hoisted out of the block loop, not changed
+    inv = find_zeros(det_family(amo2, golden, -2.643653005, 64))
+    mods = np.abs(inv.roots)
+    roots = inv.roots[(mods <= R_STRIP) & (mods >= 1.0 / R_STRIP)]
+    rng = np.random.default_rng(4)
+    m = 3 * (8192 // len(roots)) + 5
+    zs = (np.exp(rng.uniform(-0.3, 0.3, m))
+          * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
+    step = 8192 // len(roots)
+    blocked = np.concatenate([
+        np.sum(green_annulus(zs[a:a + step, None], roots[None, :], R_STRIP), axis=1)
+        for a in range(0, m, step)]) * TWO_PI / 64
+    assert np.array_equal(green_potential(zs, roots, R_STRIP, 64), blocked)
 
 
 @pytest.mark.parametrize("E", [0.5, 3.339680829])
