@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,82 +87,6 @@ class _GateFailed(RuntimeError):
 # config schema
 # ----------------------------------------------------------------------
 
-_DEFAULTS: Dict[str, Any] = {
-    "potential": "amo(2.0)",
-    "alpha": "golden",
-    "energies": [0.5],
-    "eps": 0.05,
-    "eps_grid": [0.02, 0.04, 0.06, 0.08, 0.1],
-    "n": 512,
-    "n_ladder": [100, 200, 400],
-    "seed": 0,
-    "out_dir": "runs",
-    "quadrature": {"K": 256, "lyapunov_K": 1024},
-    "ids": {"n": 2000, "samples": 8},
-    "holder": {
-        "n": 2000,
-        "delta_ladder": [1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3,
-                         2.15443469e-3, 4.64158883e-3, 1e-2],
-    },
-    "ldt": {"threshold": None, "grid_per_n": 64, "scan_count": 20},
-    "localize": {"n": 1000, "theta": 0.0, "count": 10,
-                 "window_margin": 8, "window_len": 120},
-    "riesz": {"R_eps": 0.05, "eps_r": 0.02, "n_radii": 9, "n_angles": 256,
-              "jensen_radii": [0.01, 0.04], "K": 4096},
-    "green": {"samples": 100, "boundary_tol": 1e-10, "symmetry_tol": 1e-12,
-              "average_tol": 1e-9},
-    "strata": {"tau_pos": 0.05, "spectrum_box": 300, "spectrum_theta": 0.123},
-}
-
-
-# smallest accepted (section, key) values: below these a task fails late,
-# serves NaN or plans nothing, so the config is refused up front instead
-_MINIMUMS = {
-    ("quadrature", "K"): 1,
-    ("quadrature", "lyapunov_K"): 1,
-    ("riesz", "n_radii"): 3,
-    ("riesz", "K"): 1,
-    ("riesz", "n_angles"): 1,
-    ("strata", "spectrum_box"): 1,
-    ("ldt", "grid_per_n"): 64,
-    ("localize", "n"): 500,      # decay diagnostics
-    ("ids", "n"): 100,           # IDS estimates
-    ("ids", "samples"): 1,
-    ("holder", "n"): 100,        # the holder fit runs IDS estimates
-    ("green", "samples"): 4,     # samples // 4 circle-average checks
-    ("localize", "count"): 1,
-    ("localize", "window_margin"): 0,
-    ("ldt", "scan_count"): 0,
-}
-
-# the float-valued (section, key) entries, typed up front like the sizes
-_FLOATS = (("strata", "tau_pos"), ("strata", "spectrum_theta"),
-           ("localize", "theta"), ("green", "boundary_tol"),
-           ("green", "symmetry_tol"), ("green", "average_tol"))
-
-
-def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(base.get(k), dict) and isinstance(v, dict):
-            out[k] = _merge(base[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def _check_unknown_keys(raw: Dict[str, Any]) -> None:
-    for k, v in raw.items():
-        if k not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {k!r}")
-        if isinstance(_DEFAULTS[k], dict) and not isinstance(v, dict):
-            raise ConfigError(f"section {k!r} must be an object")
-        if isinstance(_DEFAULTS[k], dict):
-            bad = set(v) - set(_DEFAULTS[k])
-            if bad:
-                raise ConfigError(f"unknown keys {sorted(bad)} in section {k!r}")
-
-
 def _typed(value, kind, key: str):
     """int(value) or float(value); a value that does not convert, a string
     or a boolean, a non-integral number for an int key, or a float that is
@@ -180,31 +105,19 @@ def _typed(value, kind, key: str):
     return out
 
 
-def _typed_list(values, kind, key: str) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(_typed(v, kind, f"{key} entry") for v in values)
-
-
 def _parse_energies(spec) -> Tuple[float, ...]:
-    if isinstance(spec, dict):
-        bad = set(spec) - {"start", "stop", "count"}
-        if bad:
-            raise ConfigError(f"unknown keys {sorted(bad)} in energies range")
-        missing = {"start", "stop", "count"} - set(spec)
-        if missing:
-            raise ConfigError(f"energies range lacks {sorted(missing)}")
-        count = _typed(spec["count"], int, "energies.count")
-        if count < 1:
-            raise ConfigError("energies range needs count >= 1")
-        return tuple(float(E) for E in np.linspace(
-            _typed(spec["start"], float, "energies.start"),
-            _typed(spec["stop"], float, "energies.stop"), count))
-    if not isinstance(spec, (list, tuple)):
-        raise ConfigError("energies must be a list or a start/stop/count range")
-    if not spec:
-        raise ConfigError("energies must not be empty")
-    return _typed_list(spec, float, "energies")
+    if not isinstance(spec, dict):
+        return _value(spec, (float,), None, "energies")  # a list in any order
+    if set(spec) != {"start", "stop", "count"}:
+        raise ConfigError("an energies range takes exactly start, stop and "
+                          f"count, got {list(spec)}")
+    start, stop = (_typed(spec[k], float, f"energies.{k}")
+                   for k in ("start", "stop"))
+    count = _value(spec["count"], int, 1, "energies.count")
+    try:
+        return tuple(float(E) for E in np.linspace(start, stop, count))
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise ConfigError(f"energies.count {count} is too large") from exc
 
 
 def _parse_potential(spec) -> Potential:
@@ -212,8 +125,17 @@ def _parse_potential(spec) -> Potential:
         if isinstance(spec, str):
             return Potential.from_preset(spec)
         if isinstance(spec, dict):
-            return Potential.from_dict(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+            bad = set(spec) - {"coeffs", "eta"}
+            if bad:
+                raise ConfigError(f"unknown keys {sorted(bad)} in potential")
+            # each [k, re, im] and eta by the number rule of every other key
+            return Potential.from_dict({
+                "coeffs": [(_typed(k, int, "potential.coeffs k"),
+                            _typed(re, float, "potential.coeffs re"),
+                            _typed(im, float, "potential.coeffs im"))
+                           for k, re, im in spec["coeffs"]],
+                "eta": _typed(spec.get("eta", 0.5), float, "potential.eta")})
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
     raise ConfigError("potential must be a preset string or a coeffs dict")
 
@@ -229,105 +151,147 @@ def _parse_alpha(spec) -> float:
     return a
 
 
-def _positive_int_ladder(values, name: str) -> Tuple[int, ...]:
-    ladder = _typed_list(values, int, name)
-    if not ladder:
-        raise ConfigError(f"{name} must not be empty")
-    if any(v < 2 for v in ladder):
-        raise ConfigError(f"{name} entries must be >= 2")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"{name} must be strictly increasing")
-    return ladder
+# The config schema, each key once: key -> (default, kind, least value), a
+# nested dict being a section.  A kind is int or float (typed by _typed),
+# "phase" (a float in [0, 1)), [int] or [float] (a non-empty, strictly
+# increasing list), (float,) (a non-empty list in any order), or a function
+# that parses the value itself.  The least value bounds a number or each
+# entry of a list: below it a task would fail late, serve NaN or plan
+# nothing.  A key whose default is None also takes null.
+_CONFIG_TABLE: Dict[str, Any] = {
+    "potential": ("amo(2.0)", _parse_potential, None),
+    "alpha": ("golden", _parse_alpha, None),
+    "energies": ([0.5], _parse_energies, None),
+    "eps": (0.05, float, None),
+    "eps_grid": ([0.02, 0.04, 0.06, 0.08, 0.1], [float], 0),
+    "n": (512, int, 2),
+    "n_ladder": ([100, 200, 400], [int], 2),
+    "seed": (0, int, 0),
+    "out_dir": ("runs", str, None),
+    "quadrature": {"K": (256, int, 1), "lyapunov_K": (1024, int, 1)},
+    "ids": {"n": (2000, int, 100),          # IDS estimates
+            "samples": (8, int, 1)},
+    "holder": {"n": (2000, int, 100),       # the holder fit runs IDS estimates
+               "delta_ladder": ([1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3,
+                                 2.15443469e-3, 4.64158883e-3, 1e-2],
+                                (float,), None)},
+    "ldt": {"threshold": (None, float, None), "grid_per_n": (64, int, 64),
+            "scan_count": (20, int, 0)},
+    "localize": {"n": (1000, int, 500),     # decay diagnostics
+                 "theta": (0.0, "phase", None), "count": (10, int, 1),
+                 "window_margin": (8, int, 0), "window_len": (120, int, 0)},
+    "riesz": {"R_eps": (0.05, float, None), "eps_r": (0.02, float, None),
+              "n_radii": (9, int, 3), "n_angles": (256, int, 1),
+              "jensen_radii": ([0.01, 0.04], [float], None),
+              "K": (4096, int, 1)},
+    "green": {"samples": (100, int, 4),     # samples // 4 circle averages
+              "boundary_tol": (1e-10, float, None),
+              "symmetry_tol": (1e-12, float, None),
+              "average_tol": (1e-9, float, None)},
+    "strata": {"tau_pos": (0.05, float, None), "spectrum_box": (300, int, 1),
+               "spectrum_theta": (0.123, "phase", None)},
+}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+def _defaults(table: Dict[str, Any]) -> Dict[str, Any]:
+    return {k: _defaults(v) if isinstance(v, dict) else v[0]
+            for k, v in table.items()}
+
+
+_DEFAULTS = _defaults(_CONFIG_TABLE)
+
+
+def _merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
+    out = dict(base)
+    for k, v in override.items():
+        if isinstance(base.get(k), dict) and isinstance(v, dict):
+            out[k] = _merge(base[k], v)
+        else:
+            out[k] = v
+    return out
+
+
+def _value(value, kind, least, key: str):
+    """One table entry typed and checked; a ConfigError names its key."""
+    if isinstance(kind, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        out = tuple(_value(v, kind[0], least, f"{key} entry") for v in value)
+        if isinstance(kind, list) and any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{key} must be strictly increasing")
+        return out
+    if kind not in (int, float, "phase"):
+        return kind(value)
+    out = _typed(value, int if kind is int else float, key)
+    # a phase is refused outside [0, 1) like alpha: at a huge phase
+    # theta + j alpha rounds to theta, a constant box potential
+    if kind == "phase" and not 0.0 <= out < 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1)")
+    if least is not None and out < least:
+        raise ConfigError(f"{key} must be >= {least}")
+    return out
+
+
+def _parse(table: Dict[str, Any], raw, where: str = "") -> Dict[str, Any]:
+    """The typed value of each key of one table level, from its resolved raw
+    dict (sections as namespaces); an unknown key is refused."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {where[:-1]!r} must be an object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys {[where + k for k in unknown]}")
+    typed = {}
+    for key, entry in table.items():
+        name, value = where + key, raw[key]
+        if isinstance(entry, dict):
+            typed[key] = SimpleNamespace(**_parse(entry, value, name + "."))
+        elif value is None and entry[0] is None:
+            typed[key] = None
+        else:
+            typed[key] = _value(value, entry[1], entry[2], name)
+    return typed
+
+
+def _check_rules(c: ExperimentConfig) -> None:
+    """The rules that tie keys together, checked once every key is typed."""
+    if c.eps <= 0:
+        raise ConfigError("eps must be positive")
+    if len(c.eps_grid) < 2:
+        raise ConfigError("eps_grid needs >= 2 entries")
+    if c.riesz.eps_r <= 0:
+        raise ConfigError("riesz.eps_r must be positive")
+    reach = max(max(c.eps_grid), c.riesz.R_eps,
+                window_reach(c.eps, c.riesz.eps_r))
+    if reach >= c.potential.eta:
+        raise ConfigError(
+            f"strip half-widths reach {reach} but the potential is "
+            f"only analytic up to eta = {c.potential.eta}")
+    jr = c.riesz.jensen_radii
+    if len(jr) != 2 or not 0 < jr[0] < jr[1] < c.riesz.R_eps:
+        raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
+    if c.localize.window_len > c.localize.n - 3:
+        raise ConfigError("localize.window_len must be <= localize.n - 3")
+    if c.localize.count > c.localize.n:  # indices past the box
+        raise ConfigError("localize.count must be <= localize.n")
+    try:
+        check_delta_ladder(c.holder.delta_ladder, c.holder.n)
+    except ValueError as exc:
+        raise ConfigError(f"holder: {exc}") from exc
+
+
+class ExperimentConfig(SimpleNamespace):
     """Validated experiment parameters plus the resolved raw dict.
 
-    The raw dict is what gets hashed and shipped to worker processes; the
-    typed fields are conveniences parsed from it exactly once."""
-
-    raw: Dict[str, Any]
-    potential: Potential
-    alpha: float
-    energies: Tuple[float, ...]
-    eps: float
-    eps_grid: Tuple[float, ...]
-    n: int
-    n_ladder: Tuple[int, ...]
-    seed: int
-    out_dir: str
+    `raw` is what gets hashed and shipped to worker processes.  Each key of
+    `_CONFIG_TABLE` is also an attribute holding its typed value, parsed
+    from `raw` exactly once; a section is a namespace (`cfg.riesz.K`)."""
 
     @classmethod
     def from_raw(cls, raw: Dict[str, Any]) -> "ExperimentConfig":
         resolved = _merge(_DEFAULTS, raw)
-        _check_unknown_keys(raw)
-        potential = _parse_potential(resolved["potential"])
-        alpha = _parse_alpha(resolved["alpha"])
-        energies = _parse_energies(resolved["energies"])
-        eps = _typed(resolved["eps"], float, "eps")
-        eps_grid = _typed_list(resolved["eps_grid"], float, "eps_grid")
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
-        if len(eps_grid) < 2 or any(e < 0 for e in eps_grid):
-            raise ConfigError("eps_grid needs >= 2 nonnegative entries")
-        if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
-            raise ConfigError("eps_grid must be strictly increasing")
-        R_eps = _typed(resolved["riesz"]["R_eps"], float, "riesz.R_eps")
-        eps_r = _typed(resolved["riesz"]["eps_r"], float, "riesz.eps_r")
-        if eps_r <= 0:
-            raise ConfigError("riesz.eps_r must be positive")
-        strip_reach = max(max(eps_grid), R_eps, window_reach(eps, eps_r))
-        if strip_reach >= potential.eta:
-            raise ConfigError(
-                f"strip half-widths reach {strip_reach} but the potential is "
-                f"only analytic up to eta = {potential.eta}")
-        n = _typed(resolved["n"], int, "n")
-        if n < 2:
-            raise ConfigError("n must be >= 2")
-        cfg = cls(
-            raw=resolved,
-            potential=potential,
-            alpha=alpha,
-            energies=energies,
-            eps=eps,
-            eps_grid=eps_grid,
-            n=n,
-            n_ladder=_positive_int_ladder(resolved["n_ladder"], "n_ladder"),
-            seed=_typed(resolved["seed"], int, "seed"),
-            out_dir=str(resolved["out_dir"]),
-        )
-        jr = _typed_list(resolved["riesz"]["jensen_radii"], float,
-                         "riesz.jensen_radii")
-        if len(jr) != 2 or not 0 < jr[0] < jr[1] < R_eps:
-            raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
-        for (name, key), low in _MINIMUMS.items():
-            if _typed(resolved[name][key], int, f"{name}.{key}") < low:
-                raise ConfigError(f"{name}.{key} must be >= {low}")
-        for name, key in _FLOATS:
-            value = _typed(resolved[name][key], float, f"{name}.{key}")
-            # a phase is refused outside [0, 1) like alpha: at a huge phase
-            # theta + j alpha rounds to theta, a constant box potential
-            if key.endswith("theta") and not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name}.{key} must lie in [0, 1)")
-        if resolved["ldt"]["threshold"] is not None:
-            _typed(resolved["ldt"]["threshold"], float, "ldt.threshold")
-        loc = resolved["localize"]
-        window = _typed(loc["window_len"], int, "localize.window_len")
-        if window > int(loc["n"]) - 3:
-            raise ConfigError("localize.window_len must be <= localize.n - 3")
-        if int(loc["count"]) > int(loc["n"]):  # indices past the box
-            raise ConfigError("localize.count must be <= localize.n")
-        hol = resolved["holder"]
-        ladder = _typed_list(hol["delta_ladder"], float, "holder.delta_ladder")
-        try:
-            check_delta_ladder(ladder, int(hol["n"]))
-        except ValueError as exc:
-            raise ConfigError(f"holder: {exc}") from exc
+        cfg = cls(raw=resolved, **_parse(_CONFIG_TABLE, resolved))
+        _check_rules(cfg)
         return cfg
-
-    def section(self, name: str) -> Dict[str, Any]:
-        return self.raw[name]
 
 
 def config_hash(raw: Dict[str, Any]) -> str:
@@ -373,7 +337,7 @@ def _payload(tables: Optional[Dict[str, List[dict]]] = None,
 
 
 def _task_lyapunov(cfg: ExperimentConfig) -> Dict[str, Any]:
-    K = int(cfg.section("quadrature")["lyapunov_K"])
+    K = cfg.quadrature.lyapunov_K
     ests = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n_ladder,
                       (0.0,) + cfg.eps_grid, K)
     rows = [{"E": est.E, "n": est.n, "K": K, "eps": est.eps, "L": est.value,
@@ -406,12 +370,11 @@ def _fit_segments(eps: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 def _task_acceleration(cfg: ExperimentConfig) -> Dict[str, Any]:
-    quad = cfg.section("quadrature")
     tables: Dict[str, List[dict]] = {"acceleration.csv": [],
                                      "accel_curve.csv": [],
                                      "accel_segments.csv": []}
     for est in acceleration(cfg.potential, cfg.alpha, cfg.energies,
-                            cfg.eps_grid, n=cfg.n, K=int(quad["K"])):
+                            cfg.eps_grid, n=cfg.n, K=cfg.quadrature.K):
         E = est.E
         eps = np.asarray(est.eps_grid)
         L = np.asarray(est.L_values)
@@ -461,11 +424,10 @@ def _task_zeros(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
 
 
 def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
-    quad = cfg.section("quadrature")
     try:
         rep = zero_count_vs_acceleration(
             cfg.potential, cfg.alpha, E, cfg.eps, cfg.n_ladder,
-            kappa_n=cfg.n, kappa_K=int(quad["K"]))
+            kappa_n=cfg.n, kappa_K=cfg.quadrature.K)
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
     rows = [{"E": E, "eps": rep.eps, "kappa": rep.kappa,
@@ -479,13 +441,13 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 
 
 def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
-    R = math.exp(TWO_PI * float(cfg.section("riesz")["R_eps"]))
+    R = math.exp(TWO_PI * cfg.riesz.R_eps)
     try:
         green_trunc_order(R)    # refuse an annulus the kernel cannot serve
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
-    sec = cfg.section("green")
-    samples = int(sec["samples"])
+    sec = cfg.green
+    samples = sec.samples
     rng = np.random.default_rng(seed)
     lr = math.log(R)
 
@@ -512,43 +474,41 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
         quad = float(np.mean(green_annulus(r * np.exp(1j * phi), w, R)))
         err_avg = max(err_avg, abs(quad - circle_average_green(r, R, w)))
     rows = [{"check": check, "samples": m, "max_abs_err": err,
-             "tol": float(sec[key]), "passed": err <= float(sec[key])}
-            for check, m, err, key in (
-                ("boundary_zero", samples, err_boundary, "boundary_tol"),
-                ("symmetry", samples, err_sym, "symmetry_tol"),
-                ("circle_average", samples // 4, err_avg, "average_tol"))]
+             "tol": tol, "passed": err <= tol}
+            for check, m, err, tol in (
+                ("boundary_zero", samples, err_boundary, sec.boundary_tol),
+                ("symmetry", samples, err_sym, sec.symmetry_tol),
+                ("circle_average", samples // 4, err_avg, sec.average_tol))]
     return _payload({"green_suite.csv": rows})
 
 
 def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
-    sec = cfg.section("riesz")
-    quad = cfg.section("quadrature")
-    R_eps = float(sec["R_eps"])
+    sec = cfg.riesz
+    R_eps = sec.R_eps
     R = math.exp(TWO_PI * R_eps)
     try:
         green_trunc_order(R)    # refuse an annulus the kernel cannot serve
-        kappa = riesz_kappa(cfg.potential, cfg.alpha, E, float(sec["eps_r"]),
-                            kappa_n=cfg.n, kappa_K=int(quad["K"]))
+        kappa = riesz_kappa(cfg.potential, cfg.alpha, E, sec.eps_r,
+                            kappa_n=cfg.n, kappa_K=cfg.quadrature.K)
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
     fam = det_family(cfg.potential, cfg.alpha, E, cfg.n)
     inv = find_zeros(fam)
-    dec = riesz_decompose(fam, inv, R, n_radii=int(sec["n_radii"]),
-                          n_angles=int(sec["n_angles"]))
+    dec = riesz_decompose(fam, inv, R, n_radii=sec.n_radii,
+                          n_angles=sec.n_angles)
     L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, R_eps,
-                       int(quad["lyapunov_K"])).value
+                       cfg.quadrature.lyapunov_K).value
     # nudge the comparison circles off any zero moduli before Jensen;
     # the identity wants radii, clearest_eps works in half-width coords
     coords = inv.eps_coords()
-    jr1, jr2 = (float(v) for v in sec["jensen_radii"])
+    jr1, jr2 = sec.jensen_radii
     r1 = clearest_eps(coords, 0.5 * jr1, jr1)
     r2 = clearest_eps(coords, jr2, min(1.5 * jr2, 0.9 * R_eps))
     jres = jensen_identity_residual(fam, inv, math.exp(TWO_PI * r1),
                                     math.exp(TWO_PI * r2), R,
-                                    K=int(sec["K"]))
-    mass = riesz_mass(cfg.potential, cfg.alpha, E, cfg.n,
-                      float(sec["eps_r"]), K=int(sec["K"]), kappa=kappa,
-                      fam=fam, inv=inv)
+                                    K=sec.K)
+    mass = riesz_mass(cfg.potential, cfg.alpha, E, cfg.n, sec.eps_r,
+                      K=sec.K, kappa=kappa, fam=fam, inv=inv)
     row = {"E": E, "n": cfg.n, "R_eps": R_eps,
            "boundary_max_dev": dec.boundary_max_dev,
            "mean_value_max_resid": dec.mean_value_max_resid,
@@ -561,18 +521,15 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 
 
 def _task_ids(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
-    sec = cfg.section("ids")
-    est = ids(cfg.potential, cfg.alpha, E, int(sec["n"]),
-              int(sec["samples"]))
+    est = ids(cfg.potential, cfg.alpha, E, cfg.ids.n, cfg.ids.samples)
     return _payload({"ids.csv": [{
         "E": E, "n": est.n, "value": est.value, "spread": est.spread}]})
 
 
 def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
-    sec = cfg.section("holder")
     fit = holder_exponent(cfg.potential, cfg.alpha, E0,
-                          sec["delta_ladder"], int(sec["n"]),
-                          int(cfg.section("ids")["samples"]))
+                          cfg.holder.delta_ladder, cfg.holder.n,
+                          cfg.ids.samples)
     return _payload({"holder.csv": [{
         "E0": E0, "n": fit.n, "beta": fit.beta,
         "beta_stderr": fit.beta_stderr, "in_gap": fit.in_gap,
@@ -580,20 +537,19 @@ def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
 
 
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
-    quad = cfg.section("quadrature")
-    sec = cfg.section("strata")
+    sec = cfg.strata
     L0s = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n, 0.0,
-                     int(quad["lyapunov_K"]))
+                     cfg.quadrature.lyapunov_K)
     accs = acceleration(cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid,
-                        n=cfg.n, K=int(quad["K"]))
-    box = int(sec["spectrum_box"])
+                        n=cfg.n, K=cfg.quadrature.K)
+    box = sec.spectrum_box
     h = 10.0 / box  # in spectrum: a box eigenvalue lies in (E - h, E + h]
-    lo, hi = sturm_count(cfg.potential, cfg.alpha, float(sec["spectrum_theta"]),
+    lo, hi = sturm_count(cfg.potential, cfg.alpha, sec.spectrum_theta,
                          np.add.outer((-h, h), cfg.energies), box)
     rows = []
     for E, L0, acc, in_spec in zip(cfg.energies, (est.value for est in L0s),
                                    accs, (hi > lo).tolist()):
-        rec = classify_stratum(E, L0, acc.kappa, tau_pos=float(sec["tau_pos"]),
+        rec = classify_stratum(E, L0, acc.kappa, tau_pos=sec.tau_pos,
                                non_affine=acc.non_affine, in_spectrum=in_spec)
         rows.append({
             "E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
@@ -604,14 +560,12 @@ def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
               geom_name: str) -> Dict[str, Any]:
-    sec = cfg.section("ldt")
-    threshold = sec["threshold"]
+    sec = cfg.ldt
     try:
         geom = deviation_set(
-            cfg.potential, cfg.alpha, E, cfg.n,
-            threshold=None if threshold is None else float(threshold),
-            grid_size=int(sec["grid_per_n"]) * cfg.n,
-            lyapunov_K=int(cfg.section("quadrature")["lyapunov_K"]))
+            cfg.potential, cfg.alpha, E, cfg.n, threshold=sec.threshold,
+            grid_size=sec.grid_per_n * cfg.n,
+            lyapunov_K=cfg.quadrature.lyapunov_K)
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
     arows = [{"E": E, "n": geom.n, "threshold": geom.threshold, "arc": j,
@@ -620,7 +574,7 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
              for j, (left, right) in enumerate(geom.intervals)]
     rng = np.random.default_rng(seed)
     srows = []
-    for s in range(int(sec["scan_count"])):
+    for s in range(sec.scan_count):
         theta = float(rng.uniform(0.0, 1.0))
         y = int(rng.integers(geom.n + 1, 10 * geom.n))
         rep = double_resonance_scan(geom, theta, cfg.alpha, y)
@@ -633,9 +587,8 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
 
 
 def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
-    sec = cfg.section("localize")
-    n, theta = int(sec["n"]), float(sec["theta"])
-    count, wlen = int(sec["count"]), int(sec["window_len"])
+    sec = cfg.localize
+    n, theta, count, wlen = sec.n, sec.theta, sec.count, sec.window_len
     base = n // 2 - count // 2
     # the box spectrum does not depend on the index: one solve for all
     spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n)
@@ -643,7 +596,7 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     for index in range(base, base + count):
         prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
                                    spectrum=spec)
-        l1 = tail_window(prof.center, n, int(sec["window_margin"]), wlen)
+        l1 = tail_window(prof.center, n, sec.window_margin, wlen)
         try:
             resid, (l1, l2), y = expansion_identity_scan(
                 cfg.potential, cfg.alpha, theta, prof.eigenvalue,
@@ -858,7 +811,7 @@ def _finish_strata(cfg: ExperimentConfig, rows: List[dict]) -> Optional[dict]:
     if np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(1.0, abs(diffs[0])):
         return None
     records = [classify_stratum(r["E"], r["L0"], r["kappa"],
-                                tau_pos=float(cfg.section("strata")["tau_pos"]),
+                                tau_pos=cfg.strata.tau_pos,
                                 non_affine=bool(r["non_affine"]),
                                 in_spectrum=bool(r["in_spectrum"]))
                for r in rows]

@@ -31,7 +31,8 @@ class Potential:
 
     Coefficients are a finite family {c_k : |k| <= k0}.  Real-valuedness on
     the circle forces c_{-k} = conj(c_k); the constructor rejects data that
-    violates this beyond roundoff.  `eta` is the half-width (in the variable
+    violates this beyond roundoff, a coefficient that is not finite and an
+    index that is not an integer.  `eta` is the half-width (in the variable
     theta) of the horizontal strip the analytic extension will be evaluated
     on; the Laurent form converges everywhere, so `eta` is a declared working
     band rather than a convergence radius, and evaluation outside it is
@@ -43,9 +44,13 @@ class Potential:
     def __init__(self, coeffs: Mapping[int, complex], eta: float = 0.5):
         if not eta > 0.0:
             raise ValueError(f"strip half-width eta must be positive, got {eta}")
+        if any(k != int(k) for k in coeffs):
+            raise ValueError("frequency indices must be integers")
         items = sorted((int(k), complex(v)) for k, v in coeffs.items())
         ks = np.array([k for k, _ in items], dtype=np.int64)
         cs = np.array([v for _, v in items], dtype=np.complex128)
+        if not np.all(np.isfinite(cs)):
+            raise ValueError("coefficients must be finite")
         keep = np.abs(cs) > 0.0
         ks, cs = ks[keep], cs[keep]
         scale = float(np.max(np.abs(cs))) if len(cs) else 1.0

@@ -112,10 +112,44 @@ def read_rows(path):
     {"n": "64"},
     {"strata": {"tau_pos": "0.05"}},
     {"energies": ["0.5"]},
+    # a negative seed failed green and ldt late; a negative window was
+    # served ok with exp_l2 < exp_l1 and a NaN residual
+    {"seed": -1},
+    {"localize": {"window_len": -5}},
+    # amo(nan) ran as the free Laplacian, amo(inf) served L = nan, and the
+    # index 1.5 ran as 1
+    {"potential": "amo(nan)"},
+    {"potential": "amo(inf)"},
+    {"potential": {"coeffs": [[1.5, 2, 0], [-1.5, 2, 0]]}},
+    # the potential's numbers follow the number rule of every other key
+    {"potential": {"coeffs": [[True, 2, 0], [-1, 2, 0]]}},
+    {"potential": {"coeffs": [["1", 2, 0], [-1, 2, 0]]}},
+    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": "0.5"}},
+    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": True}},
+    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "Eta": 0.1}},
+    {"potential": {"coeffs": [[1e20, 2, 0], [-1e20, 2, 0]]}},  # overflows
+    {"energies": {"start": 0.0, "stop": 1.0, "count": 2 ** 63}},  # IndexError
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_raw(raw)
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"seed": -1}, "seed"),
+    ({"localize": {"window_len": -5}}, "localize.window_len"),
+    ({"potential": "amo(nan)"}, "potential"),
+    ({"potential": "amo(inf)"}, "potential"),
+    ({"potential": {"coeffs": [[1.5, 2, 0], [-1.5, 2, 0]]}}, "potential"),
+    ({"riesz": {"bogus": 1}}, "riesz.bogus"),
+])
+def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
+                                                          capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["green", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out"), "--dry-run"]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_config_accepts_the_minimums():

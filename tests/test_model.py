@@ -53,6 +53,20 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential({1: 1.0 + 0.5j, -1: 1.0 + 0.5j})
 
+    def test_coefficients_must_be_finite(self):
+        # a NaN coupling used to drop to f = 0 and an infinite one to serve
+        # L = nan
+        for bad in (math.nan, math.inf, complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                Potential({1: bad, -1: bad.conjugate()})
+        with pytest.raises(ValueError, match="finite"):
+            Potential.from_preset("amo(nan)")
+
+    def test_frequency_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            Potential({1.5: 2.0, -1.5: 2.0})   # ran as k = 1
+        assert Potential({1.0: 2.0, -1.0: 2.0}).k0 == 1
+
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             Potential({1: 1.0, -1: 1.0}, eta=0.0)
