@@ -37,7 +37,6 @@ from .zeros_potential import (
     count_annulus,
     find_zeros,
     green_annulus,
-    green_circle_mean,
     green_potential,
     jensen_identity_residual,
     riesz_decompose,

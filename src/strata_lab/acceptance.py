@@ -37,6 +37,7 @@ from .zeros_potential import (
     find_zeros,
     jensen_identity_residual,
     riesz_decompose,
+    riesz_kappa,
     riesz_mass,
     zero_count_vs_acceleration,
 )
@@ -125,26 +126,27 @@ def _c5_riesz_decomposition() -> Tuple[bool, str]:
 
 
 def _c6_jensen_identity() -> Tuple[bool, str]:
-    """Circle-average differences match the annulus zero-count integral."""
-    R = math.exp(2.0 * math.pi * 0.05)
+    """Jensen's formula: circle means of log|D_n| step with the zero count."""
     fam = det_family(_AMO2, _ALPHA, 0.5, 200)
     inv = find_zeros(fam)
     coords = inv.eps_coords()
     two_pi = 2.0 * math.pi
     r1 = math.exp(two_pi * clearest_eps(coords, 0.005, 0.01))
     r2 = math.exp(two_pi * clearest_eps(coords, 0.04, 0.045))
-    res_amo = jensen_identity_residual(fam, inv, r1, r2, R, K=4096)
+    res_amo = jensen_identity_residual(fam, inv, r1, r2, K=4096)
     fam0 = det_family(Potential.zero(), _ALPHA, 0.5, 200)
     inv0 = find_zeros(fam0)
     res_free = jensen_identity_residual(fam0, inv0, math.exp(two_pi * 0.01),
-                                        math.exp(two_pi * 0.04), R, K=4096)
+                                        math.exp(two_pi * 0.04), K=4096)
     ok = res_amo <= 1e-6 and res_free <= 1e-15
     return ok, f"residual {res_amo:.2e} (AMO), {res_free:.2e} (free)"
 
 
 def _c7_riesz_mass() -> Tuple[bool, str]:
     """Annulus Riesz mass doubles the acceleration and matches the count."""
-    rep = riesz_mass(_AMO2, _ALPHA, 0.5, 400, 0.02, K=4096)
+    fam = det_family(_AMO2, _ALPHA, 0.5, 400)
+    rep = riesz_mass(fam, find_zeros(fam), 0.02, 4096,
+                     riesz_kappa(_AMO2, _ALPHA, 0.5, 0.02))
     ok = (abs(rep.mass_v - 2.0) <= 0.2
           and abs(rep.mass_u - rep.count_ratio) <= 0.05)
     return (ok, f"mass_v = {rep.mass_v:.4f}, mass_u = {rep.mass_u:.4f}, "

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .model import GOLDEN_MEAN, Potential
-from .cocycle import acceleration, classify_stratum, lyapunov_n, strata_measure
+from .cocycle import (_check_symbol_range, acceleration, classify_stratum,
+                      lyapunov_n, strata_measure)
 from .determinant import det_family
 from .spectral_localization import (
     check_delta_ladder,
@@ -46,12 +47,12 @@ from .spectral_localization import (
     tail_window,
 )
 from .zeros_potential import (
+    check_green_range,
     clearest_eps,
     circle_average_green,
     count_annulus,
     find_zeros,
     green_annulus,
-    green_trunc_order,
     jensen_identity_residual,
     riesz_decompose,
     riesz_kappa,
@@ -266,6 +267,10 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError(
             f"strip half-widths reach {reach} but the potential is "
             f"only analytic up to eta = {c.potential.eta}")
+    try:
+        _check_symbol_range(c.potential, reach)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     jr = c.riesz.jensen_radii
     if len(jr) != 2 or not 0 < jr[0] < jr[1] < c.riesz.R_eps:
         raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
@@ -443,7 +448,7 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
     R = math.exp(TWO_PI * cfg.riesz.R_eps)
     try:
-        green_trunc_order(R)    # refuse an annulus the kernel cannot serve
+        check_green_range(R)    # refuse an annulus the kernel cannot serve
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
     sec = cfg.green
@@ -487,7 +492,7 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     R_eps = sec.R_eps
     R = math.exp(TWO_PI * R_eps)
     try:
-        green_trunc_order(R)    # refuse an annulus the kernel cannot serve
+        check_green_range(R)    # refuse an annulus the kernel cannot serve
         kappa = riesz_kappa(cfg.potential, cfg.alpha, E, sec.eps_r,
                             kappa_n=cfg.n, kappa_K=cfg.quadrature.K)
     except ValueError as exc:
@@ -505,10 +510,8 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     r1 = clearest_eps(coords, 0.5 * jr1, jr1)
     r2 = clearest_eps(coords, jr2, min(1.5 * jr2, 0.9 * R_eps))
     jres = jensen_identity_residual(fam, inv, math.exp(TWO_PI * r1),
-                                    math.exp(TWO_PI * r2), R,
-                                    K=sec.K)
-    mass = riesz_mass(cfg.potential, cfg.alpha, E, cfg.n, sec.eps_r,
-                      K=sec.K, kappa=kappa, fam=fam, inv=inv)
+                                    math.exp(TWO_PI * r2), K=sec.K)
+    mass = riesz_mass(fam, inv, sec.eps_r, sec.K, kappa)
     row = {"E": E, "n": cfg.n, "R_eps": R_eps,
            "boundary_max_dev": dec.boundary_max_dev,
            "mean_value_max_resid": dec.mean_value_max_resid,
@@ -810,12 +813,8 @@ def _finish_strata(cfg: ExperimentConfig, rows: List[dict]) -> Optional[dict]:
     diffs = np.diff(cfg.energies)
     if np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(1.0, abs(diffs[0])):
         return None
-    records = [classify_stratum(r["E"], r["L0"], r["kappa"],
-                                tau_pos=cfg.strata.tau_pos,
-                                non_affine=bool(r["non_affine"]),
-                                in_spectrum=bool(r["in_spectrum"]))
-               for r in rows]
-    measure = strata_measure(records, float(abs(diffs[0])))
+    measure = strata_measure([r["label"] for r in rows],
+                             float(abs(diffs[0])))
     return {"cell_width": float(abs(diffs[0])),
             "measure": {k: measure[k] for k in sorted(measure)}}
 

@@ -14,6 +14,7 @@ detecting that integer from finite-n data is what this module is for.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -31,6 +32,24 @@ _BLOCK = 1 << 14
 # the zero-count check and the localization verdict use it too
 TAU_POS = 0.05
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _check_symbol_range(potential: Potential, width: float) -> None:
+    """Refuse a strip half-width at which the bound sum_k |c_k| e^{2 pi |k|
+    width} on |f(theta + i eps)| reaches the largest double: the symbol,
+    and the transfer products, would overflow there.  So would the factor
+    2 cosh(2 pi k0 width) of `Potential.eval_theta`, however small c_k0."""
+    logs = [math.log(abs(c)) + TWO_PI * abs(k) * width
+            for k, c in potential.coeffs_dict().items()]
+    log_bound = float(np.logaddexp.reduce(logs)) if logs else -math.inf
+    if max(log_bound, TWO_PI * potential.k0 * width) >= _LOG_DBL_MAX:
+        raise ValueError(
+            f"the potential overflows a double on the strip |eps| <= {width:g}: "
+            f"log sum_k |c_k| e^(2 pi |k| |eps|) = {log_bound:.6g}, "
+            f"2 pi k0 |eps| = {TWO_PI * potential.k0 * width:.6g}, "
+            f"ln(DBL_MAX) = {_LOG_DBL_MAX:.6g}")
+
 
 def _rescale_interval(potential: Potential, energies: np.ndarray,
                       grid: np.ndarray) -> int:
@@ -43,8 +62,10 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     A rescaling leaves M in [1/2, 1); with G^S <= 2^900, M stays between
     2^-901 and 2^900 until the next one, far from overflow and underflow.
     1 <= S <= 900, so huge energies still run, rescaled at every step.
+    A strip on which the symbol bound overflows is refused.
     """
     width = float(np.max(np.abs(grid), initial=0.0))
+    _check_symbol_range(potential, width)
     growth = (float(np.max(np.abs(energies), initial=0.0)) + 1.0
               + sum(abs(c) * math.exp(TWO_PI * abs(k) * width)
                     for k, c in potential.coeffs_dict().items()))
@@ -309,13 +330,12 @@ def classify_stratum(
     return StratumRecord(E=float(E), L0=float(L0), kappa=int(kappa), label=label)
 
 
-def strata_measure(
-    records: Sequence[StratumRecord], cell_width: float
-) -> Dict[str, float]:
+def strata_measure(labels: Sequence[str], cell_width: float) -> Dict[str, float]:
     """Lebesgue measure of each label: cell width times cell count.
 
-    Records are assumed to sit on a uniform energy grid of the given width."""
+    The labelled energies are assumed to sit on a uniform grid of the given
+    width."""
     out: Dict[str, float] = {}
-    for rec in records:
-        out[rec.label] = out.get(rec.label, 0.0) + cell_width
+    for label in labels:
+        out[label] = out.get(label, 0.0) + cell_width
     return out

@@ -263,16 +263,12 @@ class IDSEstimate:
     n: int
     value: float
     spread: float
-    per_theta: Tuple[float, ...]
 
 
-def _ids_phases(theta_samples) -> np.ndarray:
-    if np.ndim(theta_samples) == 0:
-        m = int(theta_samples)
-        if m < 1:
-            raise ValueError("need at least one phase sample")
-        return (np.arange(m) + 0.5) / m
-    return np.asarray(theta_samples, dtype=np.float64)
+def _ids_phases(m: int) -> np.ndarray:
+    if m < 1:
+        raise ValueError("need at least one phase sample")
+    return (np.arange(m) + 0.5) / m
 
 
 def _ids_values(potential: Potential, alpha: float, Es: np.ndarray, n: int,
@@ -298,8 +294,7 @@ def ids(potential: Potential, alpha: float, E: float, n: int,
                        thetas)[:, 0]
     return IDSEstimate(
         E=float(E), n=n, value=float(np.mean(vals)),
-        spread=float(np.max(vals) - np.min(vals)),
-        per_theta=tuple(float(x) for x in vals))
+        spread=float(np.max(vals) - np.min(vals)))
 
 
 @dataclass(frozen=True)
@@ -310,8 +305,6 @@ class HolderFit:
     n: int
     beta: float
     beta_stderr: float
-    deltas: Tuple[float, ...]
-    increments: Tuple[float, ...]
     in_gap: bool
     message: str
 
@@ -361,8 +354,7 @@ def holder_exponent(
     if inc[0] <= 0.0:
         return HolderFit(
             E0=float(E0), n=n, beta=math.nan, beta_stderr=math.nan,
-            deltas=tuple(deltas), increments=tuple(inc), in_gap=True,
-            message="in gap, locally constant IDS")
+            in_gap=True, message="in gap, locally constant IDS")
 
     x = np.log(deltas)
     y = np.log(inc)
@@ -374,8 +366,7 @@ def holder_exponent(
     stderr = math.sqrt(s2 / denom) if denom > 0 else math.inf
     return HolderFit(
         E0=float(E0), n=n, beta=float(coef[0]), beta_stderr=stderr,
-        deltas=tuple(deltas), increments=tuple(inc), in_gap=False,
-        message="ok")
+        in_gap=False, message="ok")
 
 
 # ----------------------------------------------------------------------

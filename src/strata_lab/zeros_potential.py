@@ -4,9 +4,10 @@ The zero set of D_n(z, E) inside thin annuli around the unit circle carries
 the same information as the acceleration: per-site zero count and twice the
 acceleration agree in the large-n limit.  This module finds all zeros
 (simultaneous Aberth iteration), counts them in annuli, and implements the
-annulus Green's function with its circle averages, the Riesz split of the
-per-site log-determinant into Green potential plus harmonic part, the
-Jensen-type average identity, and the Riesz-mass flux estimators.
+annulus Green's function (one dual-nome kernel) with its circle averages,
+the Riesz split of the per-site log-determinant into Green potential plus
+harmonic part, Jensen's formula checked on D_n itself, and the Riesz-mass
+flux estimators.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class ZeroInventory:
 
     pair_inversive[i] is the index of the root closest to 1/conj(roots[i])
     when that distance is within 1e-7, else -1; roots on the unit
-    circle (within circle_tol) are their own inversive partners and carry
+    circle (within _CIRCLE_TOL) are their own inversive partners and carry
     -1.  pair_reflection is the analogous map for w -> phase/w (even
     potentials only, phase = 1 for centered families), or None.
     """
@@ -180,8 +181,7 @@ class ZeroInventory:
     centered: bool
     pair_inversive: np.ndarray   # int indices or -1
     pair_reflection: Optional[np.ndarray]
-    on_circle: np.ndarray        # bool, | |w| - 1 | <= circle_tol
-    circle_tol: float
+    on_circle: np.ndarray        # bool, | |w| - 1 | <= _CIRCLE_TOL
 
     @property
     def total(self) -> int:
@@ -246,7 +246,7 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
     return ZeroInventory(
         roots=roots, multiplicities=mult, n=fam.n, E=fam.E, alpha=fam.alpha,
         centered=fam.centered, pair_inversive=pair_inv, pair_reflection=pair_ref,
-        on_circle=on_circle, circle_tol=_CIRCLE_TOL)
+        on_circle=on_circle)
 
 
 @dataclass(frozen=True)
@@ -300,17 +300,16 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
 # annulus Green's function
 # ----------------------------------------------------------------------
 
-def green_trunc_order(R: float) -> int:
-    """Image orders K that bring the product's O(R^{-4K}) tail to 1e-16:
-    30 at R = e^{2 pi 0.05}, 103 at the thinnest served R.  Refuses
-    log(R) / 2 pi < 0.014315, and R > 1e50."""
+def check_green_range(R: float) -> None:
+    """Refuse an annulus outside the range the Green kernel serves:
+    log(R) / 2 pi < 0.014315, and R > 1e50.  The floor is the thinnest
+    annulus the kernel's oracle tests cover."""
     if not 1.0 < R <= 1e50:
         raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, 1e50]")
     lr = math.log(R)
     if lr < 10.0 * math.log(10.0) / 256.0:
         raise ValueError(f"annulus too thin: R = {R:.6g} has log(R) / 2 pi = "
                          f"{lr / TWO_PI:.6g} < 0.014315")
-    return math.ceil(37.0 / (4.0 * lr))
 
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
@@ -361,7 +360,7 @@ def _green_terms(v, R: float):
     """(v, sin a, cos a, sin a cos a, arg v) at annulus points v, with
     a = alpha (log|v| - log R): the per-point factors of the Green kernel."""
     v = np.asarray(v, dtype=np.complex128)
-    green_trunc_order(R)    # refuses R outside the served range
+    check_green_range(R)
     lr = math.log(R)
     _check_in_annulus(R, np.abs(v))
     s, c = _radial_sin_cos(np.log(np.abs(v)), math.pi / (4.0 * lr), lr)
@@ -425,11 +424,6 @@ def circle_average_green(r: float, R: float, w) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _roots_in_annulus(inv: ZeroInventory, R: float) -> np.ndarray:
-    mods = np.abs(inv.roots)
-    return inv.roots[(mods <= R) & (mods >= 1.0 / R)]
-
-
 def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
                     n: int) -> np.ndarray:
     """(2 pi / n) sum_k G_R(z, w_k) over the root set, vectorized in z."""
@@ -445,84 +439,20 @@ def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
     return out * TWO_PI / n
 
 
-def _mean_log_abs(a, b, K: int):
-    """(1/K) sum_j log|a + b e^{2 pi i j/K}|, exactly and elementwise.
-
-    Over the K-th roots of unity, prod_j (a + b e^{2 pi i j/K}) equals
-    a^K - (-b)^K.  The larger of |a|, |b| is factored out, so the K-th
-    power stays in the unit disc and cannot overflow.
-    """
-    swap = np.abs(b) > np.abs(a)
-    big = np.where(swap, b, a)
-    u = -np.where(swap, a, b) / big
-    return np.log(np.abs(big)) + np.log(np.abs(1.0 - u ** K)) / K
-
-
-def green_circle_mean(
-    center: complex, rho: float, K: int, roots: np.ndarray, R: float, n: int,
-) -> float:
-    """Mean of green_potential over the K points center + rho e^{2 pi i j/K}.
-
-    G is also the separable term plus the log of the image product over
-    reflections across both circles, here truncated at Kt =
-    green_trunc_order(R) orders.  On these points each image factor is
-    log|a + b e^{+-2 pi i j/K}|, whose K-point mean is _mean_log_abs: the
-    K-point quadrature of green_potential (not the exact circle mean) at
-    O(roots * Kt) cost instead of O(K * roots).
-    """
-    roots = np.asarray(roots, dtype=np.complex128)
-    if len(roots) == 0:
-        return 0.0
-    Kt = green_trunc_order(R)
-    if K < 1:
-        raise ValueError("the circle needs K >= 1 points")
-    lr = math.log(R)
-    c = complex(center)
-    zs = c + rho * np.exp(2j * math.pi * np.arange(K) / K)
-    aw = np.abs(roots)
-    _check_in_annulus(R, np.abs(zs), aw)
-    law = np.log(aw)
-
-    w = roots[:, None]
-    k = np.arange(1, Kt + 1, dtype=np.float64)[None, :]
-    e4k = np.exp(-4.0 * k * lr)
-    e4k2 = np.exp(-(4.0 * k - 2.0) * lr)
-    # log|1 - e4k w/z| = log|z - e4k w| - log|z| and log|1 - e4k2/(conj(z) w)|
-    # = log|conj(z) - e4k2/w| - log|z|: the mean log|z| terms cancel, and
-    # conj(z_j) runs over the same K points
-    cc = c.conjugate()
-    images = (_mean_log_abs(1.0 - c * e4k / w, -rho * e4k / w, K)
-              + _mean_log_abs(c - w * e4k, rho, K)
-              - _mean_log_abs(1.0 - w * cc * e4k2, -w * rho * e4k2, K)
-              - _mean_log_abs(cc - e4k2 / w, rho, K))
-    S = _mean_log_abs(c - roots, rho, K) - lr + np.sum(images, axis=1)
-    mean_log_z = float(_mean_log_abs(c, rho, K))
-    term1 = (mean_log_z - lr) * (law - lr) / (4.0 * math.pi * lr)
-    out = float(np.sum(term1 + S / TWO_PI)) * TWO_PI / n
-    if not math.isfinite(out):
-        raise ValueError("a root lies on the circle's quadrature points")
-    return out
-
-
 # ----------------------------------------------------------------------
 # Riesz decomposition of the per-site log-determinant
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RieszDecomposition:
-    """Sampled split u = green_part + harmonic_part on a polar grid.
+    """Certificates of the split u = Green part + harmonic part on A_R.
 
-    green_part is the Green potential 2 pi G of the zero measure (per
-    site); harmonic_part is the difference, which must match u on the
+    The Green part is the Green potential 2 pi G of the zero measure (per
+    site); the harmonic part is the difference, which must match u on the
     boundary circles and satisfy the discrete mean-value property inside.
     """
 
     R: float
-    radii: Tuple[float, ...]         # grid circles, ascending, ends on boundary
-    n_angles: int
-    u_samples: np.ndarray            # (n_radii, n_angles)
-    green_part: np.ndarray
-    harmonic_part: np.ndarray
     boundary_max_dev: float          # max |harmonic - u| on the two boundary rows
     mean_value_max_resid: float      # worst interior mean-value defect of harmonic
     h_min: float                     # harmonic range over interior rows
@@ -539,8 +469,10 @@ def riesz_decompose(
     """Split (1/n) log|D_n| into Green potential plus harmonic part on A_R.
 
     Only zeros strictly inside the annulus feed the Green potential; the
-    harmonic remainder absorbs everything else.  Requires a zero-free
-    boundary: any root within _BOUNDARY_TOL of either circle is an error.
+    harmonic remainder absorbs everything else.  The split is sampled on
+    n_radii circles of n_angles points from 1/R to R, and only its
+    certificates are kept.  Requires a zero-free boundary: any root within
+    _BOUNDARY_TOL of either circle is an error.
     """
     mods = np.abs(inv.roots)
     offenders = np.nonzero((np.abs(mods - R) < _BOUNDARY_TOL)
@@ -549,7 +481,7 @@ def riesz_decompose(
         k = int(offenders[0])
         raise ValueError(
             f"zero {inv.roots[k]} lies on the annulus boundary (index {k})")
-    roots = _roots_in_annulus(inv, R)
+    roots = inv.roots[(mods <= R) & (mods >= 1.0 / R)]
 
     s = np.linspace(-math.log(R), math.log(R), n_radii)
     radii = np.exp(s)
@@ -574,14 +506,13 @@ def riesz_decompose(
 
     interior = harm[1:-1, :]
     return RieszDecomposition(
-        R=float(R), radii=tuple(float(r) for r in radii), n_angles=n_angles,
-        u_samples=u, green_part=green, harmonic_part=harm,
-        boundary_max_dev=boundary_max_dev, mean_value_max_resid=float(worst),
+        R=float(R), boundary_max_dev=boundary_max_dev,
+        mean_value_max_resid=float(worst),
         h_min=float(np.min(interior)), h_max=float(np.max(interior)))
 
 
 # ----------------------------------------------------------------------
-# Jensen-type average identity
+# Jensen's formula on D_n
 # ----------------------------------------------------------------------
 
 def jensen_identity_residual(
@@ -589,37 +520,29 @@ def jensen_identity_residual(
     inv: ZeroInventory,
     r1: float,
     r2: float,
-    R: float,
     K: int = 4096,
 ) -> float:
-    """Residual of the circle-average identity between radii r1 < r2.
+    """Residual of Jensen's formula for D_n between radii r1 < r2.
 
-    The identity reads: the difference of circle averages of u equals
-    (pi/n) times the exact integral of the annulus zero-counting step
-    function plus the difference of harmonic-part averages.  The harmonic
-    part is h = u - g, so the u-averages cancel algebraically and the
-    residual is |(g(r2) - g(r1)) - (pi/n) * integral of the step|, with g
-    the K-point circle mean of the Green potential (green_circle_mean, the
-    truncated product formula in closed form) and the step-function
-    integral from the inventory.  A nonzero residual therefore measures
-    disagreement between the product formula and the zero inventory, not
-    shared roundoff.
+    With D_n = z^lo p(z), the mean of log|D_n| on |z| = r is a constant
+    plus lo log r + sum_j mult_j log max(r, |w_j|) over the zeros w_j of p.
+    The residual is |u(r2) - u(r1) - (1/n) [lo log(r2/r1) + sum_j mult_j
+    (log max(r2, |w_j|) - log max(r1, |w_j|))]|, u(r) the K-point mean of
+    (1/n) log|D_n| on |z| = r (one FFT).  The means come from the
+    coefficients and the steps from the inventory, so a root the inventory
+    misses or misplaces between r1 and r2 shows.  find_zeros refuses
+    underflowed edge coefficients, so lo is that of the factored polynomial.
     """
-    if not (1.0 <= r1 < r2 <= R):
-        raise ValueError("radii must satisfy 1 <= r1 < r2 <= R")
+    if not 1.0 <= r1 < r2:
+        raise ValueError("radii must satisfy 1 <= r1 < r2")
     mods = np.abs(inv.roots)
     for r in (r1, r2):
         if len(mods) and np.min(np.abs(mods - r)) < 1e-9:
             raise ValueError(f"a zero lies on the quadrature circle r = {r}")
-    roots = _roots_in_annulus(inv, R)
-    g1 = green_circle_mean(0.0, r1, K, roots, R, fam.n)
-    g2 = green_circle_mean(0.0, r2, K, roots, R, fam.n)
-    e1 = math.log(r1) / TWO_PI
-    e2 = math.log(r2) / TWO_PI
-    coords = inv.eps_coords()
-    mult = inv.multiplicities.astype(np.float64)
-    step_integral = float(np.sum(mult * np.clip(e2 - np.maximum(e1, coords), 0.0, None)))
-    return abs((g2 - g1) - (math.pi / fam.n) * step_integral)
+    u1, u2 = (float(np.mean(fam.log_abs_per_site_circle(r, K))) for r in (r1, r2))
+    jumps = float(np.sum(inv.multiplicities * (np.log(np.maximum(r2, mods))
+                                               - np.log(np.maximum(r1, mods)))))
+    return abs(u2 - u1 - (fam.poly.lo * math.log(r2 / r1) + jumps) / fam.n)
 
 
 # ----------------------------------------------------------------------
@@ -692,17 +615,11 @@ def riesz_kappa(
 
 
 def riesz_mass(
-    potential: Potential,
-    alpha: float,
-    E: float,
-    n: int,
+    fam: DeterminantFamily,
+    inv: ZeroInventory,
     eps_r: float,
-    K: int = 4096,
-    kappa: Optional[int] = None,
-    fam: Optional[DeterminantFamily] = None,
-    inv: Optional[ZeroInventory] = None,
-    kappa_n: int = 512,
-    kappa_K: int = 256,
+    K: int,
+    kappa: int,
 ) -> RieszMassReport:
     """Estimate the Riesz mass of the annulus A_{r e^{2 pi delta}} two ways.
 
@@ -712,25 +629,20 @@ def riesz_mass(
     differentiates the circle average of the per-site log-determinant,
     whose radial profile is piecewise linear, so the difference quotient is
     exact between kinks; the kink-free step is chosen from the inventory
-    when one is supplied.
+    `inv` of `fam`.  Potential, frequency, energy and n come from `fam`;
+    `kappa` is the acceleration to compare with (`riesz_kappa`).
     """
-    if kappa is None:
-        kappa = riesz_kappa(potential, alpha, E, eps_r, kappa_n, kappa_K)
-
     delta = _FLUX_DELTA
     eps_flux = eps_r + delta
 
     # f(theta - i eps) is the conjugate of f(theta + i eps) bit for bit, so
     # the strip kernel is even in eps and the inner circles' difference is
     # minus the outer one's: (outer - inner) / (4 pi delta) = outer / (2 pi delta)
+    n = fam.n
     v_hi, v_lo = (est.value for est in lyapunov_n(
-        potential, alpha, E, n, [eps_flux + delta, eps_flux - delta], K))
+        fam.potential, fam.alpha, fam.E, n,
+        [eps_flux + delta, eps_flux - delta], K))
     mass_v = (v_hi - v_lo) / (TWO_PI * delta)
-
-    if fam is None:
-        fam = det_family(potential, alpha, E, n)
-    if inv is None:
-        inv = find_zeros(fam)
     coords = inv.eps_coords()
 
     # place the u-route difference points mid-gap between zero moduli

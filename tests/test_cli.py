@@ -129,10 +129,31 @@ def read_rows(path):
     {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "Eta": 0.1}},
     {"potential": {"coeffs": [[1e20, 2, 0], [-1e20, 2, 0]]}},  # overflows
     {"energies": {"start": 0.0, "stop": 1.0, "count": 2 ** 63}},  # IndexError
+    # strips on which the symbol overflows a double: the first failed late
+    # with OverflowError, the second served L = nan
+    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": 1000},
+     "eps_grid": [0.1, 150]},
+    {"potential": {"coeffs": [[1, 1000, 0], [-1, 1000, 0]], "eta": 1000},
+     "eps_grid": [0.1, 112.5]},
+    # ... and one where 2 cosh(2 pi eps) overflows before it meets 1e-10
+    {"potential": {"coeffs": [[1, 1e-10, 0], [-1, 1e-10, 0]], "eta": 1000},
+     "eps_grid": [0.1, 115]},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_raw(raw)
+
+
+def test_widest_strip_below_the_overflow_is_served(tmp_path):
+    # log(2 * 10) + 2 pi 110 = 694.15 stays below ln(DBL_MAX) = 709.78
+    raw = {"potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]], "eta": 1000},
+           "eps_grid": [0.1, 110], "n_ladder": [64],
+           "quadrature": {"lyapunov_K": 64}}
+    man = run("lyapunov", config=raw, out_dir=str(tmp_path), threads=1)
+    assert [t["status"] for t in man.tasks] == ["ok"]
+    rows = read_rows(tmp_path / "lyapunov.csv")
+    L = [float(r[4]) for r in rows[1:] if float(r[3]) == 110.0]
+    assert L == [pytest.approx(693.45, abs=0.005)]
 
 
 @pytest.mark.parametrize("raw,key", [

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (acceleration, classify_stratum, lyapunov_n,
-                        strata_measure, transfer_log_norms)
+from strata_lab import (Potential, acceleration, classify_stratum,
+                        lyapunov_n, strata_measure, transfer_log_norms)
 
 LOG2 = math.log(2.0)
 
@@ -31,6 +31,19 @@ def test_transfer_validation(amo2, golden):
         transfer_log_norms(amo2, golden, np.array([0.0]), 0.5, 0.0, 0)
     with pytest.raises(ValueError):
         transfer_log_norms(amo2, golden, np.array([0.0]), 0.5, 0.6, 4)
+
+
+def test_transfer_refuses_a_strip_that_overflows_the_symbol(golden):
+    # log(2 * 1000) + 2 pi eps crosses ln(DBL_MAX) = 709.78 near eps = 111.76
+    pot = Potential.amo(1000.0, eta=1000.0)
+    with pytest.raises(ValueError, match="overflows a double"):
+        transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 112.5, 4)
+    logs = transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 111.0, 4)
+    assert np.all(np.isfinite(logs))
+    # a tiny coefficient does not save 2 cosh(2 pi eps) = e^722.6
+    tiny = Potential.amo(1e-10, eta=1000.0)
+    with pytest.raises(ValueError, match="overflows a double"):
+        transfer_log_norms(tiny, golden, np.array([0.0]), 0.5, 115.0, 4)
 
 
 def test_lyapunov_is_log_coupling(amo2, golden):
@@ -80,5 +93,5 @@ def test_stratum_labels(kwargs, label):
 def test_strata_measure_accumulates_cells():
     recs = [classify_stratum(0.1, 0.7, 1), classify_stratum(0.2, 0.7, 1),
             classify_stratum(0.3, 0.01, 2)]
-    assert strata_measure(recs, 0.1) == pytest.approx(
+    assert strata_measure([r.label for r in recs], 0.1) == pytest.approx(
         {"S2+": 0.2, "S30": 0.1})

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 40
+CEILING = 34
 
 
 def census() -> int:

@@ -48,7 +48,7 @@ PINNED = {
     },
     "riesz": {
         "riesz.csv":
-            "305d0be3006d01ba1c72d11dc869f990c6e0bc2db1795aa4a99f586f8950d06c",
+            "660b607157e741d5486ad1b7a0f3a9bbc59108227b9ae5ec4e7fd9dede4eb551",
     },
     "ids": {
         "ids.csv":
@@ -166,7 +166,7 @@ PINNED_DEFAULT = {
     },
     "riesz": {
         "riesz.csv":
-            "e6770da054461a645abc1e817d8d5cc744f53c36350729fb13b8a179b4fcc9eb",
+            "0d053b83bdfbbcfad966c26c0d3ecb5aad6fde818995afcecd9de56323bdab37",
     },
     "localize": {
         "localize_summary.csv":

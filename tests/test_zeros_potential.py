@@ -1,15 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from strata_lab import (Potential, circle_average_green, count_annulus,
-                        det_family, find_zeros, green_annulus, green_circle_mean,
+                        det_family, find_zeros, green_annulus,
                         green_potential, jensen_identity_residual,
-                        riesz_decompose, riesz_mass,
+                        riesz_decompose, riesz_kappa, riesz_mass,
                         zero_count_vs_acceleration)
 from strata_lab.zeros_potential import (RootConvergenceError, aberth_roots,
-                                        clearest_eps, green_trunc_order)
+                                        check_green_range, clearest_eps)
 
 TWO_PI = 2.0 * math.pi
 R_STRIP = math.exp(TWO_PI * 0.05)
@@ -140,16 +141,17 @@ def test_clearest_eps_avoids_coordinates():
 
 # ---------------------------------------------------------------- green
 
-def test_green_truncation_order():
-    assert green_trunc_order(R_STRIP) == 30
-    assert green_trunc_order(math.exp(TWO_PI * 0.01432)) == 103
+def test_green_served_range():
+    check_green_range(R_STRIP)
+    check_green_range(math.exp(TWO_PI * 0.01432))
+    check_green_range(1e50)
     with pytest.raises(ValueError, match="too thin"):
-        green_trunc_order(math.exp(TWO_PI * 0.01431))
+        check_green_range(math.exp(TWO_PI * 0.01431))
     with pytest.raises(ValueError, match="too thin"):
-        green_trunc_order(1.0001)
+        check_green_range(1.0001)
     for R in (0.9, 1.0, 1e51):
-        with pytest.raises(ValueError):
-            green_trunc_order(R)
+        with pytest.raises(ValueError, match="must lie in"):
+            check_green_range(R)
 
 
 def test_green_vanishes_on_boundary_and_is_symmetric():
@@ -212,42 +214,6 @@ def test_green_potential_is_the_blocked_kernel_sum(amo2, golden):
     assert np.array_equal(green_potential(zs, roots, R_STRIP, 64), blocked)
 
 
-@pytest.mark.parametrize("E", [0.5, 3.339680829])
-@pytest.mark.parametrize("n", [64, 200])
-def test_green_circle_mean_matches_quadrature(amo2, golden, E, n):
-    inv = find_zeros(det_family(amo2, golden, E, n))
-    mods = np.abs(inv.roots)
-    roots = inv.roots[(mods <= R_STRIP) & (mods >= 1.0 / R_STRIP)]
-    assert len(roots) > 0
-
-    def quadrature(center, rho, K):
-        zs = center + rho * np.exp(2j * math.pi * np.arange(K) / K)
-        return float(np.mean(green_potential(zs, roots, R_STRIP, n)))
-
-    circles = [(0.0, math.exp(TWO_PI * eps), K)
-               for eps in (-0.03, 0.0071, 0.045) for K in (64, 4096)]
-    # mean-value rings as riesz_decompose builds them on its default grid
-    radii = np.exp(np.linspace(-TWO_PI * 0.05, TWO_PI * 0.05, 9))
-    for r in radii[1:-1:2]:
-        for theta in (0.0, 0.3125, 0.78125):
-            zc = r * np.exp(2j * math.pi * theta)
-            circles.append((zc, 0.3 * min(R_STRIP - abs(zc),
-                                          abs(zc) - 1.0 / R_STRIP), 16))
-    for center, rho, K in circles:
-        closed = green_circle_mean(center, rho, K, roots, R_STRIP, n)
-        assert abs(closed - quadrature(center, rho, K)) <= 1e-13, (center, rho, K)
-
-
-def test_green_circle_mean_edge_cases():
-    empty = np.array([], dtype=complex)
-    assert green_circle_mean(0.0, 1.01, 4096, empty, R_STRIP, 10) == 0.0
-    roots = np.array([1.02 * np.exp(0.7j)])
-    with pytest.raises(ValueError):
-        green_circle_mean(0.0, 1.5 * R_STRIP, 64, roots, R_STRIP, 10)
-    with pytest.raises(ValueError):
-        green_circle_mean(0.0, 1.01, 64, roots, 1.0, 10)
-
-
 # ----------------------------------------------------------- riesz split
 
 def test_riesz_decomposition_certificates(amo2, golden):
@@ -266,25 +232,60 @@ def test_jensen_identity_amo_and_free(amo2, free, golden):
     fam = det_family(amo2, golden, 0.5, 100)
     inv = find_zeros(fam)
     r1, r2 = math.exp(TWO_PI * 0.01), math.exp(TWO_PI * 0.04)
-    assert jensen_identity_residual(fam, inv, r1, r2, R_STRIP, K=2048) < 1e-8
+    assert jensen_identity_residual(fam, inv, r1, r2, K=2048) < 1e-8
     fam0 = det_family(free, golden, 0.5, 5)
     assert jensen_identity_residual(fam0, find_zeros(fam0), r1, r2,
-                                    R_STRIP, K=64) < 1e-14
+                                    K=64) < 1e-14
+
+
+def _c6_radii(inv):
+    """c6's Jensen radii: clear of every zero modulus, near eps 0.01, 0.04."""
+    coords = inv.eps_coords()
+    return (math.exp(TWO_PI * clearest_eps(coords, 0.005, 0.01)),
+            math.exp(TWO_PI * clearest_eps(coords, 0.04, 0.045)))
+
+
+def test_jensen_residual_sees_a_missing_or_moved_root(amo2, golden):
+    # the circle means come from the coefficients of D_n and the jumps from
+    # the inventory, so an inventory that drops a root, or moves one that
+    # lies between the radii, no longer balances
+    fam = det_family(amo2, golden, 0.5, 200)
+    inv = find_zeros(fam)
+    r1, r2 = _c6_radii(inv)
+    assert jensen_identity_residual(fam, inv, r1, r2, K=4096) <= 1e-14
+    short = dataclasses.replace(inv, roots=inv.roots[1:],
+                                multiplicities=inv.multiplicities[1:])
+    assert jensen_identity_residual(fam, short, r1, r2, K=4096) > 1e-6
+
+    fam = det_family(amo2, golden, 1.5, 128)
+    inv = find_zeros(fam)
+    r1, r2 = _c6_radii(inv)
+    mods = np.abs(inv.roots)
+    k = int(np.flatnonzero((mods > r1) & (mods < r2))[0])
+    roots = inv.roots.copy()
+    roots[k] *= 1.01
+    assert abs(roots[k]) < r2
+    assert jensen_identity_residual(fam, inv, r1, r2, K=4096) <= 1e-14
+    moved = dataclasses.replace(inv, roots=roots)
+    assert jensen_identity_residual(fam, moved, r1, r2, K=4096) > 1e-6
 
 
 def test_jensen_radius_validation(amo2, golden):
     fam = det_family(amo2, golden, 0.5, 30)
     inv = find_zeros(fam)
     with pytest.raises(ValueError):
-        jensen_identity_residual(fam, inv, 1.2, 1.1, R_STRIP)
+        jensen_identity_residual(fam, inv, 1.2, 1.1)
+    with pytest.raises(ValueError):
+        jensen_identity_residual(fam, inv, 0.9, 1.1)
     with pytest.raises(ValueError):
         # every zero of the in-spectrum family lies on the unit circle
-        jensen_identity_residual(fam, inv, 1.0, 1.1, R_STRIP)
+        jensen_identity_residual(fam, inv, 1.0, 1.1)
 
 
 def test_riesz_mass_flux_matches_count(amo2, golden):
-    rep = riesz_mass(amo2, golden, 0.5, 200, 0.02, K=2048,
-                     kappa_n=256, kappa_K=128)
+    fam = det_family(amo2, golden, 0.5, 200)
+    rep = riesz_mass(fam, find_zeros(fam), 0.02, 2048,
+                     riesz_kappa(amo2, golden, 0.5, 0.02, 256, 128))
     assert rep.kappa == 1
     assert abs(rep.mass_v - 2.0) < 0.3
     assert rep.mass_u == pytest.approx(rep.count_ratio, abs=1e-6)
