@@ -12,7 +12,6 @@ from .model import GOLDEN_MEAN, Potential
 from .determinant import (
     DeterminantFamily,
     ScaledLaurentPoly,
-    center_family,
     det_at_phase,
     det_family,
 )

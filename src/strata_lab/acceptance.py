@@ -1,11 +1,13 @@
 """End-to-end acceptance suite: twelve numbered checks with pinned tolerances.
 
 Each criterion is a self-contained function with hard-coded fixtures, so a
-run is reproducible without any config.  The test suite runs one criterion
-per test; the CLI `all` subcommand plans one task per criterion, so its
-criteria run through the same task runner as the other subcommands (with
---threads, --dry-run and per-task timings in manifest.json).  A record
-stores the pass flag plus a one-line observation: one row of acceptance.csv.
+run is reproducible without any config.  A gate that a subcommand computes
+reads the rows that subcommand's task writes (`_rows`); c8, c10, c12 and
+the free-potential halves of c6 and c11 call the library directly.  The
+test suite runs one criterion per test; the CLI `all` subcommand plans one
+task per criterion through the same task runner as the other subcommands.
+A record stores the pass flag plus a one-line observation: one row of
+acceptance.csv.
 """
 
 from __future__ import annotations
@@ -14,33 +16,19 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .model import GOLDEN_MEAN, Potential
-from .cocycle import acceleration, lyapunov_n
-from .determinant import center_family, det_family
+from .cocycle import lyapunov_n
+from .determinant import det_family
 from .spectral_localization import (
-    deviation_set,
     dirichlet_eigenvalues,
-    dirichlet_eigenpair,
-    double_resonance_scan,
-    eigenfunction_decay,
     expansion_identity_check,
-    expansion_identity_scan,
     holder_exponent,
-    tail_window,
 )
-from .zeros_potential import (
-    clearest_eps,
-    find_zeros,
-    jensen_identity_residual,
-    riesz_decompose,
-    riesz_kappa,
-    riesz_mass,
-    zero_count_vs_acceleration,
-)
+from .zeros_potential import find_zeros, jensen_identity_residual
 from . import cli_harness
 
 _AMO2 = Potential.amo(2.0)
@@ -56,12 +44,20 @@ class AcceptanceRecord:
     observed: str
 
 
+def _rows(subcommand: str, table: str, raw: dict, **params) -> List[dict]:
+    """The rows of `table` that `subcommand`'s task writes for `raw`."""
+    cfg = cli_harness.ExperimentConfig.from_raw(raw)
+    return cli_harness._REGISTRY[subcommand].task(cfg, **params)[
+        "tables"][table]
+
+
 def _c1_acceleration_integrality() -> Tuple[bool, str]:
     """Fitted strip slopes sit on the integer 1 across a box spectrum."""
     evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50).eigenvalues
-    eps_grid = np.linspace(0.02, 0.10, 5)
-    devs = [abs(est.raw_slope - 1.0)
-            for est in acceleration(_AMO2, _ALPHA, evs, eps_grid, n=512, K=256)]
+    rows = _rows("acceleration", "acceleration.csv",
+                 {"energies": evs.tolist(), "n": 512, "quadrature": {"K": 256},
+                  "eps_grid": np.linspace(0.02, 0.10, 5).tolist()})
+    devs = [abs(r["raw_slope"] - 1.0) for r in rows]
     med, mx = float(np.median(devs)), float(np.max(devs))
     return (med <= 0.05 and mx <= 0.25,
             f"median |slope-1| = {med:.2e}, max = {mx:.2e} over 50 energies")
@@ -69,41 +65,37 @@ def _c1_acceleration_integrality() -> Tuple[bool, str]:
 
 def _c2_zero_count_characterization() -> Tuple[bool, str]:
     """Per-site annulus zero counts converge to 2*kappa along an n-ladder."""
-    rep = zero_count_vs_acceleration(_AMO2, _ALPHA, 0.5, 0.05,
-                                     (100, 200, 400))
-    dev = rep.deviations
+    rows = _rows("verify-acc-zeros", "verify_acc_zeros.csv", {}, E=0.5)
+    dev = [r["deviation"] for r in rows]
     monotone = all(b <= a + 1e-9 for a, b in zip(dev, dev[1:]))
-    ratio_400 = rep.counts[-1] / (2.0 * rep.ns[-1])
+    ratio_400 = rows[-1]["ratio_per_2n"]
     ok = dev[0] <= 0.15 and monotone and abs(ratio_400 - 1.0) <= 0.08
-    return (ok, f"kappa = {rep.kappa}, deviations = "
+    return (ok, f"kappa = {rows[0]['kappa']}, deviations = "
                 + "/".join(f"{d:.3g}" for d in dev)
                 + f", N/(2n) at n=400: {ratio_400:.4f}")
 
 
 def _c3_zero_symmetries() -> Tuple[bool, str]:
-    """Inversive pairing off the circle, reflection pairing after centering."""
+    """Inversive pairing off the circle, reflection pairing of even f."""
     rng = np.random.default_rng(3)
     off_total = off_paired = refl_total = refl_paired = 0
     for _ in range(10):
         E = float(rng.uniform(-6.5, 6.5))
         n = int(rng.integers(50, 401))
-        fam = det_family(_AMO2, _ALPHA, E, n)
-        inv = find_zeros(fam)
-        off = ~inv.on_circle
-        off_total += int(np.sum(off))
-        off_paired += int(np.sum(inv.pair_inversive[off] >= 0))
-        cinv = find_zeros(center_family(fam))
-        refl_total += len(cinv.roots)
-        refl_paired += int(np.sum(cinv.pair_reflection >= 0))
+        rows = _rows("zeros", "zeros.csv", {}, E=E, n=n)
+        off = [r for r in rows if not r["on_circle"]]
+        off_total += len(off)
+        off_paired += sum(r["pair_inversive"] >= 0 for r in off)
+        refl_total += len(rows)
+        refl_paired += sum(r["pair_reflection"] >= 0 for r in rows)
     ok = off_paired == off_total and refl_paired == refl_total
     return (ok, f"inversive {off_paired}/{off_total} off-circle roots, "
-                f"reflection {refl_paired}/{refl_total} centered roots")
+                f"reflection {refl_paired}/{refl_total} roots")
 
 
 def _c4_green_suite() -> Tuple[bool, str]:
     """Boundary vanishing, symmetry, and circle averages of the annulus kernel."""
-    cfg = cli_harness.ExperimentConfig.from_raw({})
-    rows = cli_harness._task_green(cfg, seed=4)["tables"]["green_suite.csv"]
+    rows = _rows("green", "green_suite.csv", {}, seed=4)
     ok = all(r["passed"] for r in rows)
     detail = ", ".join(f"{r['check']} {r['max_abs_err']:.2e}" for r in rows)
     return ok, detail
@@ -111,46 +103,35 @@ def _c4_green_suite() -> Tuple[bool, str]:
 
 def _c5_riesz_decomposition() -> Tuple[bool, str]:
     """Green potential plus harmonic part rebuilds u_n with a flat remainder."""
-    R = math.exp(2.0 * math.pi * 0.05)
-    fam = det_family(_AMO2, _ALPHA, 0.5, 400)
-    inv = find_zeros(fam)
-    dec = riesz_decompose(fam, inv, R)
-    L_ref = lyapunov_n(_AMO2, _ALPHA, 0.5, 400, 0.05, 1024).value
-    h_dev = max(abs(dec.h_min - L_ref), abs(dec.h_max - L_ref))
-    ok = (dec.boundary_max_dev <= 1e-8
-          and dec.mean_value_max_resid <= 1e-5
+    r, = _rows("riesz", "riesz.csv", {"n": 400}, E=0.5)
+    h_dev = max(abs(r["h_min"] - r["L_ref"]), abs(r["h_max"] - r["L_ref"]))
+    ok = (r["boundary_max_dev"] <= 1e-8
+          and r["mean_value_max_resid"] <= 1e-5
           and h_dev <= 0.05)
-    return (ok, f"boundary {dec.boundary_max_dev:.2e}, "
-                f"mean-value {dec.mean_value_max_resid:.2e}, "
+    return (ok, f"boundary {r['boundary_max_dev']:.2e}, "
+                f"mean-value {r['mean_value_max_resid']:.2e}, "
                 f"|h - L| <= {h_dev:.4f}")
 
 
 def _c6_jensen_identity() -> Tuple[bool, str]:
     """Jensen's formula: circle means of log|D_n| step with the zero count."""
-    fam = det_family(_AMO2, _ALPHA, 0.5, 200)
-    inv = find_zeros(fam)
-    coords = inv.eps_coords()
-    two_pi = 2.0 * math.pi
-    r1 = math.exp(two_pi * clearest_eps(coords, 0.005, 0.01))
-    r2 = math.exp(two_pi * clearest_eps(coords, 0.04, 0.045))
-    res_amo = jensen_identity_residual(fam, inv, r1, r2, K=4096)
+    r, = _rows("riesz", "riesz.csv", {"n": 200}, E=0.5)
+    res_amo = r["jensen_residual"]
     fam0 = det_family(Potential.zero(), _ALPHA, 0.5, 200)
-    inv0 = find_zeros(fam0)
-    res_free = jensen_identity_residual(fam0, inv0, math.exp(two_pi * 0.01),
-                                        math.exp(two_pi * 0.04), K=4096)
+    res_free = jensen_identity_residual(
+        fam0, find_zeros(fam0), math.exp(2.0 * math.pi * 0.01),
+        math.exp(2.0 * math.pi * 0.04), K=4096)
     ok = res_amo <= 1e-6 and res_free <= 1e-15
     return ok, f"residual {res_amo:.2e} (AMO), {res_free:.2e} (free)"
 
 
 def _c7_riesz_mass() -> Tuple[bool, str]:
     """Annulus Riesz mass doubles the acceleration and matches the count."""
-    fam = det_family(_AMO2, _ALPHA, 0.5, 400)
-    rep = riesz_mass(fam, find_zeros(fam), 0.02, 4096,
-                     riesz_kappa(_AMO2, _ALPHA, 0.5, 0.02))
-    ok = (abs(rep.mass_v - 2.0) <= 0.2
-          and abs(rep.mass_u - rep.count_ratio) <= 0.05)
-    return (ok, f"mass_v = {rep.mass_v:.4f}, mass_u = {rep.mass_u:.4f}, "
-                f"count/n = {rep.count_ratio:.4f}")
+    r, = _rows("riesz", "riesz.csv", {"n": 400}, E=0.5)
+    ok = (abs(r["mass_v"] - 2.0) <= 0.2
+          and abs(r["mass_u"] - r["count_ratio"]) <= 0.05)
+    return (ok, f"mass_v = {r['mass_v']:.4f}, mass_u = {r['mass_u']:.4f}, "
+                f"count/n = {r['count_ratio']:.4f}")
 
 
 def _c8_ids_holder() -> Tuple[bool, str]:
@@ -175,34 +156,27 @@ def _c8_ids_holder() -> Tuple[bool, str]:
 def _c9_localization_diagnostics() -> Tuple[bool, str]:
     """Eigenfunction decay at the Lyapunov rate, sparse deviation arcs,
     and a clean double-resonance scan."""
-    n = 1000
-    spectrum = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, n)
-    rates = [eigenfunction_decay(_AMO2, _ALPHA, 0.0, n, which,
-                                 spectrum=spectrum).decay_rate
-             for which in range(n // 2 - 5, n // 2 + 5)]
+    rates = [r["decay_rate"]
+             for r in _rows("localize", "localize_summary.csv", {})]
     med = float(np.median(rates))
     decay_ok = abs(med - _LOG2) <= 0.02 * _LOG2
 
-    geom = deviation_set(_AMO2, _ALPHA, 0.5, 100, threshold=0.05,
-                         grid_size=8192 * 100)
+    def ldt(threshold: float, table: str) -> List[dict]:
+        return _rows("ldt", table, {"n": 100, "ldt": {
+            "threshold": threshold, "grid_per_n": 8192}},
+            E=0.5, seed=11, geom_name="")
+
+    count = len(ldt(0.05, "ldt_arcs.csv"))
     budget = 2 * 100 + 100 ** 0.9
-    count_ok = geom.count <= budget
+    count_ok = count <= budget
 
     # the resonance scan belongs to the deep-deviation regime, so it runs
     # on a sparser geometry at twice the threshold
-    geom_deep = deviation_set(_AMO2, _ALPHA, 0.5, 100, threshold=0.10,
-                              grid_size=8192 * 100)
-    rng = np.random.default_rng(11)
-    clear = 0
-    for _ in range(20):
-        theta = float(rng.uniform(0.0, 1.0))
-        y = int(rng.integers(101, 1000))
-        if double_resonance_scan(geom_deep, theta, _ALPHA, y).clear:
-            clear += 1
+    clear = sum(bool(r["clear"]) for r in ldt(0.10, "resonance_scan.csv"))
     scan_ok = clear == 20
     return (decay_ok and count_ok and scan_ok,
             f"median rate {med:.4f} vs log 2 = {_LOG2:.4f}, "
-            f"arcs {geom.count} <= {budget:.0f}, scans clear {clear}/20")
+            f"arcs {count} <= {budget:.0f}, scans clear {clear}/20")
 
 
 def _c10_convergence_rate() -> Tuple[bool, str]:
@@ -220,19 +194,11 @@ _C11_EIGENPAIR_BOUND = 1e-9
 
 
 def _c11_eigenpair_residual() -> float:
-    """Worst expansion residual over ten mid-spectrum AMO(2) eigenpairs,
-    each on a window past its localization center."""
-    n = 500
-    spectrum = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, n)
-    worst = 0.0
-    for which in range(n // 2 - 5, n // 2 + 5):
-        lam, vec = dirichlet_eigenpair(_AMO2, _ALPHA, 0.0, n, which,
-                                       spectrum=spectrum)
-        l1 = tail_window(int(np.argmax(np.abs(vec))), n, 8, 120)
-        res, _, _ = expansion_identity_scan(_AMO2, _ALPHA, 0.0, lam, vec,
-                                            (l1, l1 + 120))
-        worst = max(worst, res)
-    return worst
+    """Worst expansion residual over ten mid-spectrum AMO(2) eigenpairs, each
+    on a window past its localization center; a nan (no window) reads inf."""
+    rows = _rows("localize", "localize_summary.csv", {"localize": {"n": 500}})
+    return max(math.inf if math.isnan(r["expansion_residual"])
+               else r["expansion_residual"] for r in rows)
 
 
 def _c11_expansion_identity() -> Tuple[bool, str]:

@@ -106,8 +106,13 @@ def _typed(value, kind, key: str):
     return out
 
 
+_MAX_ENERGIES = 10 ** 5  # most energies one config may plan tasks for
+
+
 def _parse_energies(spec) -> Tuple[float, ...]:
     if not isinstance(spec, dict):
+        if isinstance(spec, (list, tuple)) and len(spec) > _MAX_ENERGIES:
+            raise ConfigError(f"energies must hold <= {_MAX_ENERGIES} entries")
         return _value(spec, (float,), None, "energies")  # a list in any order
     if set(spec) != {"start", "stop", "count"}:
         raise ConfigError("an energies range takes exactly start, stop and "
@@ -115,10 +120,9 @@ def _parse_energies(spec) -> Tuple[float, ...]:
     start, stop = (_typed(spec[k], float, f"energies.{k}")
                    for k in ("start", "stop"))
     count = _value(spec["count"], int, 1, "energies.count")
-    try:
-        return tuple(float(E) for E in np.linspace(start, stop, count))
-    except (ValueError, IndexError, MemoryError) as exc:
-        raise ConfigError(f"energies.count {count} is too large") from exc
+    if count > _MAX_ENERGIES:  # refused before linspace allocates
+        raise ConfigError(f"energies.count must be <= {_MAX_ENERGIES}")
+    return tuple(float(E) for E in np.linspace(start, stop, count))
 
 
 def _parse_potential(spec) -> Potential:

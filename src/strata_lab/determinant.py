@@ -16,7 +16,7 @@ inventories, Riesz masses, deviation sets) is driven by this representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,8 +204,6 @@ class DeterminantFamily:
     """Dirichlet determinant of an n-site box, in phase-polynomial form.
 
     `poly` is D_n as a ScaledLaurentPoly in z = e^{2 pi i theta}.
-    `centered` marks the rotated variable in which the coefficient sequence
-    of an even potential is palindromic.
     """
 
     potential: Potential
@@ -213,7 +211,6 @@ class DeterminantFamily:
     E: float
     n: int
     poly: ScaledLaurentPoly
-    centered: bool = False
 
     def log_abs_per_site(self, z):
         """(1/n) log|D_n(z)|: the per-site log magnitude of the determinant."""
@@ -222,26 +219,6 @@ class DeterminantFamily:
 
     def log_abs_per_site_circle(self, radius: float, m: int) -> np.ndarray:
         return self.poly.eval_circle_log(radius, m) / self.n
-
-    def inversive_defect(self) -> float:
-        """Max relative violation of coeff[k] = conj(coeff[-k]).
-
-        Determinants of self-adjoint boxes at real energy satisfy
-        D(1/conj(z)) = conj(D(z)); on coefficients this is the self-inversive
-        relation above, preserved by recentering.
-        """
-        c = self.poly.coeffs
-        if self.poly.lo != -self.poly.hi:
-            raise ValueError("coefficient support is not symmetric")
-        defect = np.max(np.abs(c - np.conj(c[::-1])))
-        return float(defect / np.max(np.abs(c)))
-
-    def palindrome_defect(self) -> float:
-        """Max relative violation of coeff[k] = coeff[-k] (centered, even f)."""
-        if not self.centered:
-            raise ValueError("palindrome symmetry only holds in centered form")
-        c = self.poly.coeffs
-        return float(np.max(np.abs(c - c[::-1])) / np.max(np.abs(c)))
 
 
 def det_family(
@@ -285,25 +262,7 @@ def det_family(
         prev2, prev = prev, cur
 
     return DeterminantFamily(
-        potential=potential, alpha=alpha, E=float(E), n=n, poly=prev,
-        centered=False)
-
-
-def center_family(fam: DeterminantFamily) -> DeterminantFamily:
-    """Rotate to the symmetric variable z' = z e^{pi i (n-1) alpha}.
-
-    For even potentials the recentered coefficient sequence is palindromic
-    (the zero set is symmetric under w -> 1/w).  Requires an even potential;
-    for n = 1 the rotation is trivial.
-    """
-    if not fam.potential.is_even:
-        raise ValueError("recentering requires an even potential")
-    poly = fam.poly
-    ks = np.arange(poly.lo, poly.hi + 1, dtype=np.float64)
-    phases = np.exp(-1j * math.pi * ks * ((fam.n - 1) * fam.alpha))
-    return DeterminantFamily(
-        potential=fam.potential, alpha=fam.alpha, E=fam.E, n=fam.n,
-        poly=replace(poly, coeffs=poly.coeffs * phases), centered=True)
+        potential=potential, alpha=alpha, E=float(E), n=n, poly=prev)
 
 
 def det_at_phase(potential: Potential, alpha: float, theta, E, n: int):

@@ -125,11 +125,12 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
     return DirichletSpectrum(theta=float(theta), n=n, eigenvalues=evs)
 
 
-def _twisted_eigenpair(potential: Potential, alpha: float, theta: float,
-                       n: int, index: int,
-                       spectrum: Optional[DirichletSpectrum]):
+def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
+                        n: int, index: int,
+                        spectrum: Optional[DirichletSpectrum]):
     """Eigenvalue, log|phi| and sign(phi) of the unit eigenvector, positive
-    at its peak, by twisted factorization.
+    at its peak, for one spectral index, by twisted factorization; the
+    eigenvalue is read from `spectrum` (None: solved here).
 
     Forward pivots run on the diagonal, backward pivots on it reversed.  At
     the twist k minimizing |gamma_j| = |fwd_j + bwd_j - (d_j - lam)|, the
@@ -160,17 +161,6 @@ def _twisted_eigenpair(potential: Potential, alpha: float, theta: float,
     if resid > 1e-10 * (2.0 + float(np.max(np.abs(d))) + abs(lam)):
         raise RuntimeError(f"eigenvector residual {resid:.3e} too large")
     return lam, logs - log_norm, sign * sign[peak]
-
-
-def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
-                        n: int, index: int,
-                        spectrum: Optional[DirichletSpectrum] = None):
-    """Eigenvalue and unit eigenvector, positive at its peak, for one
-    spectral index: the shift from the bisection eigensolve, the vector by
-    `_twisted_eigenpair`; components too small for a double read 0."""
-    lam, logs, sign = _twisted_eigenpair(potential, alpha, theta, n, index,
-                                         spectrum)
-    return lam, sign * np.exp(logs)
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +223,8 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
     """Decay profile of the eigenvector at spectral index `which`."""
     if n < 500:
         raise ValueError("decay diagnostics need n >= 500")
-    lam, logs, sign = _twisted_eigenpair(potential, alpha, theta, n, which,
-                                         spectrum)
+    lam, logs, sign = dirichlet_eigenpair(potential, alpha, theta, n, which,
+                                          spectrum)
     center = int(np.argmax(logs))
     half = max(1, n // 16)
     left = np.arange(center - half)

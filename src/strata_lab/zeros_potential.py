@@ -169,8 +169,8 @@ class ZeroInventory:
     pair_inversive[i] is the index of the root closest to 1/conj(roots[i])
     when that distance is within 1e-7, else -1; roots on the unit
     circle (within _CIRCLE_TOL) are their own inversive partners and carry
-    -1.  pair_reflection is the analogous map for w -> phase/w (even
-    potentials only, phase = 1 for centered families), or None.
+    -1.  pair_reflection is the analogous map for
+    w -> e^{-2 pi i (n-1) alpha} / w (even potentials only), or None.
     """
 
     roots: np.ndarray            # complex zeros, deterministically ordered
@@ -178,7 +178,6 @@ class ZeroInventory:
     n: int                       # box length of the source determinant
     E: float
     alpha: float
-    centered: bool
     pair_inversive: np.ndarray   # int indices or -1
     pair_reflection: Optional[np.ndarray]
     on_circle: np.ndarray        # bool, | |w| - 1 | <= _CIRCLE_TOL
@@ -216,7 +215,7 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
     trimmed() drops has underflowed; the inventory would then miss roots,
     and it is refused.  Real energy forces the zero set to be invariant
     under w -> 1/conj(w); even potentials add the reflection
-    w -> e^{-2 pi i (n-1) alpha} / w (w -> 1/w after centering).
+    w -> e^{-2 pi i (n-1) alpha} / w.
     """
     poly = fam.poly.trimmed()
     if poly.is_zero:
@@ -235,8 +234,7 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
 
     pair_ref = None
     if fam.potential.is_even and len(roots):
-        phase = 1.0 if fam.centered else np.exp(-1j * TWO_PI * (fam.n - 1) * fam.alpha)
-        ref_targets = phase / roots
+        ref_targets = np.exp(-1j * TWO_PI * (fam.n - 1) * fam.alpha) / roots
         fixed = np.abs(roots - ref_targets) <= _REFLECTION_TOL
         pair_ref = _nearest_pairing(roots, ref_targets, _REFLECTION_TOL,
                                     skip=fixed)
@@ -245,8 +243,7 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
 
     return ZeroInventory(
         roots=roots, multiplicities=mult, n=fam.n, E=fam.E, alpha=fam.alpha,
-        centered=fam.centered, pair_inversive=pair_inv, pair_reflection=pair_ref,
-        on_circle=on_circle)
+        pair_inversive=pair_inv, pair_reflection=pair_ref, on_circle=on_circle)
 
 
 @dataclass(frozen=True)

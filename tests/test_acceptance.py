@@ -65,12 +65,17 @@ def test_criterion_12_determinism():
     check(12)
 
 
-# c11's eigenpair half under three wrong expansions; each must fail the gate
+# c11's eigenpair half under four wrong expansions; each must fail the gate
 _EXPANSION = spectral_localization._window_expansion
 
 
 def _zero(*args):
     return 0.0
+
+
+def _raises(*args):
+    # every window raises: the localize rows carry no residual (nan)
+    raise ValueError("no expansion")
 
 
 def _swapped_boundary(potential, alpha, theta, E, phi, window, y):
@@ -87,7 +92,7 @@ def _window_off_by_one(potential, alpha, theta, E, phi, window, y):
 
 
 @pytest.mark.parametrize("mutant", [_zero, _swapped_boundary,
-                                    _window_off_by_one])
+                                    _window_off_by_one, _raises])
 def test_criterion_11_fails_on_a_wrong_expansion(mutant, monkeypatch):
     monkeypatch.setattr(spectral_localization, "_window_expansion", mutant)
     worst = acceptance._c11_eigenpair_residual()

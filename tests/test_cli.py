@@ -138,6 +138,10 @@ def read_rows(path):
     # ... and one where 2 cosh(2 pi eps) overflows before it meets 1e-10
     {"potential": {"coeffs": [[1, 1e-10, 0], [-1, 1e-10, 0]], "eta": 1000},
      "eps_grid": [0.1, 115]},
+    # more energies than a run may plan: the range was materialized and
+    # planning `ids` ran out of memory; a list gets the same cap
+    {"energies": {"start": 0, "stop": 1, "count": 10000000}},
+    {"energies": [0.5] * 100001},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):

@@ -19,9 +19,11 @@ _WRONG = st.sampled_from([True, None, "1", "x", [], {}])
 _FLOATS = (st.floats(-1.0, 1.0) | st.floats(allow_nan=True)
            | st.sampled_from([0.0, 1.0, math.inf, math.nan]))
 _INTS = st.integers(-3, 3) | st.integers() | st.sampled_from([2 ** 63, 2 ** 64])
-# an energies range is materialized while the config is parsed: draw small
-# counts and counts numpy refuses before it allocates, never one it would fill
-_COUNTS = st.integers(-2, 50) | st.sampled_from([2 ** 62, 2 ** 63, 2 ** 64])
+# an energies range is materialized while the config is parsed, and a count
+# above the energy cap is refused before it is: draw small counts and counts
+# past the cap
+_COUNTS = st.integers(-2, 50) | st.sampled_from([10 ** 7, 2 ** 62, 2 ** 63,
+                                                 2 ** 64])
 
 
 def _number(kind, least):

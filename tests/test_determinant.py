@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strata_lab import (Potential, center_family, det_at_phase, det_family,
-                        transfer_log_norms)
+from strata_lab import Potential, det_at_phase, det_family, transfer_log_norms
 from strata_lab.determinant import (DEFAULT_DEGREE_CAP, DegreeCapError,
                                    ScaledLaurentPoly, _horner_pair)
 
@@ -109,33 +108,23 @@ def test_degree_cap_and_length_validation(amo2, golden):
 
 
 def test_inversive_defect_small_for_real_energy(amo2, golden):
-    assert det_family(amo2, golden, 0.5, 20).inversive_defect() < 1e-10
-    assert det_family(amo2, golden, 1.5, 20).inversive_defect() < 1e-10
-
-
-def test_centered_family_is_palindromic(amo2, golden):
-    fam = det_family(amo2, golden, 1.5, 15)
-    with pytest.raises(ValueError):
-        fam.palindrome_defect()
-    cen = center_family(fam)
-    assert cen.centered
-    assert cen.palindrome_defect() < 1e-10
-
-
-def test_centering_requires_even_potential(golden):
-    odd = Potential({1: 1.0 + 0.5j, -1: 1.0 - 0.5j})
-    with pytest.raises(ValueError):
-        center_family(det_family(odd, golden, 0.5, 10))
+    # a self-adjoint box at real energy: D(1/conj(z)) = conj(D(z)), so the
+    # coefficients are self-inversive, coeff[k] = conj(coeff[-k])
+    for E in (0.5, 1.5):
+        c = det_family(amo2, golden, E, 20).poly.coeffs
+        assert np.max(np.abs(c - np.conj(c[::-1]))) < 1e-10 * np.max(np.abs(c))
 
 
 def test_centered_modulus_reflection(amo2, golden):
-    # palindromic coefficients force |D_c(1/z)| = |D_c(z)|
-    cen = center_family(det_family(amo2, golden, 1.5, 15))
+    # even potential: |D_n(c/z)| = |D_n(z)|, c = e^{-2 pi i (n-1) alpha}
+    n = 15
+    fam = det_family(amo2, golden, 1.5, n)
+    c = np.exp(-2j * np.pi * (n - 1) * golden)
     rng = np.random.default_rng(1)
     for _ in range(5):
         z = (0.9 + 0.2 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        la1, _ = cen.poly.eval_log(z)
-        la2, _ = cen.poly.eval_log(1.0 / z)
+        la1, _ = fam.poly.eval_log(z)
+        la2, _ = fam.poly.eval_log(c / z)
         assert la1 == pytest.approx(la2, abs=1e-9)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 34
+CEILING = 33
 
 
 def census() -> int:

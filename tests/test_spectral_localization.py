@@ -11,7 +11,6 @@ from strata_lab import (Potential, acceleration, classify_stratum,
                         lyapunov_n, sturm_count)
 from strata_lab import transfer_log_norms
 from strata_lab.spectral_localization import (DeviationSetGeometry,
-                                              _twisted_eigenpair,
                                               dirichlet_diagonal,
                                               dirichlet_eigenpair)
 
@@ -76,7 +75,8 @@ def test_sturm_count_matches_spectrum(amo2, golden):
 
 def test_eigenpair_residual_and_normalization(amo2, golden, dense_box):
     n = 60
-    lam, v = dirichlet_eigenpair(amo2, golden, 0.0, n, 30)
+    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 30, None)
+    v = sign * np.exp(logs)
     H = dense_box(amo2, golden, 0.0, n)
     assert np.linalg.norm(H @ v - lam * v) < 1e-9
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -87,7 +87,7 @@ def test_twisted_log_profile_matches_dense_eigh(amo2, golden, dense_box):
     n = 60
     _, oracle = np.linalg.eigh(dense_box(amo2, golden, 0.0, n))
     for index in range(n):
-        _, logs, sign = _twisted_eigenpair(amo2, golden, 0.0, n, index, None)
+        _, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, index, None)
         v = oracle[:, index]
         v = v * np.sign(v[np.argmax(np.abs(v))])
         seen = np.abs(v) > 1e-12
@@ -98,9 +98,9 @@ def test_twisted_log_profile_matches_dense_eigh(amo2, golden, dense_box):
 
 def test_eigenpair_index_validation(amo2, golden):
     with pytest.raises(ValueError):
-        dirichlet_eigenpair(amo2, golden, 0.0, 10, 10)
+        dirichlet_eigenpair(amo2, golden, 0.0, 10, 10, None)
     with pytest.raises(ValueError):
-        dirichlet_eigenpair(amo2, golden, 0.0, 10, -1)
+        dirichlet_eigenpair(amo2, golden, 0.0, 10, -1, None)
 
 
 # ----------------------------------------------------------------- decay
@@ -324,8 +324,9 @@ def test_expansion_identity_validation(free, golden):
 def test_expansion_identity_on_localized_eigenvector(amo2, golden):
     n = 500
     spec = dirichlet_eigenvalues(amo2, golden, 0.0, n)
-    lam, v = dirichlet_eigenpair(amo2, golden, 0.0, n, 250, spectrum=spec)
-    c = int(np.argmax(np.abs(v)))
+    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 250, spec)
+    v = sign * np.exp(logs)
+    c = int(np.argmax(logs))
     # a window on the far side of the localization center, where the
     # boundary data actually carries the interior values
     wlen, margin = 120, 8

@@ -106,11 +106,14 @@ def test_gap_zeros_pair_under_inversion(amo2, golden):
 
 
 def test_reflection_pairing_after_centering(amo2, golden):
-    from strata_lab import center_family
-
-    inv = find_zeros(center_family(det_family(amo2, golden, 1.5, 50)))
-    assert inv.pair_reflection is not None
-    assert bool(np.all(inv.pair_reflection >= 0))
+    # even potential: zeros pair under w -> c / w, c = e^{-2 pi i (n-1) alpha}
+    n = 50
+    inv = find_zeros(det_family(amo2, golden, 1.5, n))
+    pr = inv.pair_reflection
+    assert pr is not None
+    assert bool(np.all(pr >= 0))
+    c = np.exp(-2j * np.pi * (n - 1) * golden)
+    np.testing.assert_allclose(inv.roots[pr], c / inv.roots, rtol=0, atol=1e-6)
 
 
 def test_free_family_has_no_zeros(free, golden):
