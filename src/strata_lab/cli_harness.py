@@ -122,6 +122,8 @@ def _parse_energies(spec) -> Tuple[float, ...]:
     count = _value(spec["count"], int, 1, "energies.count")
     if count > _MAX_ENERGIES:  # refused before linspace allocates
         raise ConfigError(f"energies.count must be <= {_MAX_ENERGIES}")
+    if not math.isfinite(stop - start):  # then every entry is finite too
+        raise ConfigError(f"energies range {start:g}..{stop:g} overflows")
     return tuple(float(E) for E in np.linspace(start, stop, count))
 
 

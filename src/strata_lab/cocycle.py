@@ -24,8 +24,9 @@ from .model import TWO_PI, Potential
 
 
 # `lyapunov_n` walks the energy axis in blocks whose (E, eps, theta) batch
-# holds about this many elements, so that the recurrence's temporaries stay
-# cache-sized and peak memory does not grow with the number of energies.
+# holds about this many elements, and `transfer_log_norms` builds its symbol
+# for as many (step, eps, theta) entries at once, so that temporaries stay
+# cache-sized and peak memory grows with neither the energies nor the steps.
 _BLOCK = 1 << 14
 
 # L(E, 0) above this counts as positive (stratum S<l>+ rather than S<l>0);
@@ -72,10 +73,9 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     return max(1, int(900.0 / max(1.0, math.log2(growth))))
 
 
-def _largest(a, b, c, d) -> np.ndarray:
-    """The largest entry modulus of the running product."""
-    return np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                      np.maximum(np.abs(c), np.abs(d)))
+def _largest(ab, cd) -> np.ndarray:
+    """Largest entry modulus of the running product, rows (a, b) and (c, d)."""
+    return np.maximum(np.max(np.abs(ab), axis=0), np.max(np.abs(cd), axis=0))
 
 
 def _log_norm(exponent: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -98,15 +98,16 @@ def transfer_log_norms(
 
     `E` is a scalar or a 1-D array of energies and `eps` a scalar or a 1-D
     grid; the log-norms have shape E.shape + eps.shape + thetas.shape.  One
-    recurrence runs over the whole (E, eps, theta) batch; each step
-    evaluates the phases mod 1 and the symbol once for every energy
-    (`Potential.eval_theta`) and writes the product's two new entries into
-    preallocated buffers.  Every `_rescale_interval` steps the product is
-    multiplied by 2^-e, e the frexp exponent of its largest entry modulus,
-    and e joins an integer exponent.  Power-of-two scaling is exact, so the
-    log-norm (exponent + frexp exponent) ln 2 + log(mantissa), taken only at
-    the ladder lengths and at n, is the same bit for bit whatever the
-    interval, the energy batch or the ladder.
+    recurrence runs over the whole (E, eps, theta) batch, its symbol f from
+    `Potential.eval_theta`'s halves: eps factors once per call, phase factors
+    once per block of steps whose symbol holds about `_BLOCK` entries.  A
+    step writes t = E - f to a buffer and advances the stacked rows (a, b),
+    (c, d) with one multiply and one subtract.  Every `_rescale_interval`
+    steps the product is scaled by 2^-e, e the frexp exponent of its
+    largest entry modulus, and e joins an integer exponent.  Power-of-two
+    scaling is exact, so the log-norm (exponent + frexp exponent) ln 2 +
+    log(mantissa) at the ladder lengths and at n has the same bits whatever
+    the interval, the block, the energy batch or the ladder.
 
     `ladder` lists ascending product lengths in 1..n; when it is given the
     result gains a leading axis with the log-norm at each of those lengths,
@@ -133,33 +134,37 @@ def transfer_log_norms(
     # at eps = 0 the product is real: real arithmetic, the same bits
     dtype = np.complex128 if np.any(grid) else np.float64
     every = _rescale_interval(potential, energies, grid)
-    a, b = np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
-    c, d = np.zeros(shape, dtype=dtype), np.ones(shape, dtype=dtype)
-    a_next, b_next = np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+    factors = potential._eps_factors(grid.reshape(-1).tolist(), thetas.ndim)
+    steps = max(1, _BLOCK // max(1, grid.size * thetas.size))
+    ab, cd = np.zeros((2,) + shape, dtype), np.zeros((2,) + shape, dtype)
+    ab[0] = cd[1] = 1.0  # (a, b) = (1, 0), (c, d) = (0, 1)
+    t, spare = np.empty(shape, dtype), np.empty_like(ab)
     exponent = np.zeros(shape, dtype=np.int64)
     snapshots = []
     for j in range(n):
-        x = thetas + j * alpha
-        ph = x - np.floor(x)  # np.mod(x, 1.0) bit for bit, 10x cheaper
-        t = col - potential.eval_theta(ph, grid)
-        np.subtract(np.multiply(t, a, out=a_next), c, out=a_next)
-        np.subtract(np.multiply(t, b, out=b_next), d, out=b_next)
-        a, b, c, d, a_next, b_next = a_next, b_next, a, b, c, d
+        if j % steps == 0:  # a block of steps on axis 0
+            x = thetas + (np.arange(j, min(n, j + steps)) * alpha).reshape(
+                (-1,) + (1,) * (grid.ndim + thetas.ndim))
+            ph = x - np.floor(x)  # np.mod(x, 1.0) bit for bit, 10x cheaper
+            f = np.empty((len(ph),) + grid.shape + thetas.shape, dtype)
+            potential._phase_factors(factors, ph, f)
+        np.subtract(col, f[j % steps], out=t)
+        np.subtract(np.multiply(t, ab, out=spare), cd, out=spare)
+        ab, cd, spare = spare, ab, cd
         hits = lengths.count(j + 1)
         if hits:
-            snapshots += [_log_norm(exponent, _largest(a, b, c, d))] * hits
+            snapshots += [_log_norm(exponent, _largest(ab, cd))] * hits
         if (j + 1) % every == 0:
-            e = np.frexp(_largest(a, b, c, d))[1]
+            e = np.frexp(_largest(ab, cd))[1]
             scale = np.ldexp(1.0, -e)
-            for m in (a, b, c, d):
-                m *= scale
+            ab *= scale
+            cd *= scale
             exponent += e
-    m = _largest(a, b, c, d)
+    m = _largest(ab, cd)
     acc = np.stack(snapshots) if lengths else _log_norm(exponent, m)
     if not return_matrices:
         return acc
-    mats = np.stack([np.stack([a, b], axis=-1),
-                     np.stack([c, d], axis=-1)], axis=-2)
+    mats = np.moveaxis(np.stack([ab, cd]), (0, 1), (-2, -1))  # (..., 2, 2)
     return acc, mats / m[..., None, None]
 
 

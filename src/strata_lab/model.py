@@ -123,6 +123,7 @@ class Potential:
         so all rows share one cos and sin of 2 pi k theta per k, and no
         complex power is taken.  At eps == 0, 2 cosh(0) = 2.0 exactly and
         the real part is the cosine form c_0 + sum_k 2 p_k, bit for bit.
+        Its halves `_eps_factors` and `_phase_factors` serve the strip kernel.
         """
         theta = np.asarray(theta, dtype=np.float64)
         grid = np.asarray(eps, dtype=np.float64)
@@ -132,27 +133,37 @@ class Potential:
         if any(abs(e) > self._eta * (1 + 1e-12) for e in rows):
             raise ValueError("phase imaginary part exceeds the declared strip")
         real = not any(rows)
-        out = np.zeros((len(rows),) + theta.shape,
+        out = np.empty((len(rows),) + theta.shape,
                        dtype=np.float64 if real else np.complex128)
-        re = out.real
-        col = (len(rows),) + (1,) * theta.ndim  # per-row factors
-        for k, c in self._terms:
-            if k < 0:
-                continue
-            if k == 0:
-                re += c.real
-                continue
-            ang = TWO_PI * k * theta
-            co, si = np.cos(ang), np.sin(ang)
-            s = [TWO_PI * k * e for e in rows]
-            cosh2 = np.reshape([2.0 * math.cosh(x) for x in s], col)
-            re += cosh2 * (c.real * co - c.imag * si)
-            if not real:
-                sinh2 = np.reshape([2.0 * math.sinh(x) for x in s], col)
-                out.imag -= sinh2 * (c.real * si + c.imag * co)
+        self._phase_factors(self._eps_factors(rows, theta.ndim), theta, out)
         if grid.ndim or theta.ndim:
             return out if grid.ndim else out[0]
         return float(out[0]) if real else complex(out[0])
+
+    def _eps_factors(self, rows: Sequence[float], ndim: int):
+        """The eps half of `eval_theta`: c_0, and per k > 0 ascending (k, c_k,
+        2 cosh(2 pi k eps)) plus, off an all-zero grid, 2 sinh(2 pi k eps)."""
+        col = (len(rows),) + (1,) * ndim
+        fns = (math.cosh, math.sinh) if any(rows) else (math.cosh,)
+        return (sum((c.real for k, c in self._terms if k == 0), 0.0),
+                [(k, c) + tuple(np.reshape([2.0 * fn(TWO_PI * k * e)
+                                            for e in rows], col) for fn in fns)
+                 for k, c in self._terms if k > 0])
+
+    def _phase_factors(self, factors, theta: np.ndarray, out: np.ndarray):
+        """The phase half: out = c_0 + sum_k [2 cosh p_k - 2i sinh q_k], with
+        p_k + i q_k = c_k e^{2 pi i k theta}, summed in ascending k."""
+        c0, cols = factors
+        if not cols:
+            out[...] = c0
+        for j, (k, c, *fac) in enumerate(cols):  # the first on 0 + c_0 and 0
+            ang = TWO_PI * k * theta
+            co, si = np.cos(ang), np.sin(ang)
+            re = fac[0] * (c.real * co - c.imag * si)
+            np.add(out.real if j else c0, re, out=out.real)
+            if len(fac) > 1:
+                im = fac[1] * (c.real * si + c.imag * co)
+                np.subtract(out.imag if j else 0.0, im, out=out.imag)
 
     # -- constructors / serialization --------------------------------------
 

@@ -142,6 +142,8 @@ def read_rows(path):
     # planning `ids` ran out of memory; a list gets the same cap
     {"energies": {"start": 0, "stop": 1, "count": 10000000}},
     {"energies": [0.5] * 100001},
+    # the span overflowed a double: the range parsed to (nan, inf, 1e308)
+    {"energies": {"start": -1e308, "stop": 1e308, "count": 3}},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):

@@ -9,7 +9,11 @@ renormalization by division at every step.  It rounds differently, so the
 two agree within a fixed bound on the log-norms, and an extended-precision
 evaluation checks that both lie within it of the exact product.  Grid rows,
 the energy axis, the n-ladder and the rescaling interval are checked against
-separate calls of the kernel itself, bit for bit.
+separate calls of the kernel itself, bit for bit.  The second reference
+is the kernel's own step loop as it ran before the symbol came in blocks:
+`eval_theta` once per step and the four entries a, b, c, d apart.  Blocks,
+shared factors and stacked rows only regroup the same operations, so that
+reference must match to the bit.
 """
 
 import itertools
@@ -145,6 +149,85 @@ def test_rescale_interval_changes_no_bit(every, golden, monkeypatch):
         # the residual matrices keep largest entry modulus 1
         largest = np.max(np.abs(mats), axis=(-2, -1))
         assert np.all(np.abs(largest - 1.0) <= 4 * np.finfo(float).eps)
+
+
+def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
+    """`transfer_log_norms` with one `eval_theta` call per step: the log-norm
+    snapshots at `ladder` and the residual matrices at length n."""
+    energies = np.asarray(E, dtype=np.float64)
+    grid = np.asarray(eps, dtype=np.float64)
+    thetas = np.fmod(np.asarray(thetas, dtype=np.float64), 1.0)
+    shape = energies.shape + grid.shape + thetas.shape
+    col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))
+    dtype = np.complex128 if np.any(grid) else np.float64
+    every = cocycle._rescale_interval(pot, energies, grid)
+    a, b = np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+    c, d = np.zeros(shape, dtype=dtype), np.ones(shape, dtype=dtype)
+    exponent = np.zeros(shape, dtype=np.int64)
+
+    def largest():
+        return np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                          np.maximum(np.abs(c), np.abs(d)))
+
+    snapshots = []
+    for j in range(n):
+        x = thetas + j * alpha
+        t = col - pot.eval_theta(x - np.floor(x), grid)
+        a, b, c, d = t * a - c, t * b - d, a, b
+        snapshots += [cocycle._log_norm(exponent, largest())] * ladder.count(
+            j + 1)
+        if (j + 1) % every == 0:
+            e = np.frexp(largest())[1]
+            scale = np.ldexp(1.0, -e)
+            a, b, c, d = a * scale, b * scale, c * scale, d * scale
+            exponent += e
+    mats = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)],
+                    axis=-2)
+    return np.stack(snapshots), mats / largest()[..., None, None]
+
+
+# (thetas, eps, E, n): a mixed grid with 0 and negative entries, an all-zero
+# grid, a scalar negative eps on a 2-D theta batch, a grid on a 2-D batch,
+# and a theta batch wider than the step block
+_BATCHES = {
+    "mixed": (np.arange(33) / 33.0, np.array(GRID), ENERGIES[:3], 41),
+    "zero_grid": (np.arange(33) / 33.0, [0.0, 0.0], ENERGIES, 43),
+    "negative_2d": (np.arange(24).reshape(4, 6) / 24.0, -0.04, 0.5, 45),
+    "grid_2d": (np.arange(33).reshape(3, 11) / 33.0, np.array(GRID),
+                ENERGIES[:2], 51),
+    "wide": (np.linspace(0.0, 1.0, cocycle._BLOCK + 5, endpoint=False),
+             [0.0, 0.05], 1.5, 6),
+}
+
+
+@pytest.mark.parametrize("pot", [
+    Potential.amo(2.0), Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}),
+    POTENTIALS["k0_3_complex"]], ids=["amo2", "two_harmonic", "k0_3_complex"])
+@pytest.mark.parametrize("batch", sorted(_BATCHES))
+@pytest.mark.parametrize("every", [None, 7], ids=["derived", "every7"])
+@pytest.mark.parametrize("block", [None, 1, 500], ids=["default", "b1", "b500"])
+def test_kernel_matches_the_per_step_loop_bit_for_bit(
+        pot, batch, every, block, golden, monkeypatch):
+    thetas, eps, E, n = _BATCHES[batch]
+    if every is not None:
+        monkeypatch.setattr(cocycle, "_rescale_interval", lambda *args: every)
+    if block is not None:
+        monkeypatch.setattr(cocycle, "_BLOCK", block)
+    steps = max(1, cocycle._BLOCK // (np.size(eps) * np.size(thetas)))
+    ladder = [1, n // 3, n // 3, n - 1, n]
+    want_logs, want_mats = _per_step_kernel(pot, golden, thetas, E, eps, n,
+                                            ladder)
+    logs = transfer_log_norms(pot, golden, thetas, E, eps, n, ladder=ladder)
+    last, mats = transfer_log_norms(pot, golden, thetas, E, eps, n,
+                                    return_matrices=True)
+    assert np.array_equal(logs, want_logs)
+    assert np.array_equal(last, want_logs[-1])
+    assert np.array_equal(mats, want_mats)
+    assert mats.shape == np.shape(last) + (2, 2)
+    if block == 500 and batch != "wide":
+        assert steps < n and n % steps != 0  # the last block is a short one
+    if batch == "wide":
+        assert np.size(thetas) > cocycle._BLOCK and steps == 1
 
 
 def test_huge_energy_still_runs():
