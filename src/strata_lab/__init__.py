@@ -18,11 +18,9 @@ from .determinant import (
 from .cocycle import (
     AccelerationEstimate,
     LyapunovEstimate,
-    StratumRecord,
     acceleration,
     classify_stratum,
     lyapunov_n,
-    strata_measure,
     transfer_log_norms,
 )
 from .zeros_potential import (

@@ -294,7 +294,3 @@ def run_criterion(number: int) -> AcceptanceRecord:
             return AcceptanceRecord(num, name, passed, observed)
     raise ValueError(f"no acceptance criterion numbered {number}")
 
-
-def format_line(rec: AcceptanceRecord) -> str:
-    flag = "PASS" if rec.passed else "FAIL"
-    return f"[{flag}] criterion {rec.criterion:2d} {rec.name}: {rec.observed}"

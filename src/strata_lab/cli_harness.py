@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .model import GOLDEN_MEAN, Potential
 from .cocycle import (_check_symbol_range, acceleration, classify_stratum,
-                      lyapunov_n, strata_measure)
+                      lyapunov_n)
 from .determinant import det_family
 from .spectral_localization import (
     check_delta_ladder,
@@ -185,17 +185,12 @@ _CONFIG_TABLE: Dict[str, Any] = {
     "ldt": {"threshold": (None, float, None), "grid_per_n": (64, int, 64),
             "scan_count": (20, int, 0)},
     "localize": {"n": (1000, int, 500),     # decay diagnostics
-                 "theta": (0.0, "phase", None), "count": (10, int, 1),
-                 "window_margin": (8, int, 0), "window_len": (120, int, 0)},
+                 "theta": (0.0, "phase", None), "count": (10, int, 1)},
     "riesz": {"R_eps": (0.05, float, None), "eps_r": (0.02, float, None),
-              "n_radii": (9, int, 3), "n_angles": (256, int, 1),
+              "n_angles": (256, int, 1),
               "jensen_radii": ([0.01, 0.04], [float], None),
               "K": (4096, int, 1)},
-    "green": {"samples": (100, int, 4),     # samples // 4 circle averages
-              "boundary_tol": (1e-10, float, None),
-              "symmetry_tol": (1e-12, float, None),
-              "average_tol": (1e-9, float, None)},
-    "strata": {"tau_pos": (0.05, float, None), "spectrum_box": (300, int, 1),
+    "strata": {"spectrum_box": (300, int, 1),
                "spectrum_theta": (0.123, "phase", None)},
 }
 
@@ -280,8 +275,6 @@ def _check_rules(c: ExperimentConfig) -> None:
     jr = c.riesz.jensen_radii
     if len(jr) != 2 or not 0 < jr[0] < jr[1] < c.riesz.R_eps:
         raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
-    if c.localize.window_len > c.localize.n - 3:
-        raise ConfigError("localize.window_len must be <= localize.n - 3")
     if c.localize.count > c.localize.n:  # indices past the box
         raise ConfigError("localize.count must be <= localize.n")
     try:
@@ -421,7 +414,7 @@ def _task_zeros(cfg: ExperimentConfig, E: float, n: int) -> Dict[str, Any]:
         "E": E, "n": n, "idx": i, "re": float(w.real), "im": float(w.imag),
         "modulus": float(abs(w)),
         "eps_coord": float(abs(math.log(abs(w))) / TWO_PI),
-        "multiplicity": int(inv.multiplicities[i]),
+        "multiplicity": 1,
         "on_circle": bool(inv.on_circle[i]),
         "pair_inversive": int(inv.pair_inversive[i]),
         "pair_reflection": int(refl[i]) if refl is not None else -2}
@@ -457,8 +450,7 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
         check_green_range(R)    # refuse an annulus the kernel cannot serve
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
-    sec = cfg.green
-    samples = sec.samples
+    samples = 100
     rng = np.random.default_rng(seed)
     lr = math.log(R)
 
@@ -487,9 +479,9 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
     rows = [{"check": check, "samples": m, "max_abs_err": err,
              "tol": tol, "passed": err <= tol}
             for check, m, err, tol in (
-                ("boundary_zero", samples, err_boundary, sec.boundary_tol),
-                ("symmetry", samples, err_sym, sec.symmetry_tol),
-                ("circle_average", samples // 4, err_avg, sec.average_tol))]
+                ("boundary_zero", samples, err_boundary, 1e-10),
+                ("symmetry", samples, err_sym, 1e-12),
+                ("circle_average", samples // 4, err_avg, 1e-9))]
     return _payload({"green_suite.csv": rows})
 
 
@@ -505,8 +497,7 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
         raise _Precondition(str(exc)) from exc
     fam = det_family(cfg.potential, cfg.alpha, E, cfg.n)
     inv = find_zeros(fam)
-    dec = riesz_decompose(fam, inv, R, n_radii=sec.n_radii,
-                          n_angles=sec.n_angles)
+    dec = riesz_decompose(fam, inv, R, n_angles=sec.n_angles)
     L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, R_eps,
                        cfg.quadrature.lyapunov_K).value
     # nudge the comparison circles off any zero moduli before Jensen;
@@ -555,16 +546,23 @@ def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
     h = 10.0 / box  # in spectrum: a box eigenvalue lies in (E - h, E + h]
     lo, hi = sturm_count(cfg.potential, cfg.alpha, sec.spectrum_theta,
                          np.add.outer((-h, h), cfg.energies), box)
-    rows = []
-    for E, L0, acc, in_spec in zip(cfg.energies, (est.value for est in L0s),
-                                   accs, (hi > lo).tolist()):
-        rec = classify_stratum(E, L0, acc.kappa, tau_pos=sec.tau_pos,
-                               non_affine=acc.non_affine, in_spectrum=in_spec)
-        rows.append({
-            "E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
-            "non_affine": acc.non_affine, "in_spectrum": in_spec,
-            "label": rec.label})
-    return _payload({"strata.csv": rows})
+    rows = [{"E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
+             "non_affine": acc.non_affine, "in_spectrum": in_spec,
+             "label": classify_stratum(L0, acc.kappa, acc.non_affine, in_spec)}
+            for E, L0, acc, in_spec in zip(cfg.energies,
+                                           (est.value for est in L0s), accs,
+                                           (hi > lo).tolist())]
+    # the measure of each label, defined only on a uniform energy grid
+    diffs = np.diff(cfg.energies)
+    if not len(diffs) or (np.max(np.abs(diffs - diffs[0]))
+                          > 1e-12 * max(1.0, abs(diffs[0]))):
+        return _payload({"strata.csv": rows})
+    width = float(abs(diffs[0]))
+    measure: Dict[str, float] = {}
+    for row in rows:
+        measure[row["label"]] = measure.get(row["label"], 0.0) + width
+    return _payload({"strata.csv": rows}, {"strata_summary.json": {
+        "cell_width": width, "measure": measure}})
 
 
 def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
@@ -595,9 +593,15 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
                     {geom_name: geom.to_json_dict()})
 
 
+# the expansion window of `localize`: _WINDOW_LEN + 1 sites from
+# _WINDOW_MARGIN sites past the localization center (`tail_window`); the
+# 500-site floor on localize.n always leaves room for it
+_WINDOW_MARGIN, _WINDOW_LEN = 8, 120
+
+
 def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     sec = cfg.localize
-    n, theta, count, wlen = sec.n, sec.theta, sec.count, sec.window_len
+    n, theta, count, wlen = sec.n, sec.theta, sec.count, _WINDOW_LEN
     base = n // 2 - count // 2
     # the box spectrum does not depend on the index: one solve for all
     spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n)
@@ -605,7 +609,7 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     for index in range(base, base + count):
         prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
                                    spectrum=spec)
-        l1 = tail_window(prof.center, n, sec.window_margin, wlen)
+        l1 = tail_window(prof.center, n, _WINDOW_MARGIN, wlen)
         try:
             resid, (l1, l2), y = expansion_identity_scan(
                 cfg.potential, cfg.alpha, theta, prof.eigenvalue,
@@ -812,19 +816,6 @@ def _load_config(config) -> Dict[str, Any]:
     return raw
 
 
-def _finish_strata(cfg: ExperimentConfig, rows: List[dict]) -> Optional[dict]:
-    """Measure per label, defined only on a uniform energy grid."""
-    if len(cfg.energies) < 2 or not rows:
-        return None
-    diffs = np.diff(cfg.energies)
-    if np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(1.0, abs(diffs[0])):
-        return None
-    measure = strata_measure([r["label"] for r in rows],
-                             float(abs(diffs[0])))
-    return {"cell_width": float(abs(diffs[0])),
-            "measure": {k: measure[k] for k in sorted(measure)}}
-
-
 def run(subcommand: str, config=None, out_dir: Optional[str] = None,
         threads: int = 1, seed: Optional[int] = None,
         dry_run: bool = False) -> RunManifest:
@@ -874,11 +865,6 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
         for fname, rows in payload["tables"].items():
             tables[fname].extend(rows)
         json_files.update(payload["json"])
-
-    if subcommand == "strata":
-        summary = _finish_strata(cfg, tables["strata.csv"])
-        if summary is not None:
-            json_files["strata_summary.json"] = summary
 
     files = []
     for fname, columns in spec.tables.items():

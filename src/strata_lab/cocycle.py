@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -299,48 +299,19 @@ def acceleration(
     return tuple(out) if energies.ndim else out[0]
 
 
-@dataclass(frozen=True)
-class StratumRecord:
-    """Classification of one energy by (L, acceleration)."""
-
-    E: float
-    L0: float        # Lyapunov exponent at eps = 0
-    kappa: int       # acceleration at eps = 0+
-    label: str       # "S<l>+", "S<l>0", "subcritical", "off-spectrum", "unclassified"
-
-
-def classify_stratum(
-    E: float,
-    L0: float,
-    kappa: int,
-    tau_pos: float = TAU_POS,
-    non_affine: bool = False,
-    in_spectrum: Optional[bool] = None,
-) -> StratumRecord:
-    """Assign the stratum label from the pair (L(E,0), kappa(E,0)).
+def classify_stratum(L0: float, kappa: int, non_affine: bool,
+                     in_spectrum: bool) -> str:
+    """The stratum label of an energy from the pair (L(E,0), kappa(E,0)).
 
     Acceleration l-1 puts E in the l-th stratum; the + / 0 superscript
-    records whether L clears the positivity threshold tau_pos.  Spectrum
+    records whether L clears the positivity threshold TAU_POS.  Spectrum
     membership is decided elsewhere (finite-volume eigenvalue clusters) and
-    passed in, since uniform hyperbolicity is not tested here."""
-    if in_spectrum is False:
-        label = "off-spectrum"
-    elif non_affine:
-        label = "unclassified"
-    elif kappa == 0:
-        label = "subcritical"
-    else:
-        level = kappa + 1
-        label = f"S{level}+" if L0 > tau_pos else f"S{level}0"
-    return StratumRecord(E=float(E), L0=float(L0), kappa=int(kappa), label=label)
-
-
-def strata_measure(labels: Sequence[str], cell_width: float) -> Dict[str, float]:
-    """Lebesgue measure of each label: cell width times cell count.
-
-    The labelled energies are assumed to sit on a uniform grid of the given
-    width."""
-    out: Dict[str, float] = {}
-    for label in labels:
-        out[label] = out.get(label, 0.0) + cell_width
-    return out
+    passed in, since uniform hyperbolicity is not tested here.  The label is
+    "S<l>+", "S<l>0", "subcritical", "off-spectrum" or "unclassified"."""
+    if not in_spectrum:
+        return "off-spectrum"
+    if non_affine:
+        return "unclassified"
+    if kappa == 0:
+        return "subcritical"
+    return f"S{kappa + 1}+" if L0 > TAU_POS else f"S{kappa + 1}0"

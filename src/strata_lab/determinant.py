@@ -67,10 +67,6 @@ class ScaledLaurentPoly:
         c.setflags(write=False)
         return cls(lo=int(lo), coeffs=c, log_scale=float(log_scale) + math.log(m))
 
-    @classmethod
-    def constant(cls, value: complex) -> "ScaledLaurentPoly":
-        return cls.make(0, [value])
-
     @property
     def is_zero(self) -> bool:
         return not np.isfinite(self.log_scale)
@@ -245,7 +241,7 @@ def det_family(
 
     prev2 = ScaledLaurentPoly(lo=0, coeffs=np.zeros(1, dtype=np.complex128),
                               log_scale=-math.inf)  # D_{-1}
-    prev = ScaledLaurentPoly.constant(1.0)     # D_0
+    prev = ScaledLaurentPoly.make(0, [1.0])    # D_0
 
     for j in range(1, n + 1):
         # symbol of E - f at phase shift (j-1)*alpha
@@ -254,11 +250,14 @@ def det_family(
         mult[k0] += E
         new = np.convolve(mult, prev.coeffs)
         lo_new = prev.lo - k0
+        # an identically zero D_{j-1} has no scale; D_j = -D_{j-2} keeps
+        # the scale of D_{j-2}
+        scale = prev2.log_scale if prev.is_zero else prev.log_scale
         if not prev2.is_zero:
             off = prev2.lo - lo_new
-            fac = math.exp(min(prev2.log_scale - prev.log_scale, 700.0))
+            fac = math.exp(min(prev2.log_scale - scale, 700.0))
             new[off:off + len(prev2.coeffs)] -= fac * prev2.coeffs
-        cur = ScaledLaurentPoly.make(lo_new, new, prev.log_scale)
+        cur = ScaledLaurentPoly.make(lo_new, new, scale)
         prev2, prev = prev, cur
 
     return DeterminantFamily(

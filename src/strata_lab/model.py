@@ -178,12 +178,6 @@ class Potential:
         """Free potential f = 0 (the discrete Laplacian)."""
         return cls({}, eta=eta)
 
-    def to_dict(self) -> dict:
-        return {
-            "coeffs": [[int(k), c.real, c.imag] for k, c in self.coeffs_dict().items()],
-            "eta": self._eta,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "Potential":
         coeffs = {int(k): complex(re, im) for k, re, im in data["coeffs"]}

@@ -188,9 +188,6 @@ class DecayProfile:
     resid_right: float
     fit_sites_left: int
     fit_sites_right: int
-    theta: float
-    n: int
-    index: int
 
     @property
     def decay_rate(self) -> float:
@@ -237,8 +234,7 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
         eigenvalue=lam, eigenvector=sign * np.exp(logs), log_abs=logs,
         center=center, slope_left=s_l, slope_right=s_r,
         resid_left=r_l, resid_right=r_r,
-        fit_sites_left=m_l, fit_sites_right=m_r,
-        theta=float(theta), n=n, index=which)
+        fit_sites_left=m_l, fit_sites_right=m_r)
 
 
 # ----------------------------------------------------------------------
@@ -386,17 +382,6 @@ class DeviationSetGeometry:
     def count(self) -> int:
         return len(self.intervals)
 
-    @property
-    def measure(self) -> float:
-        return float(sum(r - l for l, r in self.intervals))
-
-    def contains(self, theta: float) -> bool:
-        t = theta % 1.0
-        for l, r in self.intervals:
-            if (t - l) % 1.0 <= r - l:
-                return True
-        return False
-
     def to_json_dict(self) -> dict:
         return {
             "E": self.E, "n": self.n, "threshold": self.threshold,
@@ -524,15 +509,11 @@ class DoubleResonanceReport:
 
     `clear` means every arc-plus-reflection pair caught at most one orbit
     point theta + ell alpha with ell in the two integer windows; otherwise
-    the first offending pair and its offsets are reported.
+    `pair_index` is the index of the first offending pair (else -1).
     """
 
     clear: bool
-    y: int
-    n: int
     pair_index: int = -1
-    offsets: Tuple[int, ...] = ()
-    points: Tuple[float, ...] = ()
 
 
 def double_resonance_scan(
@@ -545,8 +526,8 @@ def double_resonance_scan(
 
     The two offset windows are [-floor(7n/8), -floor(n/8)] and its shift
     by y, with n = geometry.n and n < y < 10 n.  A pair holding two or
-    more orbit points is a double resonance; the first such pair is
-    returned as a witness.
+    more orbit points is a double resonance; the index of the first such
+    pair is the witness.
     """
     n = geometry.n
     if not (n < y < 10 * n):
@@ -565,12 +546,8 @@ def double_resonance_scan(
         in_refl = (pts - refl_l) % 1.0 <= width
         mask = in_arc | in_refl
         if int(np.sum(mask)) >= 2:
-            sel = np.flatnonzero(mask)
-            return DoubleResonanceReport(
-                clear=False, y=y, n=n, pair_index=j,
-                offsets=tuple(int(offs[i]) for i in sel),
-                points=tuple(float(pts[i]) for i in sel))
-    return DoubleResonanceReport(clear=True, y=y, n=n)
+            return DoubleResonanceReport(clear=False, pair_index=j)
+    return DoubleResonanceReport(clear=True)
 
 
 # ----------------------------------------------------------------------

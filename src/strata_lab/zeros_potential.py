@@ -174,17 +174,9 @@ class ZeroInventory:
     """
 
     roots: np.ndarray            # complex zeros, deterministically ordered
-    multiplicities: np.ndarray   # int, parallel to roots
-    n: int                       # box length of the source determinant
-    E: float
-    alpha: float
     pair_inversive: np.ndarray   # int indices or -1
     pair_reflection: Optional[np.ndarray]
     on_circle: np.ndarray        # bool, | |w| - 1 | <= _CIRCLE_TOL
-
-    @property
-    def total(self) -> int:
-        return int(np.sum(self.multiplicities))
 
     def eps_coords(self) -> np.ndarray:
         """|log|w|| / 2 pi per root: the annulus half-width that reaches it."""
@@ -226,7 +218,6 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
             f"{dropped} of {len(fam.poly.coeffs)} coefficients of D_n underflow "
             "below 1e-300 of the largest; the inventory would miss their roots")
     roots = aberth_roots(poly.coeffs)
-    mult = np.ones(len(roots), dtype=np.int64)
     on_circle = np.abs(np.abs(roots) - 1.0) <= _CIRCLE_TOL
 
     inv_targets = 1.0 / np.conj(roots) if len(roots) else roots
@@ -241,9 +232,8 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
         idx = np.nonzero(fixed)[0]
         pair_ref[idx] = idx  # fixed points of the reflection pair with themselves
 
-    return ZeroInventory(
-        roots=roots, multiplicities=mult, n=fam.n, E=fam.E, alpha=fam.alpha,
-        pair_inversive=pair_inv, pair_reflection=pair_ref, on_circle=on_circle)
+    return ZeroInventory(roots=roots, pair_inversive=pair_inv,
+                         pair_reflection=pair_ref, on_circle=on_circle)
 
 
 @dataclass(frozen=True)
@@ -275,7 +265,7 @@ def count_annulus(inv: ZeroInventory, eps: float) -> AnnulusCount:
     flagged = np.nonzero(dist <= _BOUNDARY_TOL)[0]
     margin = float(np.min(dist)) if len(dist) else math.inf
     return AnnulusCount(
-        count=int(np.sum(inv.multiplicities[inside])), eps=float(eps),
+        count=int(np.sum(inside)), eps=float(eps),
         boundary_margin=margin, flagged=tuple(int(i) for i in flagged))
 
 
@@ -449,7 +439,6 @@ class RieszDecomposition:
     boundary circles and satisfy the discrete mean-value property inside.
     """
 
-    R: float
     boundary_max_dev: float          # max |harmonic - u| on the two boundary rows
     mean_value_max_resid: float      # worst interior mean-value defect of harmonic
     h_min: float                     # harmonic range over interior rows
@@ -460,14 +449,13 @@ def riesz_decompose(
     fam: DeterminantFamily,
     inv: ZeroInventory,
     R: float,
-    n_radii: int = 9,
     n_angles: int = 256,
 ) -> RieszDecomposition:
     """Split (1/n) log|D_n| into Green potential plus harmonic part on A_R.
 
     Only zeros strictly inside the annulus feed the Green potential; the
     harmonic remainder absorbs everything else.  The split is sampled on
-    n_radii circles of n_angles points from 1/R to R, and only its
+    9 circles of n_angles points from 1/R to R, and only its
     certificates are kept.  Requires a zero-free boundary: any root within
     _BOUNDARY_TOL of either circle is an error.
     """
@@ -480,7 +468,7 @@ def riesz_decompose(
             f"zero {inv.roots[k]} lies on the annulus boundary (index {k})")
     roots = inv.roots[(mods <= R) & (mods >= 1.0 / R)]
 
-    s = np.linspace(-math.log(R), math.log(R), n_radii)
+    s = np.linspace(-math.log(R), math.log(R), 9)
     radii = np.exp(s)
     thetas = np.arange(n_angles) / n_angles
     u = np.stack([fam.log_abs_per_site_circle(r, n_angles) for r in radii])
@@ -503,7 +491,7 @@ def riesz_decompose(
 
     interior = harm[1:-1, :]
     return RieszDecomposition(
-        R=float(R), boundary_max_dev=boundary_max_dev,
+        boundary_max_dev=boundary_max_dev,
         mean_value_max_resid=float(worst),
         h_min=float(np.min(interior)), h_max=float(np.max(interior)))
 
@@ -522,13 +510,14 @@ def jensen_identity_residual(
     """Residual of Jensen's formula for D_n between radii r1 < r2.
 
     With D_n = z^lo p(z), the mean of log|D_n| on |z| = r is a constant
-    plus lo log r + sum_j mult_j log max(r, |w_j|) over the zeros w_j of p.
-    The residual is |u(r2) - u(r1) - (1/n) [lo log(r2/r1) + sum_j mult_j
-    (log max(r2, |w_j|) - log max(r1, |w_j|))]|, u(r) the K-point mean of
-    (1/n) log|D_n| on |z| = r (one FFT).  The means come from the
-    coefficients and the steps from the inventory, so a root the inventory
-    misses or misplaces between r1 and r2 shows.  find_zeros refuses
-    underflowed edge coefficients, so lo is that of the factored polynomial.
+    plus lo log r + sum_j log max(r, |w_j|) over the zeros w_j of p, a
+    multiple zero listed once per multiplicity.  The residual is |u(r2) -
+    u(r1) - (1/n) [lo log(r2/r1) + sum_j (log max(r2, |w_j|) - log max(r1,
+    |w_j|))]|, u(r) the K-point mean of (1/n) log|D_n| on |z| = r (one
+    FFT).  The means come from the coefficients and the steps from the
+    inventory, so a root the inventory misses or misplaces between r1 and
+    r2 shows.  find_zeros refuses underflowed edge coefficients, so lo is
+    that of the factored polynomial.
     """
     if not 1.0 <= r1 < r2:
         raise ValueError("radii must satisfy 1 <= r1 < r2")
@@ -537,8 +526,8 @@ def jensen_identity_residual(
         if len(mods) and np.min(np.abs(mods - r)) < 1e-9:
             raise ValueError(f"a zero lies on the quadrature circle r = {r}")
     u1, u2 = (float(np.mean(fam.log_abs_per_site_circle(r, K))) for r in (r1, r2))
-    jumps = float(np.sum(inv.multiplicities * (np.log(np.maximum(r2, mods))
-                                               - np.log(np.maximum(r1, mods)))))
+    jumps = float(np.sum(np.log(np.maximum(r2, mods))
+                         - np.log(np.maximum(r1, mods))))
     return abs(u2 - u1 - (fam.poly.lo * math.log(r2 / r1) + jumps) / fam.n)
 
 
@@ -556,14 +545,11 @@ class RieszMassReport:
     """
 
     eps_r: float          # log-radius of the target annulus / 2 pi
-    delta: float          # finite-difference half-step
     mass_v: float         # (1/2pi) net outward flux of grad v_n
     mass_u: float         # slope of the u_n circle average / pi
     kappa: int            # acceleration used for the comparison
     dev_from_2kappa: float
     count_ratio: float    # N_n(flux annulus)/n from the inventory
-    n: int
-    quadrature_points: int
 
 
 # riesz_mass's finite-difference half-step: its flux circles sit at
@@ -661,10 +647,9 @@ def riesz_mass(
     count_ratio = count_annulus(inv, eps_flux).count / n
 
     return RieszMassReport(
-        eps_r=float(eps_r), delta=float(delta), mass_v=float(mass_v),
-        mass_u=float(mass_u), kappa=int(kappa),
-        dev_from_2kappa=float(abs(mass_v - 2.0 * kappa)),
-        count_ratio=count_ratio, n=n, quadrature_points=K)
+        eps_r=float(eps_r), mass_v=float(mass_v), mass_u=float(mass_u),
+        kappa=int(kappa), dev_from_2kappa=float(abs(mass_v - 2.0 * kappa)),
+        count_ratio=count_ratio)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,13 @@ acceptance report.
 import pytest
 
 from strata_lab import acceptance, spectral_localization
-from strata_lab.acceptance import format_line, run_criterion
+from strata_lab.acceptance import run_criterion
 
 
 def check(number):
     rec = run_criterion(number)
-    print(format_line(rec))
+    flag = "PASS" if rec.passed else "FAIL"
+    print(f"[{flag}] criterion {rec.criterion:2d} {rec.name}: {rec.observed}")
     assert rec.passed, rec.observed
 
 

@@ -182,13 +182,12 @@ def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
 def test_config_accepts_the_minimums():
     ExperimentConfig.from_raw({
         "quadrature": {"K": 1, "lyapunov_K": 1},
-        "riesz": {"n_radii": 3, "K": 1, "n_angles": 1},
+        "riesz": {"K": 1, "n_angles": 1},
         "strata": {"spectrum_box": 1},
         "ldt": {"grid_per_n": 64},
-        "localize": {"n": 500, "window_len": 497},
+        "localize": {"n": 500},
         "ids": {"n": 100, "samples": 1},
         "holder": {"n": 100, "delta_ladder": [1e-3, 1e-2, 1e-1]},
-        "green": {"samples": 4},
     })
     ExperimentConfig.from_raw({"holder": {"n": 317}})  # the default ladder
     ExperimentConfig.from_raw({"ldt": {"threshold": None}})
@@ -213,8 +212,7 @@ def test_riesz_flux_circles_count_in_the_strip_reach():
 
 @pytest.mark.parametrize("section,key", [
     ("strata", "tau_pos"), ("strata", "spectrum_theta"), ("localize", "theta"),
-    ("green", "boundary_tol"), ("green", "symmetry_tol"), ("riesz", "eps_r"),
-    ("ldt", "threshold")])
+    ("riesz", "eps_r"), ("ldt", "threshold")])
 def test_bad_section_float_names_its_key(section, key):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         ExperimentConfig.from_raw({section: {key: "abc"}})
@@ -404,8 +402,7 @@ def test_ldt_lyapunov_value_follows_the_quadrature_key(tmp_path):
 
 def test_strata_uniform_grid_writes_summary(tmp_path):
     cfg = dict(SMALL, energies={"start": -1.0, "stop": 1.0, "count": 5},
-               strata={"tau_pos": 0.05, "spectrum_box": 120,
-                       "spectrum_theta": 0.123})
+               strata={"spectrum_box": 120, "spectrum_theta": 0.123})
     man = run("strata", config=cfg, out_dir=str(tmp_path))
     assert man.ok
     summary = json.loads((tmp_path / "strata_summary.json").read_text())
@@ -433,6 +430,39 @@ def test_strata_membership_edges_match_the_distance_rule(tmp_path):
     want = [bool(np.min(np.abs(ev - E)) <= h) for E in energies]
     assert got == want
     assert any(want) and not all(want)
+
+
+def test_strata_nonuniform_grid_writes_no_summary(tmp_path):
+    cfg = dict(SMALL, energies=[0.5, 1.0, 2.5])
+    man = run("strata", config=cfg, out_dir=str(tmp_path))
+    assert man.ok
+    assert list(man.files) == ["strata.csv"]
+    assert len(read_rows(tmp_path / "strata.csv")) == 4
+    assert not (tmp_path / "strata_summary.json").exists()
+
+
+def test_acceleration_splits_a_slope_break_into_two_segments(tmp_path):
+    # L(4.5, eps) is flat up to eps = 0.04 and has slope 2 pi beyond 0.06
+    cfg = {"energies": [4.5], "n": 256, "quadrature": {"K": 256},
+           "eps_grid": [0.02, 0.04, 0.06, 0.08, 0.1, 0.12]}
+    assert run("acceleration", config=cfg, out_dir=str(tmp_path)).ok
+    with open(tmp_path / "acceleration.csv", newline="") as fh:
+        acc, = csv.DictReader(fh)
+    assert (acc["non_affine"], acc["n_segments"]) == ("1", "2")
+    with open(tmp_path / "accel_segments.csv", newline="") as fh:
+        segs = [(r["eps_min"], r["eps_max"], r["kappa"])
+                for r in csv.DictReader(fh)]
+    assert segs == [("0.02", "0.04", "0"), ("0.06", "0.12", "1")]
+
+
+def test_free_zeros_at_a_dirichlet_eigenvalue_are_served(tmp_path):
+    # D_1 = E vanishes at E = 0; D_2 = -1 is served, with no zeros
+    cfg = {"potential": "zero", "energies": [0.0], "n_ladder": [2]}
+    man = run("zeros", config=cfg, out_dir=str(tmp_path))
+    assert [t["status"] for t in man.tasks] == ["ok"]
+    assert len(read_rows(tmp_path / "zeros.csv")) == 1  # header only
+    counts = read_rows(tmp_path / "zero_counts.csv")
+    assert counts[1][counts[0].index("count")] == "0"
 
 
 def test_light_subcommands_never_load_scipy(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from strata_lab import (Potential, acceleration, classify_stratum,
-                        lyapunov_n, strata_measure, transfer_log_norms)
+                        lyapunov_n, transfer_log_norms)
 
 LOG2 = math.log(2.0)
 
@@ -87,11 +87,5 @@ def test_acceleration_validation(amo2, golden):
     (dict(L0=0.80, kappa=1, non_affine=True), "unclassified"),
 ])
 def test_stratum_labels(kwargs, label):
-    assert classify_stratum(E=0.5, **kwargs).label == label
-
-
-def test_strata_measure_accumulates_cells():
-    recs = [classify_stratum(0.1, 0.7, 1), classify_stratum(0.2, 0.7, 1),
-            classify_stratum(0.3, 0.01, 2)]
-    assert strata_measure([r.label for r in recs], 0.1) == pytest.approx(
-        {"S2+": 0.2, "S30": 0.1})
+    full = {"non_affine": False, "in_spectrum": True, **kwargs}
+    assert classify_stratum(**full) == label

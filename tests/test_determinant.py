@@ -61,6 +61,19 @@ def test_free_determinant_is_chebyshev(free, golden):
                 math.sin((n + 1) * w) / math.sin(w), rel=1e-11)
 
 
+@pytest.mark.parametrize("E", [0.0, 1.0, -1.0])
+def test_free_family_survives_a_vanishing_predecessor(free, golden, E):
+    # E is a free Dirichlet eigenvalue, so some D_{j-1} vanishes identically
+    # and D_j = -D_{j-2}; every D_n is a constant 0 or +-1
+    for n in range(1, 7):
+        poly = det_family(free, golden, E, n).poly
+        value = 0.0 if poly.is_zero else (complex(poly.coeffs[0])
+                                          * math.exp(poly.log_scale))
+        la, sg = det_at_phase(free, golden, 0.0, E, n)
+        assert value == sg * math.exp(la)
+        assert sg in (-1.0, 0.0, 1.0)
+
+
 def test_polynomial_evaluation_matches_phase(amo2, golden):
     for n, thetas in ((11, (0.0, 0.21, 0.77)), (1, (0.137,)), (5, (0.137,)),
                       (12, (0.137,))):

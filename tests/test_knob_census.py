@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 33
+CEILING = 29
 
 
 def census() -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 3582
+CEILING = 3488
 
 
 def line_count() -> int:

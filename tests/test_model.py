@@ -87,9 +87,3 @@ class TestPotential:
         assert Potential.from_preset("zero").k0 == 0
         with pytest.raises(ValueError):
             Potential.from_preset("cos(2)")
-
-    def test_dict_round_trip(self):
-        pot = Potential({2: 0.5 + 0.25j, -2: 0.5 - 0.25j, 0: 1.0}, eta=0.3)
-        back = Potential.from_dict(pot.to_dict())
-        assert back.coeffs_dict() == pot.coeffs_dict()
-        assert back.eta == pot.eta

@@ -26,3 +26,33 @@ def test_library_tour_runs():
     lines = proc.stdout.splitlines()
     assert lines[0] == "400"     # every zero of D_200 inside the annulus
     assert lines[-1] == "1"      # the AMO(2) acceleration at E = 0.5
+
+
+# config keys that are constants of the code, not keys of the schema
+REMOVED_KEYS = ("strata.tau_pos", "green.samples", "green.boundary_tol",
+                "green.symmetry_tol", "green.average_tol",
+                "localize.window_margin", "localize.window_len",
+                "riesz.n_radii")
+
+
+def _configuration_paragraph() -> str:
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("### Configuration"):]
+    return section[:section.index("\nExample:")]
+
+
+def _leaf_keys(table, where=""):
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            yield from _leaf_keys(entry, f"{where}{key}.")
+        else:
+            yield where + key
+
+
+def test_configuration_paragraph_names_every_key_and_no_removed_one():
+    from strata_lab.cli_harness import _CONFIG_TABLE
+    paragraph = _configuration_paragraph()
+    missing = [key for key in _leaf_keys(_CONFIG_TABLE)
+               if f"`{key}`" not in paragraph]
+    assert missing == []
+    assert [key for key in REMOVED_KEYS if key in paragraph] == []

@@ -46,7 +46,7 @@ def test_aberth_serves_a_wide_coefficient_log_range(amo2, golden):
     # the coefficient moduli span 295 decades, so the roots spread over many
     # radii; starts on one circle of the mean modulus do not converge here
     inv = find_zeros(det_family(amo2, golden, 7.0, 600))
-    assert inv.total == 1200
+    assert len(inv.roots) == 1200
 
 
 def test_find_zeros_refuses_underflowed_edge_coefficients(golden):
@@ -89,7 +89,7 @@ def test_aberth_rejects_degenerate_input():
 
 def test_in_spectrum_zeros_sit_on_circle(amo2, golden):
     inv = find_zeros(det_family(amo2, golden, 0.5, 40))
-    assert inv.total == 80
+    assert len(inv.roots) == 80
     assert bool(np.all(inv.on_circle))
     assert float(np.max(inv.eps_coords())) < 1e-8
 
@@ -118,7 +118,7 @@ def test_reflection_pairing_after_centering(amo2, golden):
 
 def test_free_family_has_no_zeros(free, golden):
     inv = find_zeros(det_family(free, golden, 0.5, 5))
-    assert inv.total == 0
+    assert len(inv.roots) == 0
 
 
 def test_count_annulus_monotone_and_boundary_flags(amo2, golden):
@@ -228,7 +228,6 @@ def test_riesz_decomposition_certificates(amo2, golden):
     target = math.log(2.0) + TWO_PI * 0.05
     assert abs(dec.h_min - target) < 0.05
     assert abs(dec.h_max - target) < 0.05
-    assert dec.R == pytest.approx(R_STRIP)
 
 
 def test_jensen_identity_amo_and_free(amo2, free, golden):
@@ -256,8 +255,7 @@ def test_jensen_residual_sees_a_missing_or_moved_root(amo2, golden):
     inv = find_zeros(fam)
     r1, r2 = _c6_radii(inv)
     assert jensen_identity_residual(fam, inv, r1, r2, K=4096) <= 1e-14
-    short = dataclasses.replace(inv, roots=inv.roots[1:],
-                                multiplicities=inv.multiplicities[1:])
+    short = dataclasses.replace(inv, roots=inv.roots[1:])
     assert jensen_identity_residual(fam, short, r1, r2, K=4096) > 1e-6
 
     fam = det_family(amo2, golden, 1.5, 128)
