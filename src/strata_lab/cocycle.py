@@ -23,10 +23,8 @@ import numpy as np
 from .model import TWO_PI, Potential
 
 
-# `lyapunov_n` walks the energy axis in blocks whose (E, eps, theta) batch
-# holds about this many elements, and `transfer_log_norms` builds its symbol
-# for as many (step, eps, theta) entries at once, so that temporaries stay
-# cache-sized and peak memory grows with neither the energies nor the steps.
+# `lyapunov_n` walks the energy axis in blocks of about this many (E, eps,
+# theta) elements: temporaries stay cache-sized whatever the energy count.
 _BLOCK = 1 << 14
 
 # L(E, 0) above this counts as positive (stratum S<l>+ rather than S<l>0);
@@ -98,16 +96,18 @@ def transfer_log_norms(
 
     `E` is a scalar or a 1-D array of energies and `eps` a scalar or a 1-D
     grid; the log-norms have shape E.shape + eps.shape + thetas.shape.  One
-    recurrence runs over the whole (E, eps, theta) batch, its symbol f from
-    `Potential.eval_theta`'s halves: eps factors once per call, phase factors
-    once per block of steps whose symbol holds about `_BLOCK` entries.  A
-    step writes t = E - f to a buffer and advances the stacked rows (a, b),
-    (c, d) with one multiply and one subtract.  Every `_rescale_interval`
-    steps the product is scaled by 2^-e, e the frexp exponent of its
-    largest entry modulus, and e joins an integer exponent.  Power-of-two
-    scaling is exact, so the log-norm (exponent + frexp exponent) ln 2 +
-    log(mantissa) at the ladder lengths and at n has the same bits whatever
-    the interval, the block, the energy batch or the ladder.
+    recurrence runs over the whole (E, eps, theta) batch.  Step j sits at
+    theta + r_j, r_j = j alpha - floor(j alpha), with the symbol f_j = c_0 +
+    sum_k [A_k cos(2 pi k r_j) + B_k sin(2 pi k r_j)] summed in ascending k
+    into one (eps, theta) buffer, from `Potential._rotation_terms` and the
+    cos, sin of 2 pi k r_j taken once per call; f_0 has `eval_theta`'s bits.
+    A step writes t = E - f_j to a buffer and advances the stacked rows
+    (a, b), (c, d) with one multiply and one subtract.  Every
+    `_rescale_interval` steps the product is scaled by 2^-e, e the frexp
+    exponent of its largest entry modulus, and e joins an integer exponent.
+    Power-of-two scaling is exact, so the log-norm (exponent + frexp
+    exponent) ln 2 + log(mantissa) at the ladder lengths and at n has the
+    same bits whatever the interval, the energy batch or the ladder.
 
     `ladder` lists ascending product lengths in 1..n; when it is given the
     result gains a leading axis with the log-norm at each of those lengths,
@@ -126,7 +126,7 @@ def transfer_log_norms(
     grid = np.asarray(eps, dtype=np.float64)
     if np.any(np.abs(grid) >= potential.eta):
         raise ValueError("|eps| must stay below the declared strip width")
-    # exact reduction mod 1 before the phases meet j alpha
+    # exact reduction mod 1 before the phases meet r_j
     thetas = np.fmod(np.asarray(thetas, dtype=np.float64), 1.0)
     shape = energies.shape + grid.shape + thetas.shape
     # each energy against every (eps, theta) entry of the symbol
@@ -134,21 +134,29 @@ def transfer_log_norms(
     # at eps = 0 the product is real: real arithmetic, the same bits
     dtype = np.complex128 if np.any(grid) else np.float64
     every = _rescale_interval(potential, energies, grid)
-    factors = potential._eps_factors(grid.reshape(-1).tolist(), thetas.ndim)
-    steps = max(1, _BLOCK // max(1, grid.size * thetas.size))
+    c0, terms = potential._rotation_terms(thetas, grid.reshape(-1).tolist())
+    f = np.empty(grid.shape + thetas.shape, dtype)
+    # f, A_k and B_k as flat reals (a real factor scales both parts of a
+    # complex entry); parts (A_1, cos 2 pi r_j), (B_1, sin 2 pi r_j), ...
+    flat = f.reshape(-1).view(np.float64)
+    term = np.empty_like(flat)
+    r = np.mod(np.arange(n) * alpha, 1.0)
+    (first, cos), *parts = [
+        (v.reshape(-1).view(np.float64), fn(TWO_PI * k * r).tolist())
+        for k, a, b in terms for v, fn in ((a, np.cos), (b, np.sin))
+    ] or [(np.zeros_like(flat), [0.0] * n)]  # no k > 0: f = c_0
     ab, cd = np.zeros((2,) + shape, dtype), np.zeros((2,) + shape, dtype)
     ab[0] = cd[1] = 1.0  # (a, b) = (1, 0), (c, d) = (0, 1)
     t, spare = np.empty(shape, dtype), np.empty_like(ab)
     exponent = np.zeros(shape, dtype=np.int64)
     snapshots = []
     for j in range(n):
-        if j % steps == 0:  # a block of steps on axis 0
-            x = thetas + (np.arange(j, min(n, j + steps)) * alpha).reshape(
-                (-1,) + (1,) * (grid.ndim + thetas.ndim))
-            ph = x - np.floor(x)  # np.mod(x, 1.0) bit for bit, 10x cheaper
-            f = np.empty((len(ph),) + grid.shape + thetas.shape, dtype)
-            potential._phase_factors(factors, ph, f)
-        np.subtract(col, f[j % steps], out=t)
+        np.multiply(first, cos[j], out=flat)
+        if c0:
+            f += c0
+        for v, w in parts:
+            np.add(flat, np.multiply(v, w[j], out=term), out=flat)
+        np.subtract(col, f, out=t)
         np.subtract(np.multiply(t, ab, out=spare), cd, out=spare)
         ab, cd, spare = spare, ab, cd
         hits = lengths.count(j + 1)

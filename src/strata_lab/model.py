@@ -114,16 +114,13 @@ class Potential:
         entry is 0, otherwise complex with zero imaginary part in the
         eps == 0 rows; a scalar is the one-row grid.
 
-        Every row uses the real form of the extension.  With c_{-k} =
-        conj(c_k) and p_k + i q_k = c_k e^{2 pi i k theta} for k > 0,
-
-            f(theta + i eps) = c_0 + sum_k [2 cosh(2 pi k eps) p_k
-                                            - 2i sinh(2 pi k eps) q_k],
-
-        so all rows share one cos and sin of 2 pi k theta per k, and no
-        complex power is taken.  At eps == 0, 2 cosh(0) = 2.0 exactly and
-        the real part is the cosine form c_0 + sum_k 2 p_k, bit for bit.
-        Its halves `_eps_factors` and `_phase_factors` serve the strip kernel.
+        Every row uses the real form of the extension: with c_{-k} =
+        conj(c_k) and w_k = c_k e^{2 pi i k theta} for k > 0, f(theta + i eps)
+        = c_0 + sum_k A_k (k ascending), A_k = 2 cosh(2 pi k eps) Re w_k
+        - 2i sinh(2 pi k eps) Im w_k, so all rows share one cos and sin of
+        2 pi k theta per k.  At eps == 0, 2 cosh(0) = 2.0 exactly and the
+        value is the cosine form c_0 + sum_k 2 Re w_k, bit for bit.  The A_k
+        come from `_rotation_terms`, which also serves the strip kernel.
         """
         theta = np.asarray(theta, dtype=np.float64)
         grid = np.asarray(eps, dtype=np.float64)
@@ -133,37 +130,32 @@ class Potential:
         if any(abs(e) > self._eta * (1 + 1e-12) for e in rows):
             raise ValueError("phase imaginary part exceeds the declared strip")
         real = not any(rows)
-        out = np.empty((len(rows),) + theta.shape,
-                       dtype=np.float64 if real else np.complex128)
-        self._phase_factors(self._eps_factors(rows, theta.ndim), theta, out)
+        c0, terms = self._rotation_terms(theta, rows)
+        out = sum((a for _, a, _ in terms),
+                  np.full((len(rows),) + theta.shape, c0 if real else c0 + 0j))
         if grid.ndim or theta.ndim:
             return out if grid.ndim else out[0]
         return float(out[0]) if real else complex(out[0])
 
-    def _eps_factors(self, rows: Sequence[float], ndim: int):
-        """The eps half of `eval_theta`: c_0, and per k > 0 ascending (k, c_k,
-        2 cosh(2 pi k eps)) plus, off an all-zero grid, 2 sinh(2 pi k eps)."""
-        col = (len(rows),) + (1,) * ndim
-        fns = (math.cosh, math.sinh) if any(rows) else (math.cosh,)
-        return (sum((c.real for k, c in self._terms if k == 0), 0.0),
-                [(k, c) + tuple(np.reshape([2.0 * fn(TWO_PI * k * e)
-                                            for e in rows], col) for fn in fns)
-                 for k, c in self._terms if k > 0])
-
-    def _phase_factors(self, factors, theta: np.ndarray, out: np.ndarray):
-        """The phase half: out = c_0 + sum_k [2 cosh p_k - 2i sinh q_k], with
-        p_k + i q_k = c_k e^{2 pi i k theta}, summed in ascending k."""
-        c0, cols = factors
-        if not cols:
-            out[...] = c0
-        for j, (k, c, *fac) in enumerate(cols):  # the first on 0 + c_0 and 0
-            ang = TWO_PI * k * theta
-            co, si = np.cos(ang), np.sin(ang)
-            re = fac[0] * (c.real * co - c.imag * si)
-            np.add(out.real if j else c0, re, out=out.real)
-            if len(fac) > 1:
-                im = fac[1] * (c.real * si + c.imag * co)
-                np.subtract(out.imag if j else 0.0, im, out=out.imag)
+    def _rotation_terms(self, theta: np.ndarray, rows: Sequence[float]):
+        """c_0 and (k, A_k, B_k) per k > 0 ascending: f(theta + r + i eps) =
+        c_0 + sum_k [A_k cos(2 pi k r) + B_k sin(2 pi k r)] for real r, with
+        A_k = ch Re w_k - i sh Im w_k, B_k = -ch Im w_k - i sh Re w_k, w_k =
+        c_k e^{2 pi i k theta} and ch, sh = 2 cosh, 2 sinh(2 pi k eps).
+        Shape (len(rows),) + theta.shape; float64 when every row is 0."""
+        col = (len(rows),) + (1,) * theta.ndim
+        terms = []
+        for k, c in ((k, c) for k, c in self._terms if k > 0):
+            co, si = np.cos(TWO_PI * k * theta), np.sin(TWO_PI * k * theta)
+            re, im = c.real * co - c.imag * si, c.real * si + c.imag * co
+            ch, sh = (np.reshape([2.0 * fn(TWO_PI * k * e) for e in rows], col)
+                      for fn in (math.cosh, math.sinh))
+            a, b = ch * re, -(ch * im)
+            if any(rows):
+                a, b = a.astype(np.complex128), b.astype(np.complex128)
+                a.imag, b.imag = -(sh * im), -(sh * re)
+            terms.append((k, a, b))
+        return sum((c.real for k, c in self._terms if k == 0), 0.0), terms
 
     # -- constructors / serialization --------------------------------------
 

@@ -22,7 +22,7 @@ from strata_lab.cli_harness import run
 PINNED = {
     "lyapunov": {
         "lyapunov.csv":
-            "bc0192fe110e08eb36cf1ab375b59c0747e73ce64bca0cf14aae042ee455fafd",
+            "ae643869651e23b9b0b685b3ed100e71ca5da02bba02c6c090d2dd1e1d7c0b87",
     },
     "acceleration": {
         "acceleration.csv":
@@ -70,13 +70,13 @@ PINNED = {
         "resonance_scan.csv":
             "8ef2643465b091ee64c3d8a6329fa281d5e4203a342a8799f4a8deb8b6021473",
         "ldt_geometry_0.json":
-            "f8e4b4d3fde36bbe85bf197168f1c275b8af52bcee6d2025a0712de487093f2d",
+            "06968728c8f2e2b699342c5a48abe686757bcd807b1c0214341ac57dd32db268",
         "ldt_geometry_1.json":
-            "9d0745beae8a2b264242dc2fabc78fb441e9c34cbd09af327cceaaab273f0ca6",
+            "2b69373d58bcfde01cd65af678371423e7e8f346afe6dde280c577b633db046d",
     },
     "localize": {
         "localize_summary.csv":
-            "796bf704242ac5b0be0a4c91f82aad8c7f50b78f6854f76203c0c3da650fe04e",
+            "8db3a8c421d8e1f2a9c223621d544c9b962492ff76c836b6a10c7b1c8a9e484f",
         "decay_profiles.csv":
             "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },
@@ -120,7 +120,7 @@ def test_outputs_match_pinned_hashes(subcommand, tmp_path):
 PINNED_DEFAULT = {
     "lyapunov": {
         "lyapunov.csv":
-            "75ab36cac333c95ecec8aa6ab954d93574b568c50d6ff57d0a7d957b00583a24",
+            "8a04f281dca5c255f71a018d60e7ba2bf088a869f2bd091106edc78e87737c99",
     },
     "acceleration": {
         "acceleration.csv":
@@ -162,7 +162,7 @@ PINNED_DEFAULT = {
         "resonance_scan.csv":
             "8d618c2ab5dd4fc7c63a678552bf241042a15003aefb4e79a36f6cb04f8061a9",
         "ldt_geometry_0.json":
-            "3f22e6899a0d39f2b433a358cdb6c4d0774665a241a94c9a30d8a8440683a9db",
+            "67448d7a83314faa36c9d96dcc8355c149ea4928948e7cb78ca092326528af6e",
     },
     "riesz": {
         "riesz.csv":
@@ -170,7 +170,7 @@ PINNED_DEFAULT = {
     },
     "localize": {
         "localize_summary.csv":
-            "796bf704242ac5b0be0a4c91f82aad8c7f50b78f6854f76203c0c3da650fe04e",
+            "8db3a8c421d8e1f2a9c223621d544c9b962492ff76c836b6a10c7b1c8a9e484f",
         "decay_profiles.csv":
             "c7a86e76e8e8fd0cc8790a77e4d7b742ecda3d5a9eecaa98799306649f8316d9",
     },

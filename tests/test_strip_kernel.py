@@ -1,19 +1,22 @@
 """The batched strip kernel against the loop it replaced and against itself.
 
 `transfer_log_norms` runs one recurrence over an (E, eps, theta) batch,
-rescales it by exact powers of two and builds every row's symbol from one
-cos/sin evaluation per step.  The first reference below is the per-epsilon
-loop it replaced: one recurrence per eps, the symbol from the Laurent form
-at the complex exponential (or the real cosine form at eps = 0), and
-renormalization by division at every step.  It rounds differently, so the
-two agree within a fixed bound on the log-norms, and an extended-precision
-evaluation checks that both lie within it of the exact product.  Grid rows,
-the energy axis, the n-ladder and the rescaling interval are checked against
-separate calls of the kernel itself, bit for bit.  The second reference
-is the kernel's own step loop as it ran before the symbol came in blocks:
-`eval_theta` once per step and the four entries a, b, c, d apart.  Blocks,
-shared factors and stacked rows only regroup the same operations, so that
-reference must match to the bit.
+rescales it by exact powers of two and builds the symbol of step j at the
+phase theta + r_j, r_j = j alpha - floor(j alpha), by rotating per-phase
+terms with the cos and sin of 2 pi k r_j.  The first reference below is the
+per-epsilon loop it replaced, at the same phases: one recurrence per eps,
+the symbol from the Laurent form at z = e^{2 pi i (theta + i eps)}
+e^{2 pi i r_j}, and renormalization by division at every step.  It rounds
+differently, so the two agree within a fixed bound on the log-norms, and an
+extended-precision evaluation checks that both lie within it of the exact
+product; a longer one at the exact phases theta + j alpha bounds what the
+float64 phases cost.  Grid rows, the energy axis, the n-ladder and the
+rescaling interval are checked against separate calls of the kernel itself,
+bit for bit.  The second reference is the kernel's own step loop written
+plainly: the symbol rotated from `Potential._rotation_terms` at each step,
+and the four entries a, b, c, d apart.  Flat buffers and stacked rows only
+regroup the same operations, so that reference must match to the bit, and
+the step-0 symbol must be `eval_theta`'s.
 """
 
 import itertools
@@ -26,6 +29,7 @@ import pytest
 from strata_lab import (GOLDEN_MEAN, Potential, acceleration, cocycle,
                         lyapunov_n, transfer_log_norms)
 from strata_lab.cli_harness import ExperimentConfig, _task_strata
+from strata_lab.model import TWO_PI
 
 POTENTIALS = {
     "amo2": Potential.amo(2.0),
@@ -44,17 +48,21 @@ ENERGIES = np.array([-3.1, 0.5, 1.5, 3.7, 5.2])
 LOOP_BOUND = 1e-12
 
 
-def _reference_symbol(pot, theta, eps, laurent):
-    if eps == 0.0:
-        out = np.zeros(theta.shape)
-        for k, c in pot.coeffs_dict().items():
-            if k == 0:
-                out = out + c.real
-            elif k > 0:
-                ang = 2.0 * math.pi * k * theta
-                out = out + 2.0 * (c.real * np.cos(ang) - c.imag * np.sin(ang))
-        return out
-    return laurent(pot, np.exp(2j * math.pi * (theta + 1j * eps)))
+def _cosine_form(pot, theta):
+    out = np.zeros(theta.shape)
+    for k, c in pot.coeffs_dict().items():
+        if k == 0:
+            out = out + c.real
+        elif k > 0:
+            ang = 2.0 * math.pi * k * theta
+            out = out + 2.0 * (c.real * np.cos(ang) - c.imag * np.sin(ang))
+    return out
+
+
+def _phase_shifts(alpha, n):
+    """The kernel's r_j = j alpha - floor(j alpha), j < n, in float64."""
+    x = np.arange(n) * alpha
+    return x - np.floor(x)
 
 
 def _reference_log_norms(pot, alpha, thetas, E, eps, n, laurent):
@@ -62,9 +70,10 @@ def _reference_log_norms(pot, alpha, thetas, E, eps, n, laurent):
     a, b = np.ones(K, complex), np.zeros(K, complex)
     c, d = np.zeros(K, complex), np.ones(K, complex)
     acc = np.zeros(K)
-    for j in range(n):
-        t = E - _reference_symbol(pot, np.mod(thetas + j * alpha, 1.0), eps,
-                                  laurent)
+    z0 = np.exp(2j * math.pi * (thetas + 1j * eps))
+    for r in _phase_shifts(alpha, n):
+        f = laurent(pot, z0 * np.exp(2j * math.pi * r))
+        t = E - (f.real if eps == 0.0 else f)
         a, b, c, d = t * a - c, t * b - d, a, b
         m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
                        np.maximum(np.abs(c), np.abs(d)))
@@ -76,16 +85,16 @@ def _reference_log_norms(pot, alpha, thetas, E, eps, n, laurent):
     return acc
 
 
-def _extended_log_norms(pot, alpha, thetas, E, eps, n):
-    """The unnormalized product in long double at the kernel's float64
-    phases: the log-norms to about 1e-17, far inside the bound."""
+def _extended_log_norms(pot, thetas, E, eps, phases):
+    """The unnormalized product in long double at the given long double
+    phase offsets of the thetas: the log-norms to about 1e-17, far inside
+    the bounds below."""
     two_pi = 8 * np.arctan(np.longdouble(1))
     K = len(thetas)
     a, b = np.ones(K, np.clongdouble), np.zeros(K, np.clongdouble)
     c, d = b.copy(), a.copy()
-    for j in range(n):
-        x = thetas + j * alpha
-        ang = two_pi * (x - np.floor(x)).astype(np.longdouble)
+    for r in phases:
+        ang = two_pi * (thetas.astype(np.longdouble) + r)
         f = np.zeros(K, np.clongdouble)
         for k, ck in pot.coeffs_dict().items():
             decay = np.exp(-two_pi * k * np.longdouble(eps))
@@ -120,10 +129,35 @@ def test_both_recurrences_are_near_extended_precision(name, E, golden, laurent):
     thetas = np.arange(33) / 33.0
     got = transfer_log_norms(pot, golden, thetas, E, np.array(GRID), 40)
     for row, eps in zip(got, GRID):
-        exact = _extended_log_norms(pot, golden, thetas, E, eps, 40)
+        exact = _extended_log_norms(
+            pot, thetas, E, eps,
+            _phase_shifts(golden, 40).astype(np.longdouble))
         ref = _reference_log_norms(pot, golden, thetas, E, eps, 40, laurent)
         assert np.max(np.abs(row - exact)) <= LOOP_BOUND
         assert np.max(np.abs(ref - exact)) <= LOOP_BOUND
+
+
+# |kernel - product at the exact phases theta + j alpha| at n = 400.  The
+# float64 phase r_j rounds j alpha by up to half an ulp (about 1e-14 near
+# j = 400), and near a zero of the product at eps = 0 the log-norm amplifies
+# that; with the phases fl(theta + fl(j alpha)) mod 1 the kernel read at most
+# 2.7e-10 (AMO(2), E = 0.5, eps = 0) on the cases below; the bound leaves a
+# factor 3.7
+EXACT_PHASE_BOUND = 1e-9
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name", ["amo2", "k0_3_complex"])
+@pytest.mark.parametrize("E", [0.5, 3.7])
+def test_kernel_is_near_the_product_at_exact_phases(name, E, golden):
+    pot, n, grid = POTENTIALS[name], 400, [0.0, 0.02, -0.03, 0.1]
+    thetas = np.arange(33) / 33.0
+    x = np.arange(n).astype(np.longdouble) * np.longdouble(golden)
+    got = transfer_log_norms(pot, golden, thetas, E, grid, n)
+    for row, eps in zip(got, grid):
+        exact = _extended_log_norms(pot, thetas, E, eps, x - np.floor(x))
+        assert np.max(np.abs(row - exact)) <= EXACT_PHASE_BOUND
 
 
 @pytest.mark.parametrize("every", [1, 7])
@@ -152,8 +186,9 @@ def test_rescale_interval_changes_no_bit(every, golden, monkeypatch):
 
 
 def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
-    """`transfer_log_norms` with one `eval_theta` call per step: the log-norm
-    snapshots at `ladder` and the residual matrices at length n."""
+    """`transfer_log_norms` written plainly: f_j = c_0 + sum_k [A_k cos(2 pi
+    k r_j) + B_k sin(2 pi k r_j)] summed left to right at each step, the
+    log-norm snapshots at `ladder` and the residual matrices at length n."""
     energies = np.asarray(E, dtype=np.float64)
     grid = np.asarray(eps, dtype=np.float64)
     thetas = np.fmod(np.asarray(thetas, dtype=np.float64), 1.0)
@@ -161,6 +196,10 @@ def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
     col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))
     dtype = np.complex128 if np.any(grid) else np.float64
     every = cocycle._rescale_interval(pot, energies, grid)
+    c0, terms = pot._rotation_terms(thetas, grid.reshape(-1).tolist())
+    r = _phase_shifts(alpha, n)
+    rotations = [(a, b, np.cos(TWO_PI * k * r), np.sin(TWO_PI * k * r))
+                 for k, a, b in terms]
     a, b = np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
     c, d = np.zeros(shape, dtype=dtype), np.ones(shape, dtype=dtype)
     exponent = np.zeros(shape, dtype=np.int64)
@@ -171,8 +210,10 @@ def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
 
     snapshots = []
     for j in range(n):
-        x = thetas + j * alpha
-        t = col - pot.eval_theta(x - np.floor(x), grid)
+        f = c0
+        for ak, bk, cos, sin in rotations:
+            f = f + ak * cos[j] + bk * sin[j]
+        t = col - np.reshape(f, grid.shape + thetas.shape)
         a, b, c, d = t * a - c, t * b - d, a, b
         snapshots += [cocycle._log_norm(exponent, largest())] * ladder.count(
             j + 1)
@@ -188,7 +229,7 @@ def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
 
 # (thetas, eps, E, n): a mixed grid with 0 and negative entries, an all-zero
 # grid, a scalar negative eps on a 2-D theta batch, a grid on a 2-D batch,
-# and a theta batch wider than the step block
+# and a theta batch wider than an energy block of `lyapunov_n`
 _BATCHES = {
     "mixed": (np.arange(33) / 33.0, np.array(GRID), ENERGIES[:3], 41),
     "zero_grid": (np.arange(33) / 33.0, [0.0, 0.0], ENERGIES, 43),
@@ -198,22 +239,22 @@ _BATCHES = {
     "wide": (np.linspace(0.0, 1.0, cocycle._BLOCK + 5, endpoint=False),
              [0.0, 0.05], 1.5, 6),
 }
+_KERNEL_POTENTIALS = {
+    "amo2": Potential.amo(2.0),
+    "two_harmonic": Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}),
+    "k0_3_complex": POTENTIALS["k0_3_complex"],
+}
 
 
-@pytest.mark.parametrize("pot", [
-    Potential.amo(2.0), Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}),
-    POTENTIALS["k0_3_complex"]], ids=["amo2", "two_harmonic", "k0_3_complex"])
+@pytest.mark.parametrize("name", sorted(_KERNEL_POTENTIALS))
 @pytest.mark.parametrize("batch", sorted(_BATCHES))
 @pytest.mark.parametrize("every", [None, 7], ids=["derived", "every7"])
-@pytest.mark.parametrize("block", [None, 1, 500], ids=["default", "b1", "b500"])
 def test_kernel_matches_the_per_step_loop_bit_for_bit(
-        pot, batch, every, block, golden, monkeypatch):
+        name, batch, every, golden, monkeypatch):
+    pot = _KERNEL_POTENTIALS[name]
     thetas, eps, E, n = _BATCHES[batch]
     if every is not None:
         monkeypatch.setattr(cocycle, "_rescale_interval", lambda *args: every)
-    if block is not None:
-        monkeypatch.setattr(cocycle, "_BLOCK", block)
-    steps = max(1, cocycle._BLOCK // (np.size(eps) * np.size(thetas)))
     ladder = [1, n // 3, n // 3, n - 1, n]
     want_logs, want_mats = _per_step_kernel(pot, golden, thetas, E, eps, n,
                                             ladder)
@@ -224,10 +265,26 @@ def test_kernel_matches_the_per_step_loop_bit_for_bit(
     assert np.array_equal(last, want_logs[-1])
     assert np.array_equal(mats, want_mats)
     assert mats.shape == np.shape(last) + (2, 2)
-    if block == 500 and batch != "wide":
-        assert steps < n and n % steps != 0  # the last block is a short one
-    if batch == "wide":
-        assert np.size(thetas) > cocycle._BLOCK and steps == 1
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_POTENTIALS))
+@pytest.mark.parametrize("eps", [np.array(GRID), 0.0, -0.04],
+                         ids=["grid", "real", "negative"])
+def test_step_zero_symbol_is_eval_theta(name, eps):
+    # scaled to |f| <= 1/2 on the strip, at E = 0 the one-step product
+    # [[-f, -1], [1, 0]] has largest entry modulus 1, so the residual
+    # matrix holds -f_0 unrounded
+    coeffs = _KERNEL_POTENTIALS[name].coeffs_dict()
+    width = float(np.max(np.abs(eps)))
+    bound = sum(abs(c) * math.exp(TWO_PI * abs(k) * width)
+                for k, c in coeffs.items())
+    pot = Potential({k: c * (0.5 / bound) for k, c in coeffs.items()})
+    thetas = np.arange(-16, 48) / 32.0
+    mats = transfer_log_norms(pot, 0.3, thetas, 0.0, eps, 1,
+                              return_matrices=True)[1]
+    want = pot.eval_theta(np.fmod(thetas, 1.0), eps)
+    assert mats.dtype == want.dtype
+    assert np.array_equal(-mats[..., 0, 0], want)
 
 
 def test_huge_energy_still_runs():
@@ -262,7 +319,7 @@ def test_grid_eval_theta_matches_per_eps(name, laurent):
         if eps == 0.0:
             assert one.dtype == np.float64
             assert np.array_equal(
-                one, _reference_symbol(pot, theta, 0.0, laurent))
+                one, _cosine_form(pot, theta))
         else:
             z = np.exp(2j * math.pi * (theta + 1j * eps))
             np.testing.assert_allclose(one, laurent(pot, z), rtol=0, atol=1e-12)
