@@ -196,10 +196,13 @@ def _per_step_kernel(pot, alpha, thetas, E, eps, n, ladder):
     col = energies.reshape(energies.shape + (1,) * (grid.ndim + thetas.ndim))
     dtype = np.complex128 if np.any(grid) else np.float64
     every = cocycle._rescale_interval(pot, energies, grid)
-    c0, terms = pot._rotation_terms(thetas, grid.reshape(-1).tolist())
+    rows = grid.reshape(-1).tolist()
+    c0, terms = pot._rotation_terms(thetas, rows)
     r = _phase_shifts(alpha, n)
     rotations = [(a, b, np.cos(TWO_PI * k * r), np.sin(TWO_PI * k * r))
                  for k, a, b in terms]
+    # with no k > 0 the symbol is c_0 on the whole (eps, theta) batch
+    c0 = np.full((len(rows),) + thetas.shape, c0, dtype)
     a, b = np.ones(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
     c, d = np.zeros(shape, dtype=dtype), np.ones(shape, dtype=dtype)
     exponent = np.zeros(shape, dtype=np.int64)
@@ -239,27 +242,34 @@ _BATCHES = {
     "wide": (np.linspace(0.0, 1.0, cocycle._BLOCK + 5, endpoint=False),
              [0.0, 0.05], 1.5, 6),
 }
+# the free and a constant potential have no k > 0 term (f = c_0 at every
+# step), and cos(4 pi theta) starts its rotation at k = 2
 _KERNEL_POTENTIALS = {
     "amo2": Potential.amo(2.0),
     "two_harmonic": Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}),
     "k0_3_complex": POTENTIALS["k0_3_complex"],
+    "zero": Potential.zero(),
+    "constant": Potential({0: 0.7}),
+    "cos4pi": POTENTIALS["cos4pi"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_POTENTIALS))
 @pytest.mark.parametrize("batch", sorted(_BATCHES))
 @pytest.mark.parametrize("every", [None, 7], ids=["derived", "every7"])
+@pytest.mark.parametrize("alpha", [GOLDEN_MEAN, math.sqrt(2.0)],
+                         ids=["golden", "sqrt2"])  # sqrt 2 > 1: r_j wraps
 def test_kernel_matches_the_per_step_loop_bit_for_bit(
-        name, batch, every, golden, monkeypatch):
+        name, batch, every, alpha, monkeypatch):
     pot = _KERNEL_POTENTIALS[name]
     thetas, eps, E, n = _BATCHES[batch]
     if every is not None:
         monkeypatch.setattr(cocycle, "_rescale_interval", lambda *args: every)
     ladder = [1, n // 3, n // 3, n - 1, n]
-    want_logs, want_mats = _per_step_kernel(pot, golden, thetas, E, eps, n,
+    want_logs, want_mats = _per_step_kernel(pot, alpha, thetas, E, eps, n,
                                             ladder)
-    logs = transfer_log_norms(pot, golden, thetas, E, eps, n, ladder=ladder)
-    last, mats = transfer_log_norms(pot, golden, thetas, E, eps, n,
+    logs = transfer_log_norms(pot, alpha, thetas, E, eps, n, ladder=ladder)
+    last, mats = transfer_log_norms(pot, alpha, thetas, E, eps, n,
                                     return_matrices=True)
     assert np.array_equal(logs, want_logs)
     assert np.array_equal(last, want_logs[-1])
