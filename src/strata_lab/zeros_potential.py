@@ -30,8 +30,9 @@ class RootConvergenceError(RuntimeError):
 
 
 # Pairwise loops (roots x roots, points x roots) run in row blocks of about
-# this many elements, so that their temporaries stay in the L2 cache.
-_BLOCK = 1 << 13
+# this many elements, so that their temporaries and the Green kernel's work
+# arrays, taken once per call and filled in place, stay in the L2 cache.
+_BLOCK = 1 << 14
 
 # every root passes |p(w)| <= _ROOT_TOL * sum_i |c_i| |w|^i
 _ROOT_TOL = 1e-12
@@ -301,8 +302,8 @@ def check_green_range(R: float) -> None:
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
     slack = 1.0 + 1e-12
-    for m in moduli:
-        if np.any(m > R * slack) or np.any(m < 1.0 / (R * slack)):
+    for m in moduli:    # a NaN modulus fails both comparisons
+        if not np.all((m <= R * slack) & (m >= 1.0 / (R * slack))):
             raise ValueError("argument outside the closed annulus")
 
 
@@ -330,8 +331,12 @@ def _dual_theta_poly(lr: float) -> Tuple[Tuple[float, ...], ...]:
     return tuple(tuple(np.trim_zeros(row, "b")) for row in B)
 
 
-def _horner(coef, x):
-    return functools.reduce(lambda acc, c: acc * x + c, coef[-2::-1], coef[-1])
+def _horner_into(coef, x, out):
+    """sum_i coef[i] x^i, written into out unless coef has one entry."""
+    acc = coef[-1]
+    for c in coef[-2::-1]:
+        acc = np.add(np.multiply(acc, x, out=out), c, out=out)
+    return acc
 
 
 def _radial_sin_cos(log_mod: np.ndarray, alpha: float, lr: float):
@@ -354,27 +359,38 @@ def _green_terms(v, R: float):
     return v, s, c, s * c, np.angle(v)
 
 
-def _green_pairs(zt, wt, lr: float) -> np.ndarray:
-    """G(z, w) for the broadcast pairs of two `_green_terms` tuples."""
+def _green_buffers(lr: float, shape) -> list:
+    return [np.empty(shape) for _ in range(4 + len(_dual_theta_poly(lr)))]
+
+
+def _green_pairs(zt, wt, lr: float, buf: list) -> np.ndarray:
+    """G(z, w) for the broadcast pairs of two `_green_terms` tuples, computed
+    in place in buf, the `_green_buffers` of the pair shape."""
     (z, sz, cz, pz, az), (w, sw, cw, pw, aw) = zt, wt
-    if np.any(z == w):
-        raise ValueError("Green's function is singular on the diagonal z = w")
     alpha = math.pi / (4.0 * lr)
-    t1, t2 = sz * cw, cz * sw
-    sx2, sxm2 = (t1 - t2) ** 2, (t1 + t2) ** 2        # sin^2 X, sin^2 X*
-    d = np.abs(az - aw)
-    sh2 = np.sinh(alpha * np.minimum(d, TWO_PI - d)) ** 2
-    N = np.asarray(sx2 + sh2)
-    near = N < 1e-2
-    if np.any(near):    # log(z / w) = log1p(t), t = (z - w) / w
-        zb, wb = (np.broadcast_to(v, N.shape)[near] for v in (z, w))
+    sxm2, sh2, sx2, N, *gbuf = buf
+    t1, t2 = np.multiply(sz, cw, out=sxm2), np.multiply(cz, sw, out=sh2)
+    np.square(np.subtract(t1, t2, out=sx2), out=sx2)          # sin^2 X
+    np.square(np.add(t1, t2, out=t1), out=t1)                 # sin^2 X*
+    d = np.abs(np.subtract(az, aw, out=sh2), out=sh2)
+    np.minimum(d, np.subtract(TWO_PI, d, out=N), out=d)
+    np.square(np.sinh(np.multiply(alpha, d, out=d), out=d), out=d)   # sinh^2 Y
+    np.add(sx2, sh2, out=N)
+    near = np.flatnonzero(N < 1e-2)
+    if len(near):       # log(z / w) = log1p(t), t = (z - w) / w
+        zb, wb = (np.broadcast_to(v, N.shape).flat[near] for v in (z, w))
+        if np.any(zb == wb):                         # z = w has N = 0
+            raise ValueError("Green's function is singular on the diagonal z = w")
         t = (zb - wb) / wb
         X = 0.5 * alpha * np.log1p(2.0 * t.real + (t.real ** 2 + t.imag ** 2))
         Y = alpha * np.arctan2(t.imag, 1.0 + t.real)
-        N[near] = np.sin(X) ** 2 + np.sinh(Y) ** 2
-    g = [_horner(row, sh2) for row in _dual_theta_poly(lr)]
-    P = (4.0 * pz) * pw                              # sin^2 X* - sin^2 X
-    return np.log(N * _horner(g, sx2) / ((N + P) * _horner(g, sxm2))) / (4 * math.pi)
+        N.flat[near] = np.sin(X) ** 2 + np.sinh(Y) ** 2
+    g = [_horner_into(row, sh2, out) for row, out in zip(_dual_theta_poly(lr), gbuf)]
+    h, hm = _horner_into(g, sx2, sh2), _horner_into(g, sxm2, sx2)
+    P = np.multiply(4.0 * pz, pw, out=sxm2)          # sin^2 X* - sin^2 X
+    np.multiply(np.add(N, P, out=P), hm, out=P)
+    G = np.divide(np.multiply(N, h, out=sh2), P, out=sh2)
+    return np.divide(np.log(G, out=G), 4 * math.pi, out=G)
 
 
 def green_annulus(z, w, R: float):
@@ -391,7 +407,9 @@ def green_annulus(z, w, R: float):
     on both circles, and near the pole sin^2 X + sinh^2 Y comes from the
     exact z - w.  Served for 10^(10/256) <= R <= 1e50.
     """
-    out = _green_pairs(_green_terms(z, R), _green_terms(w, R), math.log(R))
+    zt, wt, lr = _green_terms(z, R), _green_terms(w, R), math.log(R)
+    buf = _green_buffers(lr, np.broadcast_shapes(zt[0].shape, wt[0].shape))
+    out = _green_pairs(zt, wt, lr, buf)
     return float(out) if out.ndim == 0 else out
 
 
@@ -419,10 +437,12 @@ def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
     if len(roots) == 0:
         return out
     zt, wt = _green_terms(zs[:, None], R), _green_terms(roots, R)   # once per call
-    step = max(1, _BLOCK // len(roots))
+    lr, step = math.log(R), max(1, _BLOCK // len(roots))
+    buf = _green_buffers(lr, (min(step, len(zs)), len(roots)))      # once per call
     for a in range(0, len(zs), step):
-        block = _green_pairs([t[a:a + step] for t in zt], wt, math.log(R))
-        out[a:a + step] = np.sum(block, axis=1)
+        block = _green_pairs([t[a:a + step] for t in zt], wt, lr,
+                             [b[:len(zs) - a] for b in buf])     # a short last block
+        np.sum(block, axis=1, out=out[a:a + step])
     return out * TWO_PI / n
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 3488
+CEILING = 3508
 
 
 def line_count() -> int:

@@ -9,8 +9,9 @@ from strata_lab import (Potential, circle_average_green, count_annulus,
                         green_potential, jensen_identity_residual,
                         riesz_decompose, riesz_kappa, riesz_mass,
                         zero_count_vs_acceleration)
-from strata_lab.zeros_potential import (RootConvergenceError, aberth_roots,
-                                        check_green_range, clearest_eps)
+from strata_lab.zeros_potential import (_BLOCK, RootConvergenceError,
+                                        aberth_roots, check_green_range,
+                                        clearest_eps)
 
 TWO_PI = 2.0 * math.pi
 R_STRIP = math.exp(TWO_PI * 0.05)
@@ -190,6 +191,25 @@ def test_circle_average_validates_radius():
         circle_average_green(0.5, R_STRIP, 1.1)
 
 
+# a NaN modulus fails every comparison with the radii; each entry point
+# refuses it like a point outside the annulus
+
+def test_green_annulus_refuses_a_nan_point():
+    with pytest.raises(ValueError, match="outside the closed annulus"):
+        green_annulus(complex(math.nan, 0.0), 1.1, R_STRIP)
+
+
+def test_green_potential_refuses_a_nan_root():
+    with pytest.raises(ValueError, match="outside the closed annulus"):
+        green_potential(np.array([1.05]), np.array([complex(math.nan, 0.0)]),
+                        R_STRIP, 10)
+
+
+def test_circle_average_refuses_a_nan_radius():
+    with pytest.raises(ValueError, match="outside the closed annulus"):
+        circle_average_green(math.nan, R_STRIP, 1.1)
+
+
 def test_green_potential_sums_pointwise():
     z = 1.01 * np.exp(2.1j)
     roots = np.array([1.02 * np.exp(0.7j), 1.03j])
@@ -207,10 +227,10 @@ def test_green_potential_is_the_blocked_kernel_sum(amo2, golden):
     mods = np.abs(inv.roots)
     roots = inv.roots[(mods <= R_STRIP) & (mods >= 1.0 / R_STRIP)]
     rng = np.random.default_rng(4)
-    m = 3 * (8192 // len(roots)) + 5
+    m = 3 * (_BLOCK // len(roots)) + 5
     zs = (np.exp(rng.uniform(-0.3, 0.3, m))
           * np.exp(2j * np.pi * rng.uniform(0, 1, m)))
-    step = 8192 // len(roots)
+    step = _BLOCK // len(roots)
     blocked = np.concatenate([
         np.sum(green_annulus(zs[a:a + step, None], roots[None, :], R_STRIP), axis=1)
         for a in range(0, m, step)]) * TWO_PI / 64
