@@ -16,8 +16,7 @@ import functools
 import math
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ _ALPHA = GOLDEN_MEAN
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class AcceptanceRecord:
+class AcceptanceRecord(NamedTuple):
     criterion: int
     name: str
     passed: bool

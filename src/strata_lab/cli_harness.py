@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,7 +104,8 @@ def _typed(value, kind, key: str):
     return out
 
 
-_MAX_ENERGIES = 10 ** 5  # most energies one config may plan tasks for
+_MAX_ENERGIES = 10 ** 5  # most energies, and (energy, n) tasks, one config plans
+_MAX_LADDER = 64  # most n_ladder entries; a lyapunov task holds a snapshot of each
 
 
 def _parse_energies(spec) -> Tuple[float, ...]:
@@ -260,6 +259,11 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError("eps must be positive")
     if len(c.eps_grid) < 2:
         raise ConfigError("eps_grid needs >= 2 entries")
+    if len(c.n_ladder) > _MAX_LADDER:
+        raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
+    if len(c.energies) * len(c.n_ladder) > _MAX_ENERGIES:
+        raise ConfigError(f"energies x n_ladder = {len(c.energies)} x "
+                          f"{len(c.n_ladder)} zeros tasks, more than {_MAX_ENERGIES}")
     if c.riesz.eps_r <= 0:
         raise ConfigError("riesz.eps_r must be positive")
     reach = max(max(c.eps_grid), c.riesz.R_eps,
@@ -509,31 +513,22 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     jres = jensen_identity_residual(fam, inv, math.exp(TWO_PI * r1),
                                     math.exp(TWO_PI * r2), K=sec.K)
     mass = riesz_mass(fam, inv, sec.eps_r, sec.K, kappa)
-    row = {"E": E, "n": cfg.n, "R_eps": R_eps,
-           "boundary_max_dev": dec.boundary_max_dev,
-           "mean_value_max_resid": dec.mean_value_max_resid,
-           "h_min": dec.h_min, "h_max": dec.h_max, "L_ref": L_ref,
+    row = {"E": E, "n": cfg.n, "R_eps": R_eps, "L_ref": L_ref,
            "jensen_r1": r1, "jensen_r2": r2, "jensen_residual": jres,
-           "eps_r": mass.eps_r, "mass_v": mass.mass_v, "mass_u": mass.mass_u,
-           "count_ratio": mass.count_ratio, "kappa": mass.kappa,
-           "dev_from_2kappa": mass.dev_from_2kappa}
+           **dec._asdict(), **mass._asdict()}
     return _payload({"riesz.csv": [row]})
 
 
 def _task_ids(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     est = ids(cfg.potential, cfg.alpha, E, cfg.ids.n, cfg.ids.samples)
-    return _payload({"ids.csv": [{
-        "E": E, "n": est.n, "value": est.value, "spread": est.spread}]})
+    return _payload({"ids.csv": [est._asdict()]})
 
 
 def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
     fit = holder_exponent(cfg.potential, cfg.alpha, E0,
                           cfg.holder.delta_ladder, cfg.holder.n,
                           cfg.ids.samples)
-    return _payload({"holder.csv": [{
-        "E0": E0, "n": fit.n, "beta": fit.beta,
-        "beta_stderr": fit.beta_stderr, "in_gap": fit.in_gap,
-        "message": fit.message}]})
+    return _payload({"holder.csv": [fit._asdict()]})
 
 
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
@@ -636,7 +631,7 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 def _task_criterion(cfg: ExperimentConfig, number: int) -> Dict[str, Any]:
     from .acceptance import run_criterion  # acceptance imports this module
-    row = dataclasses.asdict(run_criterion(number))
+    row = run_criterion(number)._asdict()
     if not row["passed"]:
         raise _GateFailed(row)
     return _payload({"acceptance.csv": [row]})
@@ -649,8 +644,7 @@ def _task_criterion(cfg: ExperimentConfig, number: int) -> Dict[str, Any]:
 _Plan = List[Tuple[str, Dict[str, Any]]]
 
 
-@dataclass(frozen=True)
-class _Subcommand:
+class _Subcommand(NamedTuple):
     """One subcommand: its tables (file -> columns, in write order), its
     module-level task function, and a plan of (task key, task params) in
     output order."""
@@ -770,8 +764,7 @@ def _run_task(packed):
 # run driver
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Record of one run: what was asked, what happened, what was written."""
 
     subcommand: str
@@ -794,7 +787,7 @@ class RunManifest:
         return self.n_failed == 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
 def _utc_now() -> str:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,8 +179,7 @@ def transfer_log_norms(
 # Lyapunov averages
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(NamedTuple):
     """Phase-averaged finite-n Lyapunov exponent."""
 
     value: float             # L_n(E, eps)
@@ -249,8 +247,7 @@ def _estimates(potential, alpha, E, n, eps, K):
 # acceleration and strata
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AccelerationEstimate:
+class AccelerationEstimate(NamedTuple):
     """Slope of eps -> L(E, eps) over a window, in units of 2 pi.
 
     The limiting slope is an integer; `residual` is the distance of the

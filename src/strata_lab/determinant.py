@@ -16,7 +16,7 @@ inventories, Riesz masses, deviation sets) is driven by this representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class DegreeCapError(ValueError):
 # scaled Laurent polynomials
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaledLaurentPoly:
+class ScaledLaurentPoly(NamedTuple):
     """A Laurent polynomial e^{log_scale} * sum_k coeffs[k-lo] z^k.
 
     `coeffs` is a dense ascending complex vector for exponents lo..hi.  The
@@ -195,8 +194,7 @@ def _horner_pair(c: np.ndarray, x: np.ndarray):
 # determinant family
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeterminantFamily:
+class DeterminantFamily(NamedTuple):
     """Dirichlet determinant of an n-site box, in phase-polynomial form.
 
     `poly` is D_n as a ScaledLaurentPoly in z = e^{2 pi i theta}.

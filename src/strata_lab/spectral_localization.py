@@ -13,8 +13,7 @@ through window determinants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,25 +89,17 @@ def sturm_count(potential: Potential, alpha: float, theta: float, E,
     return count
 
 
-@dataclass(frozen=True)
-class DirichletSpectrum:
+class DirichletSpectrum(NamedTuple):
     """All n eigenvalues of the box at one phase, ascending.
 
     The off-diagonals are identically 1, so the matrix is unreduced and
-    every eigenvalue is simple; strict ordering is enforced.
+    every eigenvalue is simple; `dirichlet_eigenvalues`, the one
+    constructor, checks the length and the strict ordering.
     """
 
     theta: float
     n: int
     eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        if ev.shape != (self.n,):
-            raise ValueError("eigenvalue array must have length n")
-        if self.n > 1 and not np.all(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        object.__setattr__(self, "eigenvalues", ev)
 
 
 def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
@@ -122,6 +113,10 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
         evs = eigvalsh_tridiagonal(d, np.ones(n - 1),
                                    lapack_driver="stebz")
         evs = np.sort(evs)
+    if evs.shape != (n,):
+        raise ValueError("eigenvalue array must have length n")
+    if n > 1 and not np.all(np.diff(evs) > 0):
+        raise ValueError("eigenvalues must be strictly increasing")
     return DirichletSpectrum(theta=float(theta), n=n, eigenvalues=evs)
 
 
@@ -167,8 +162,7 @@ def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
 # eigenfunction decay
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecayProfile:
+class DecayProfile(NamedTuple):
     """Exponential decay diagnostics for one box eigenvector.
 
     `log_abs` is log|phi| of the unit eigenvector at every site, including
@@ -241,8 +235,7 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
 # integrated density of states
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IDSEstimate:
+class IDSEstimate(NamedTuple):
     """Phase-averaged eigenvalue fraction below E with its sample spread."""
 
     E: float
@@ -283,8 +276,7 @@ def ids(potential: Potential, alpha: float, E: float, n: int,
         spread=float(np.max(vals) - np.min(vals)))
 
 
-@dataclass(frozen=True)
-class HolderFit:
+class HolderFit(NamedTuple):
     """Log-log fit of symmetric IDS increments against the half-width."""
 
     E0: float
@@ -359,8 +351,7 @@ def holder_exponent(
 # sublevel-set geometry of u_n on the unit circle
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviationSetGeometry:
+class DeviationSetGeometry(NamedTuple):
     """Arcs of phase where u_n drops below its transfer-matrix mean.
 
     Arcs are (left, right) with left in [0, 1) and right > left; at most
@@ -503,8 +494,7 @@ def deviation_set(
         intervals=intervals, pair_map=pair_map)
 
 
-@dataclass(frozen=True)
-class DoubleResonanceReport:
+class DoubleResonanceReport(NamedTuple):
     """Outcome of the two-window orbit scan over a deviation geometry.
 
     `clear` means every arc-plus-reflection pair caught at most one orbit

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,8 +162,7 @@ def aberth_roots(coeffs) -> np.ndarray:
 # zero inventories
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroInventory:
+class ZeroInventory(NamedTuple):
     """The full zero set of one determinant family, with symmetry pairings.
 
     pair_inversive[i] is the index of the root closest to 1/conj(roots[i])
@@ -237,8 +235,7 @@ def find_zeros(fam: DeterminantFamily) -> ZeroInventory:
                          pair_reflection=pair_ref, on_circle=on_circle)
 
 
-@dataclass(frozen=True)
-class AnnulusCount:
+class AnnulusCount(NamedTuple):
     """Zero count of a closed annulus, with boundary bookkeeping."""
 
     count: int                 # zeros with e^{-2 pi eps} <= |w| <= e^{2 pi eps}
@@ -288,12 +285,16 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
 # annulus Green's function
 # ----------------------------------------------------------------------
 
+_R_MAX = math.exp(4.0 * math.pi)    # the widest served annulus, R_eps = 2
+
+
 def check_green_range(R: float) -> None:
     """Refuse an annulus outside the range the Green kernel serves:
-    log(R) / 2 pi < 0.014315, and R > 1e50.  The floor is the thinnest
-    annulus the kernel's oracle tests cover."""
-    if not 1.0 < R <= 1e50:
-        raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, 1e50]")
+    log(R) / 2 pi < 0.014315, and log(R) / 2 pi > 2.  Both ends are the
+    thinnest and the widest annulus the kernel's oracle tests cover; past
+    the ceiling the dual-nome polynomial loses digits to cancellation."""
+    if not 1.0 < R <= _R_MAX:
+        raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, e^(4 pi)]")
     lr = math.log(R)
     if lr < 10.0 * math.log(10.0) / 256.0:
         raise ValueError(f"annulus too thin: R = {R:.6g} has log(R) / 2 pi = "
@@ -323,12 +324,21 @@ def _dual_theta_poly(lr: float) -> Tuple[Tuple[float, ...], ...]:
     A = np.zeros((2 * M - 1, 2 * M - 1))
     for j, k in itertools.product(range(M), repeat=2):
         A[j + k, abs(j - k)] += 0.5 * c[j] * c[k]
-    P = np.polynomial
-    TS, TH = (np.array([np.pad(P.Chebyshev.basis(p)(P.Polynomial([1.0, x])).coef,
-                               (0, 2 * M - 2 - p)) for p in range(2 * M - 1)])
-              for x in (-2.0, 2.0))
+    TS, TH = (_chebyshev_table(x, 2 * M - 1) for x in (-2, 2))
     B = TS.T @ (A + A.T) @ TH
     return tuple(tuple(np.trim_zeros(row, "b")) for row in B)
+
+
+def _chebyshev_table(x: int, size: int) -> np.ndarray:
+    """Row p: the coefficients of T_p(1 + x s) in s, p < size, from
+    T_{p+1}(y) = 2y T_p(y) - T_{p-1}(y) in integers, exact in doubles while
+    they stay below 2^53 (p <= 18 at the widest served annulus)."""
+    rows = [[1], [1, x]]
+    while len(rows) < size:
+        a, b = rows[-1], rows[-2]
+        rows.append([2 * (ai + x * aj) - bi for ai, aj, bi in
+                     zip(a + [0], [0] + a, b + [0, 0])])
+    return np.array([r + [0] * (size - len(r)) for r in rows[:size]], dtype=float)
 
 
 def _horner_into(coef, x, out):
@@ -405,7 +415,7 @@ def green_annulus(z, w, R: float):
     log[(sin^2 X + sinh^2 Y) |F(X + iY)|^2 / ((sin^2 X* + sinh^2 Y)
     |F(X* + iY)|^2)]; sin^2 X* - sin^2 X = sin 2a_z sin 2a_w vanishes exactly
     on both circles, and near the pole sin^2 X + sinh^2 Y comes from the
-    exact z - w.  Served for 10^(10/256) <= R <= 1e50.
+    exact z - w.  Served for 10^(10/256) <= R <= e^(4 pi).
     """
     zt, wt, lr = _green_terms(z, R), _green_terms(w, R), math.log(R)
     buf = _green_buffers(lr, np.broadcast_shapes(zt[0].shape, wt[0].shape))
@@ -450,8 +460,7 @@ def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
 # Riesz decomposition of the per-site log-determinant
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RieszDecomposition:
+class RieszDecomposition(NamedTuple):
     """Certificates of the split u = Green part + harmonic part on A_R.
 
     The Green part is the Green potential 2 pi G of the zero measure (per
@@ -555,8 +564,7 @@ def jensen_identity_residual(
 # Riesz mass flux estimators
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RieszMassReport:
+class RieszMassReport(NamedTuple):
     """Flux estimates of the zero/Riesz mass in the annulus A_r.
 
     mass_v comes from the transfer log-norm flux (expected near 2 kappa);
@@ -676,8 +684,7 @@ def riesz_mass(
 # zero-count characterization of the acceleration
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroCountReport:
+class ZeroCountReport(NamedTuple):
     """Per-site zero counts against 2*kappa along an n-ladder."""
 
     E: float

@@ -144,6 +144,10 @@ def read_rows(path):
     {"energies": [0.5] * 100001},
     # the span overflowed a double: the range parsed to (nan, inf, 1e308)
     {"energies": {"start": -1e308, "stop": 1e308, "count": 3}},
+    # zeros plans |energies| x |n_ladder| tasks: 200,000 were planned here
+    {"energies": [0.5], "n_ladder": list(range(2, 200002))},
+    {"n_ladder": list(range(2, 67))},               # 65 entries
+    {"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -169,6 +173,9 @@ def test_widest_strip_below_the_overflow_is_served(tmp_path):
     ({"potential": "amo(inf)"}, "potential"),
     ({"potential": {"coeffs": [[1.5, 2, 0], [-1.5, 2, 0]]}}, "potential"),
     ({"riesz": {"bogus": 1}}, "riesz.bogus"),
+    ({"n_ladder": list(range(2, 67))}, "n_ladder"),
+    ({"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
+     "energies x n_ladder"),
 ])
 def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
                                                           capsys):
@@ -177,6 +184,13 @@ def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
     assert main(["green", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out"), "--dry-run"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_config_accepts_the_plan_caps():
+    # parsed, never run: 64 ladder entries, and 2 x 50,000 (energy, n) tasks
+    ExperimentConfig.from_raw({"n_ladder": list(range(2, 66))})
+    ExperimentConfig.from_raw({"energies": {"start": 0, "stop": 1,
+                                            "count": 50000}, "n_ladder": [2, 3]})
 
 
 def test_config_accepts_the_minimums():
@@ -351,6 +365,18 @@ def test_thin_annulus_is_skipped_up_front(subcommand, tmp_path):
     meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert [t["status"] for t in meta["tasks"]] == ["skipped"]
     assert "annulus too thin" in meta["tasks"][0]["error"]
+
+
+@pytest.mark.parametrize("subcommand", ["riesz", "green"])
+def test_wide_annulus_is_skipped_up_front(subcommand, tmp_path):
+    # R_eps = 8 lies past the served ceiling log(R) / 2 pi = 2; the kernel
+    # returned NaN there and both tasks were served ok
+    man = run(subcommand, out_dir=str(tmp_path), config={
+        "potential": {"coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 20.0},
+        "n": 128, "energies": [0.5], "riesz": {"R_eps": 8.0}})
+    assert man.ok
+    assert [t["status"] for t in man.tasks] == ["skipped"]
+    assert "must lie in (1, e^(4 pi)]" in man.tasks[0]["error"]
 
 
 def _ids_raises(*args, **kwargs):

@@ -18,8 +18,9 @@ from strata_lab import green_annulus
 from strata_lab.zeros_potential import _dual_theta_poly
 
 TWO_PI = 2.0 * math.pi
-# the thinnest served annulus, the riesz default, two wide ones
-R_EPS = (0.0144, 0.05, 0.3, 1.0)
+# the thinnest served annulus, the riesz default, three wide ones and the
+# widest served annulus (R_eps = 2; at 3 the log-sum oracle reads 5.8e-12)
+R_EPS = (0.0144, 0.05, 0.3, 1.0, 1.5, 2.0)
 
 
 def _reference_green(z, w, R):
@@ -101,8 +102,39 @@ def test_kernel_keeps_its_accuracy_next_to_the_pole(R_eps, dist):
 def test_dual_series_term_counts():
     # M = floor(sqrt(7.5 log R)) + 1 terms; |F|^2 has one row per power of
     # sin^2 X, 2M - 1 in all
-    for R_eps, M in ((0.0144, 1), (0.05, 2), (0.3, 4), (1.0, 7)):
+    for R_eps, M in ((0.0144, 1), (0.05, 2), (0.3, 4), (1.0, 7), (1.5, 9),
+                     (2.0, 10)):
         assert len(_dual_theta_poly(TWO_PI * R_eps)) == 2 * M - 1
+
+
+def _numpy_dual_theta_poly(lr):
+    """_dual_theta_poly with its Chebyshev tables from numpy.polynomial."""
+    M = int(math.sqrt(7.5 * lr)) + 1
+    q = math.exp(-math.pi ** 2 / (2.0 * lr))
+    t = [(-1) ** m * q ** (m * (m + 1)) for m in range(M)]
+    c = [sum(t)] + [2.0 * sum(t[j:]) for j in range(1, M)]
+    A = np.zeros((2 * M - 1, 2 * M - 1))
+    for j in range(M):
+        for k in range(M):
+            A[j + k, abs(j - k)] += 0.5 * c[j] * c[k]
+    P = np.polynomial
+    TS, TH = (np.array([np.pad(P.Chebyshev.basis(p)(P.Polynomial([1.0, x])).coef,
+                               (0, 2 * M - 2 - p)) for p in range(2 * M - 1)])
+              for x in (-2.0, 2.0))
+    B = TS.T @ (A + A.T) @ TH
+    return tuple(tuple(np.trim_zeros(row, "b")) for row in B)
+
+
+def test_dual_series_tables_match_numpy_polynomial_bit_for_bit():
+    # one log R per term count M = 1..10 that the served range reaches, and
+    # both ends of that range
+    lrs = [0.1] + [(M - 0.5) ** 2 / 7.5 for M in range(2, 11)]
+    lrs += [10.0 * math.log(10.0) / 256.0, 4.0 * math.pi]
+    assert sorted({int(math.sqrt(7.5 * lr)) + 1 for lr in lrs}) == list(range(1, 11))
+    for lr in lrs:
+        got, want = _dual_theta_poly(lr), _numpy_dual_theta_poly(lr)
+        assert ([np.array(row).tobytes() for row in got]
+                == [np.array(row).tobytes() for row in want])
 
 
 @pytest.mark.parametrize("R_eps", R_EPS)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 3508
+CEILING = 3491
 
 
 def line_count() -> int:
