@@ -17,7 +17,6 @@ from .determinant import (
 )
 from .cocycle import (
     AccelerationEstimate,
-    LyapunovEstimate,
     acceleration,
     classify_stratum,
     lyapunov_n,
@@ -44,8 +43,6 @@ from .zeros_potential import (
 from .spectral_localization import (
     DecayProfile,
     DeviationSetGeometry,
-    DirichletSpectrum,
-    DoubleResonanceReport,
     deviation_set,
     dirichlet_eigenpair,
     dirichlet_eigenvalues,

@@ -52,7 +52,7 @@ def _rows(subcommand: str, table: str, raw: dict, **params) -> List[dict]:
 
 def _c1_acceleration_integrality() -> Tuple[bool, str]:
     """Fitted strip slopes sit on the integer 1 across a box spectrum."""
-    evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50).eigenvalues
+    evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50)
     rows = _rows("acceleration", "acceleration.csv",
                  {"energies": evs.tolist(), "n": 512, "quadrature": {"K": 256},
                   "eps_grid": np.linspace(0.02, 0.10, 5).tolist()})
@@ -141,8 +141,7 @@ def _c7_riesz_mass() -> Tuple[bool, str]:
 def _c8_ids_holder() -> Tuple[bool, str]:
     """IDS increments fit a positive Hoelder exponent inside the spectrum."""
     ladder = np.geomspace(1e-4, 1e-2, 7)
-    candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123,
-                                       100).eigenvalues[44:56]
+    candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100)[44:56]
     betas = []
     for E0 in candidates:
         fit = holder_exponent(_AMO2, _ALPHA, float(E0), ladder, 4000)
@@ -186,8 +185,7 @@ def _c9_localization_diagnostics() -> Tuple[bool, str]:
 def _c10_convergence_rate() -> Tuple[bool, str]:
     """|L_n - L_2n| shrinks like 1/n on a doubling ladder."""
     ns = [100, 200, 400, 800, 1600]
-    L = {est.n: est.value
-         for est in lyapunov_n(_AMO2, _ALPHA, 0.5, ns, 0.0, 8192)}
+    L = dict(zip(ns, lyapunov_n(_AMO2, _ALPHA, 0.5, ns, 0.0, 8192)[0]))
     diffs = [abs(L[n] - L[2 * n]) for n in ns[:-1]]
     slope = float(np.polyfit(np.log(ns[:-1]), np.log(diffs), 1)[0])
     return slope <= -0.8, f"log-log slope {slope:.3f}"

@@ -261,9 +261,6 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError("eps_grid needs >= 2 entries")
     if len(c.n_ladder) > _MAX_LADDER:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
-    if len(c.energies) * len(c.n_ladder) > _MAX_ENERGIES:
-        raise ConfigError(f"energies x n_ladder = {len(c.energies)} x "
-                          f"{len(c.n_ladder)} zeros tasks, more than {_MAX_ENERGIES}")
     if c.riesz.eps_r <= 0:
         raise ConfigError("riesz.eps_r must be positive")
     reach = max(max(c.eps_grid), c.riesz.R_eps,
@@ -345,11 +342,13 @@ def _payload(tables: Optional[Dict[str, List[dict]]] = None,
 
 
 def _task_lyapunov(cfg: ExperimentConfig) -> Dict[str, Any]:
-    K = cfg.quadrature.lyapunov_K
-    ests = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n_ladder,
-                      (0.0,) + cfg.eps_grid, K)
-    rows = [{"E": est.E, "n": est.n, "K": K, "eps": est.eps, "L": est.value,
-             "std_error": est.std_error} for est in ests]
+    K, grid = cfg.quadrature.lyapunov_K, (0.0,) + cfg.eps_grid
+    L, err = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n_ladder,
+                        grid, K)
+    rows = [{"E": E, "n": n, "K": K, "eps": eps, "L": L[i, j, k],
+             "std_error": err[i, j, k]}
+            for i, E in enumerate(cfg.energies)
+            for j, n in enumerate(cfg.n_ladder) for k, eps in enumerate(grid)]
     return _payload({"lyapunov.csv": rows})
 
 
@@ -381,10 +380,10 @@ def _task_acceleration(cfg: ExperimentConfig) -> Dict[str, Any]:
     tables: Dict[str, List[dict]] = {"acceleration.csv": [],
                                      "accel_curve.csv": [],
                                      "accel_segments.csv": []}
-    for est in acceleration(cfg.potential, cfg.alpha, cfg.energies,
-                            cfg.eps_grid, n=cfg.n, K=cfg.quadrature.K):
-        E = est.E
-        eps = np.asarray(est.eps_grid)
+    eps = np.asarray(cfg.eps_grid)  # strictly increasing, as fitted
+    for E, est in zip(cfg.energies, acceleration(
+            cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid, n=cfg.n,
+            K=cfg.quadrature.K)):
         L = np.asarray(est.L_values)
         labels = (_fit_segments(eps, L) if est.non_affine
                   else np.zeros(len(eps), int))
@@ -403,7 +402,7 @@ def _task_acceleration(cfg: ExperimentConfig) -> Dict[str, Any]:
                 "residual": abs(slope - round(slope))})
         tables["accel_segments.csv"].extend(segments)
         tables["acceleration.csv"].append({
-            "E": E, "n": est.n, "K": est.quadrature_points,
+            "E": E, "n": cfg.n, "K": cfg.quadrature.K,
             "raw_slope": est.raw_slope, "kappa": est.kappa,
             "residual": est.residual, "non_affine": est.non_affine,
             "n_segments": len(segments)})
@@ -438,13 +437,13 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
             kappa_n=cfg.n, kappa_K=cfg.quadrature.K)
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
-    rows = [{"E": E, "eps": rep.eps, "kappa": rep.kappa,
+    rows = [{"E": E, "eps": cfg.eps, "kappa": rep.kappa,
              "L0": rep.L0, "n": n, "count": count,
              "ratio_per_2n": count / (2.0 * n), "deviation": dev,
              "decay_exponent": (math.nan if rep.decay_exponent is None
                                 else rep.decay_exponent),
              "boundary_clear": rep.boundary_clear}
-            for n, count, dev in zip(rep.ns, rep.counts, rep.deviations)]
+            for n, count, dev in zip(cfg.n_ladder, rep.counts, rep.deviations)]
     return _payload({"verify_acc_zeros.csv": rows})
 
 
@@ -503,7 +502,7 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     inv = find_zeros(fam)
     dec = riesz_decompose(fam, inv, R, n_angles=sec.n_angles)
     L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, R_eps,
-                       cfg.quadrature.lyapunov_K).value
+                       cfg.quadrature.lyapunov_K)[0]
     # nudge the comparison circles off any zero moduli before Jensen;
     # the identity wants radii, clearest_eps works in half-width coords
     coords = inv.eps_coords()
@@ -534,7 +533,7 @@ def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
     sec = cfg.strata
     L0s = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n, 0.0,
-                     cfg.quadrature.lyapunov_K)
+                     cfg.quadrature.lyapunov_K)[0].tolist()
     accs = acceleration(cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid,
                         n=cfg.n, K=cfg.quadrature.K)
     box = sec.spectrum_box
@@ -544,8 +543,7 @@ def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
     rows = [{"E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
              "non_affine": acc.non_affine, "in_spectrum": in_spec,
              "label": classify_stratum(L0, acc.kappa, acc.non_affine, in_spec)}
-            for E, L0, acc, in_spec in zip(cfg.energies,
-                                           (est.value for est in L0s), accs,
+            for E, L0, acc, in_spec in zip(cfg.energies, L0s, accs,
                                            (hi > lo).tolist())]
     # the measure of each label, defined only on a uniform energy grid
     diffs = np.diff(cfg.energies)
@@ -579,13 +577,13 @@ def _task_ldt(cfg: ExperimentConfig, E: float, seed: int,
     for s in range(sec.scan_count):
         theta = float(rng.uniform(0.0, 1.0))
         y = int(rng.integers(geom.n + 1, 10 * geom.n))
-        rep = double_resonance_scan(geom, theta, cfg.alpha, y)
+        j = double_resonance_scan(geom, theta, cfg.alpha, y)
         # with no arc there is nothing to resonate with: `clear` stays empty
         srows.append({"E": E, "scan": s, "theta": theta, "y": y,
-                      "clear": rep.clear if geom.count else None,
-                      "pair_index": rep.pair_index})
+                      "clear": j < 0 if geom.intervals else None,
+                      "pair_index": j})
     return _payload({"ldt_arcs.csv": arows, "resonance_scan.csv": srows},
-                    {geom_name: geom.to_json_dict()})
+                    {geom_name: geom._asdict()})
 
 
 # the expansion window of `localize`: _WINDOW_LEN + 1 sites from
@@ -659,9 +657,14 @@ def _per_energy(prefix: str, param: str = "E") -> Callable[..., _Plan]:
                         for E in cfg.energies]
 
 
-def _per_energy_and_n(prefix: str) -> Callable[..., _Plan]:
-    return lambda cfg: [(f"{prefix}[E={E:.6g},n={n}]", {"E": E, "n": n})
-                        for E in cfg.energies for n in cfg.n_ladder]
+def _plan_zeros(cfg: ExperimentConfig) -> _Plan:
+    # refused before the list is built: one task per (energy, n) pair
+    if len(cfg.energies) * len(cfg.n_ladder) > _MAX_ENERGIES:
+        raise ConfigError(f"energies x n_ladder = {len(cfg.energies)} x "
+                          f"{len(cfg.n_ladder)} zeros tasks, more than "
+                          f"{_MAX_ENERGIES}")
+    return [(f"zeros[E={E:.6g},n={n}]", {"E": E, "n": n})
+            for E in cfg.energies for n in cfg.n_ladder]
 
 
 def _plan_ldt(cfg: ExperimentConfig) -> _Plan:
@@ -692,7 +695,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
                        "pair_reflection"],
          "zero_counts.csv": ["E", "n", "eps_half", "count", "ratio_per_2n",
                              "boundary_margin", "n_flagged"]},
-        _task_zeros, _per_energy_and_n("zeros")),
+        _task_zeros, _plan_zeros),
     "verify-acc-zeros": _Subcommand(
         {"verify_acc_zeros.csv": ["E", "eps", "kappa", "L0", "n", "count",
                                   "ratio_per_2n", "deviation",
@@ -786,9 +789,6 @@ class RunManifest(NamedTuple):
     def ok(self) -> bool:
         return self.n_failed == 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return self._asdict()
-
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -843,7 +843,10 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
     packed = [(subcommand, cfg.raw, key, params) for key, params in plan]
     if threads > 1 and len(packed) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # under the fork start method every worker is forked up front,
+        # so ask for no more workers than there are tasks
+        workers = min(threads, len(packed))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, packed))
     else:
         results = [_run_task(p) for p in packed]
@@ -873,7 +876,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
                            tuple(task_records), tuple(files))
     with open(os.path.join(target, "manifest.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
     return manifest
 
 

@@ -33,11 +33,12 @@ TAU_POS = 0.05
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-def _check_symbol_range(potential: Potential, width: float) -> None:
-    """Refuse a strip half-width at which the bound sum_k |c_k| e^{2 pi |k|
-    width} on |f(theta + i eps)| reaches the largest double: the symbol,
-    and the transfer products, would overflow there.  So would the factor
-    2 cosh(2 pi k0 width) of `Potential.eval_theta`, however small c_k0."""
+def _check_symbol_range(potential: Potential, width: float) -> float:
+    """log sum_k |c_k| e^{2 pi |k| width}, the log of a bound on |f(theta +
+    i eps)| for |eps| <= width.  A width at which it reaches the largest
+    double is refused: the symbol, and the transfer products, would
+    overflow there.  So would the factor 2 cosh(2 pi k0 width) of
+    `Potential.eval_theta`, however small c_k0."""
     logs = [math.log(abs(c)) + TWO_PI * abs(k) * width
             for k, c in potential.coeffs_dict().items()]
     log_bound = float(np.logaddexp.reduce(logs)) if logs else -math.inf
@@ -47,6 +48,7 @@ def _check_symbol_range(potential: Potential, width: float) -> None:
             f"log sum_k |c_k| e^(2 pi |k| |eps|) = {log_bound:.6g}, "
             f"2 pi k0 |eps| = {TWO_PI * potential.k0 * width:.6g}, "
             f"ln(DBL_MAX) = {_LOG_DBL_MAX:.6g}")
+    return log_bound
 
 
 def _rescale_interval(potential: Potential, energies: np.ndarray,
@@ -63,10 +65,8 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     A strip on which the symbol bound overflows is refused.
     """
     width = float(np.max(np.abs(grid), initial=0.0))
-    _check_symbol_range(potential, width)
-    growth = (float(np.max(np.abs(energies), initial=0.0)) + 1.0
-              + sum(abs(c) * math.exp(TWO_PI * abs(k) * width)
-                    for k, c in potential.coeffs_dict().items()))
+    bound = math.exp(_check_symbol_range(potential, width))
+    growth = float(np.max(np.abs(energies), initial=0.0)) + 1.0 + bound
     return max(1, int(900.0 / max(1.0, math.log2(growth))))
 
 
@@ -179,17 +179,6 @@ def transfer_log_norms(
 # Lyapunov averages
 # ----------------------------------------------------------------------
 
-class LyapunovEstimate(NamedTuple):
-    """Phase-averaged finite-n Lyapunov exponent."""
-
-    value: float             # L_n(E, eps)
-    E: float
-    eps: float
-    n: int
-    quadrature_points: int   # K, equispaced phases
-    std_error: float         # sample std of the integrand / sqrt(K)
-
-
 def lyapunov_n(
     potential: Potential,
     alpha: float,
@@ -197,50 +186,40 @@ def lyapunov_n(
     n: Union[int, Sequence[int]],
     eps: Union[float, Sequence[float]] = 0.0,
     K: int = 256,
-) -> Union[LyapunovEstimate, Tuple[LyapunovEstimate, ...]]:
+) -> np.ndarray:
     """L_n(E, eps): trapezoid average of (1/n) log||A_n|| over K phases.
 
     For a periodic integrand the equispaced trapezoid rule is just the grid
     mean; K should be a power of two so refinement nests.  `E` is a scalar
     or a 1-D array of energies, `n` a product length or an ascending
-    ladder of them, `eps` a scalar or a 1-D grid.  When all three are
-    scalars the result is one LyapunovEstimate; otherwise it is a flat
-    tuple in (E, n, eps) order.  The energies run in blocks of about
-    `_BLOCK` batch elements, one `transfer_log_norms` call per block over
-    the longest n with a snapshot at every ladder length; no estimate
-    depends on the block it ran in.
+    ladder of them, `eps` a scalar or a 1-D grid.  Returns one array of
+    shape (2,) + E.shape + n.shape + eps.shape: the estimates, then their
+    standard errors (the sample std of the integrand / sqrt(K)).  The
+    energies run in blocks of about `_BLOCK` batch elements, one
+    `transfer_log_norms` call per block over the longest n with a snapshot
+    at every ladder length; no estimate depends on the block it ran in.
     """
-    ests = tuple(_estimates(potential, alpha, E, n, eps, K))
-    if np.ndim(E) or np.ndim(n) or np.ndim(eps):
-        return ests
-    return ests[0]
-
-
-def _estimates(potential, alpha, E, n, eps, K):
-    """The estimates of `lyapunov_n` in (E, n, eps) order, one energy block
-    at a time, so a caller that keeps only their values never holds more
-    than one block's log-norms."""
     ns = [int(m) for m in np.atleast_1d(n)]
     if not ns:
         raise ValueError("the n-ladder is empty")
+    energies = np.asarray(E, dtype=np.float64)
     grid = np.asarray(eps, dtype=np.float64)
     thetas = np.arange(K, dtype=np.float64) / K
-    flat = np.asarray(E, dtype=np.float64).reshape(-1)
+    flat = energies.reshape(-1)
+    out = np.empty((2, len(ns), flat.size, grid.size))  # n, E swap at the end
+    lengths = np.array(ns, dtype=np.float64).reshape(-1, 1, 1, 1)
     rows = max(1, _BLOCK // max(1, grid.size * K))
     for lo in range(0, flat.size, rows):
         block = flat[lo:lo + rows]
         logs = transfer_log_norms(potential, alpha, thetas, block, grid,
                                   ns[-1], ladder=ns)
         logs = logs.reshape(len(ns), len(block), grid.size, K)
-        for i, e_val in enumerate(block.tolist()):
-            for r, m in enumerate(ns):
-                vals = logs[r, i] / m
-                for e, v in zip(grid.reshape(-1).tolist(), vals):
-                    yield LyapunovEstimate(
-                        value=float(np.mean(v)), E=e_val, eps=e, n=m,
-                        quadrature_points=K,
-                        std_error=float(np.std(v) / math.sqrt(K)))
-        del logs, vals  # free this block before the next one is computed
+        logs /= lengths
+        out[0, :, lo:lo + rows] = np.mean(logs, axis=-1)
+        out[1, :, lo:lo + rows] = np.std(logs, axis=-1) / math.sqrt(K)
+        del logs  # free this block before the next one is computed
+    return out.swapaxes(1, 2).reshape(
+        (2,) + energies.shape + np.shape(n) + grid.shape)
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +233,7 @@ class AccelerationEstimate(NamedTuple):
     fitted slope to the nearest integer and doubles as the detector for a
     slope break inside the window (quantization plateaus are affine)."""
 
-    E: float
-    n: int
-    quadrature_points: int
-    eps_grid: Tuple[float, ...]
-    L_values: Tuple[float, ...]
+    L_values: Tuple[float, ...]  # L(E, eps) on the ascending window
     raw_slope: float           # d L / d eps / (2 pi), least squares
     kappa: int                 # nearest integer
     residual: float            # |raw_slope - kappa|
@@ -288,20 +263,15 @@ def acceleration(
         raise ValueError("need at least two eps values to fit a slope")
     if eps_grid[0] < 0:
         raise ValueError("eps grid must be nonnegative")
-    energies = np.asarray(E, dtype=np.float64)
-    L_all = [est.value
-             for est in _estimates(potential, alpha, E, n, eps_grid, K)]
-    m = len(eps_grid)
     out = []
-    for i, e_val in enumerate(energies.reshape(-1).tolist()):
-        L_vals = L_all[i * m:(i + 1) * m]
+    for L_vals in lyapunov_n(potential, alpha, np.reshape(E, -1), n,
+                             eps_grid, K)[0].tolist():
         slope = float(np.polyfit(eps_grid, L_vals, 1)[0]) / TWO_PI
         kappa = int(round(slope))
         out.append(AccelerationEstimate(
-            E=e_val, n=n, quadrature_points=K,
-            eps_grid=tuple(eps_grid), L_values=tuple(L_vals),
-            raw_slope=slope, kappa=kappa, residual=abs(slope - kappa)))
-    return tuple(out) if energies.ndim else out[0]
+            L_values=tuple(L_vals), raw_slope=slope, kappa=kappa,
+            residual=abs(slope - kappa)))
+    return tuple(out) if np.ndim(E) else out[0]
 
 
 def classify_stratum(L0: float, kappa: int, non_affine: bool,

@@ -206,14 +206,6 @@ class DeterminantFamily(NamedTuple):
     n: int
     poly: ScaledLaurentPoly
 
-    def log_abs_per_site(self, z):
-        """(1/n) log|D_n(z)|: the per-site log magnitude of the determinant."""
-        log_abs, _ = self.poly.eval_log(z)
-        return log_abs / self.n
-
-    def log_abs_per_site_circle(self, radius: float, m: int) -> np.ndarray:
-        return self.poly.eval_circle_log(radius, m) / self.n
-
 
 def det_family(
     potential: Potential,

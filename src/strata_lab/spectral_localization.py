@@ -21,27 +21,6 @@ from .model import Potential
 from .cocycle import TAU_POS, lyapunov_n
 from .determinant import det_at_phase, det_family
 
-__all__ = [
-    "dirichlet_diagonal",
-    "sturm_count",
-    "DirichletSpectrum",
-    "dirichlet_eigenvalues",
-    "dirichlet_eigenpair",
-    "DecayProfile",
-    "eigenfunction_decay",
-    "IDSEstimate",
-    "ids",
-    "HolderFit",
-    "holder_exponent",
-    "DeviationSetGeometry",
-    "deviation_set",
-    "DoubleResonanceReport",
-    "double_resonance_scan",
-    "expansion_identity_check",
-    "expansion_identity_scan",
-    "tail_window",
-]
-
 # pivot floor for the inertia recurrence; a pivot this small is treated as
 # negative so an eigenvalue sitting exactly at E counts as below E
 _PIVMIN = 1e-300
@@ -89,22 +68,12 @@ def sturm_count(potential: Potential, alpha: float, theta: float, E,
     return count
 
 
-class DirichletSpectrum(NamedTuple):
-    """All n eigenvalues of the box at one phase, ascending.
-
-    The off-diagonals are identically 1, so the matrix is unreduced and
-    every eigenvalue is simple; `dirichlet_eigenvalues`, the one
-    constructor, checks the length and the strict ordering.
-    """
-
-    theta: float
-    n: int
-    eigenvalues: np.ndarray
-
-
 def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
-                          n: int) -> DirichletSpectrum:
-    """Full box spectrum by bisection with Sturm counts (LAPACK stebz)."""
+                          n: int) -> np.ndarray:
+    """All n box eigenvalues at one phase, ascending, by bisection with
+    Sturm counts (LAPACK stebz).  The off-diagonals are identically 1, so
+    the matrix is unreduced and every eigenvalue is simple: the length and
+    the strict ordering are checked."""
     from scipy.linalg import eigvalsh_tridiagonal  # only box solves load scipy
     d = dirichlet_diagonal(potential, alpha, theta, n)
     if n == 1:
@@ -117,12 +86,12 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
         raise ValueError("eigenvalue array must have length n")
     if n > 1 and not np.all(np.diff(evs) > 0):
         raise ValueError("eigenvalues must be strictly increasing")
-    return DirichletSpectrum(theta=float(theta), n=n, eigenvalues=evs)
+    return evs
 
 
 def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
                         n: int, index: int,
-                        spectrum: Optional[DirichletSpectrum]):
+                        spectrum: Optional[np.ndarray]):
     """Eigenvalue, log|phi| and sign(phi) of the unit eigenvector, positive
     at its peak, for one spectral index, by twisted factorization; the
     eigenvalue is read from `spectrum` (None: solved here).
@@ -138,7 +107,7 @@ def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
         spectrum = dirichlet_eigenvalues(potential, alpha, theta, n)
     if not 0 <= index < n:
         raise ValueError("eigenvalue index out of range")
-    lam = float(spectrum.eigenvalues[index])
+    lam = float(spectrum[index])
     d = dirichlet_diagonal(potential, alpha, theta, n)
     piv = np.array(list(_pivots(np.stack([d, d[::-1]], axis=1), lam)))
     fwd, bwd = piv[:, 0], piv[::-1, 1]
@@ -209,7 +178,7 @@ def _side_fit(dist: np.ndarray, logs: np.ndarray):
 
 def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
                         n: int, which: int,
-                        spectrum: Optional[DirichletSpectrum] = None
+                        spectrum: Optional[np.ndarray] = None
                         ) -> DecayProfile:
     """Decay profile of the eigenvector at spectral index `which`."""
     if n < 500:
@@ -369,19 +338,6 @@ class DeviationSetGeometry(NamedTuple):
     intervals: Tuple[Tuple[float, float], ...]
     pair_map: Optional[Tuple[int, ...]]
 
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "E": self.E, "n": self.n, "threshold": self.threshold,
-            "level": self.level, "lyapunov_value": self.lyapunov_value,
-            "grid_size": self.grid_size,
-            "intervals": [[l, r] for l, r in self.intervals],
-            "pair_map": None if self.pair_map is None else list(self.pair_map),
-        }
-
 
 def _arcs_overlap(a: Tuple[float, float], b: Tuple[float, float],
                   tol: float = 1e-9) -> bool:
@@ -418,8 +374,8 @@ def deviation_set(
         raise ValueError("grid must have at least 64 n points")
 
     fam = det_family(potential, alpha, E, n)
-    u = fam.log_abs_per_site_circle(1.0, grid_size)
-    L = lyapunov_n(potential, alpha, E, n, 0.0, K=lyapunov_K).value
+    u = fam.poly.eval_circle_log(1.0, grid_size) / fam.n
+    L = lyapunov_n(potential, alpha, E, n, 0.0, K=lyapunov_K)[0]
     level = L - threshold
 
     below = u < level
@@ -494,30 +450,19 @@ def deviation_set(
         intervals=intervals, pair_map=pair_map)
 
 
-class DoubleResonanceReport(NamedTuple):
-    """Outcome of the two-window orbit scan over a deviation geometry.
-
-    `clear` means every arc-plus-reflection pair caught at most one orbit
-    point theta + ell alpha with ell in the two integer windows; otherwise
-    `pair_index` is the index of the first offending pair (else -1).
-    """
-
-    clear: bool
-    pair_index: int = -1
-
-
 def double_resonance_scan(
     geometry: DeviationSetGeometry,
     theta: float,
     alpha: float,
     y: int,
-) -> DoubleResonanceReport:
+) -> int:
     """Scan orbit points against arc pairs U_j u (-(n-1)alpha - U_j).
 
     The two offset windows are [-floor(7n/8), -floor(n/8)] and its shift
     by y, with n = geometry.n and n < y < 10 n.  A pair holding two or
-    more orbit points is a double resonance; the index of the first such
-    pair is the witness.
+    more orbit points is a double resonance.  Returns the index of the
+    first such pair, or -1 when every pair caught at most one orbit point
+    (the scan is clear).
     """
     n = geometry.n
     if not (n < y < 10 * n):
@@ -536,8 +481,8 @@ def double_resonance_scan(
         in_refl = (pts - refl_l) % 1.0 <= width
         mask = in_arc | in_refl
         if int(np.sum(mask)) >= 2:
-            return DoubleResonanceReport(clear=False, pair_index=j)
-    return DoubleResonanceReport(clear=True)
+            return j
+    return -1
 
 
 # ----------------------------------------------------------------------

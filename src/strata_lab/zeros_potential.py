@@ -239,7 +239,6 @@ class AnnulusCount(NamedTuple):
     """Zero count of a closed annulus, with boundary bookkeeping."""
 
     count: int                 # zeros with e^{-2 pi eps} <= |w| <= e^{2 pi eps}
-    eps: float
     boundary_margin: float     # smallest distance of any root to either circle
     flagged: Tuple[int, ...]   # indices within _BOUNDARY_TOL of a circle
 
@@ -262,9 +261,8 @@ def count_annulus(inv: ZeroInventory, eps: float) -> AnnulusCount:
     inside = (mods <= R + _BOUNDARY_TOL) & (mods >= 1.0 / R - _BOUNDARY_TOL)
     flagged = np.nonzero(dist <= _BOUNDARY_TOL)[0]
     margin = float(np.min(dist)) if len(dist) else math.inf
-    return AnnulusCount(
-        count=int(np.sum(inside)), eps=float(eps),
-        boundary_margin=margin, flagged=tuple(int(i) for i in flagged))
+    return AnnulusCount(count=int(np.sum(inside)), boundary_margin=margin,
+                        flagged=tuple(int(i) for i in flagged))
 
 
 def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
@@ -500,7 +498,7 @@ def riesz_decompose(
     s = np.linspace(-math.log(R), math.log(R), 9)
     radii = np.exp(s)
     thetas = np.arange(n_angles) / n_angles
-    u = np.stack([fam.log_abs_per_site_circle(r, n_angles) for r in radii])
+    u = np.stack([fam.poly.eval_circle_log(r, n_angles) / fam.n for r in radii])
     grid = radii[:, None] * np.exp(2j * math.pi * thetas)[None, :]
     green = green_potential(grid.ravel(), roots, R, fam.n).reshape(grid.shape)
     harm = u - green
@@ -514,7 +512,7 @@ def riesz_decompose(
     rho = 0.3 * np.minimum(R - np.abs(zc), np.abs(zc) - 1.0 / R)
     rings = zc + rho * ang_mv
     g_rings = green_potential(rings.ravel(), roots, R, fam.n).reshape(rings.shape)
-    u_rings = fam.log_abs_per_site(rings.ravel()).reshape(rings.shape)
+    u_rings = (fam.poly.eval_log(rings.ravel())[0] / fam.n).reshape(rings.shape)
     h_means = np.mean(u_rings - g_rings, axis=-1)
     worst = float(np.max(np.abs(h_means - harm[1:-1, ::8])))
 
@@ -554,7 +552,8 @@ def jensen_identity_residual(
     for r in (r1, r2):
         if len(mods) and np.min(np.abs(mods - r)) < 1e-9:
             raise ValueError(f"a zero lies on the quadrature circle r = {r}")
-    u1, u2 = (float(np.mean(fam.log_abs_per_site_circle(r, K))) for r in (r1, r2))
+    u1, u2 = (float(np.mean(fam.poly.eval_circle_log(r, K) / fam.n))
+              for r in (r1, r2))
     jumps = float(np.sum(np.log(np.maximum(r2, mods))
                          - np.log(np.maximum(r1, mods))))
     return abs(u2 - u1 - (fam.poly.lo * math.log(r2 / r1) + jumps) / fam.n)
@@ -604,6 +603,19 @@ def window_reach(eps: float, eps_r: float) -> float:
                      eps_r + 2.0 * _FLUX_DELTA))
 
 
+def _affine_kappa(potential: Potential, alpha: float, E: float,
+                  window: np.ndarray, n: int, K: int) -> int:
+    """The acceleration fitted on the ascending eps `window`.  Raises
+    ValueError when L(E, eps) has a kink inside it: the fit is non-affine
+    and the characterizations that read kappa do not apply there."""
+    est = acceleration(potential, alpha, E, window, n=n, K=K)
+    if est.non_affine:
+        raise ValueError(
+            f"slope break inside [{window[0]:.3f}, {window[-1]:.3f}]: the fit "
+            f"is non-affine (residual {est.residual:.3f})")
+    return est.kappa
+
+
 def riesz_kappa(
     potential: Potential,
     alpha: float,
@@ -612,17 +624,10 @@ def riesz_kappa(
     kappa_n: int = 512,
     kappa_K: int = 256,
 ) -> int:
-    """The acceleration riesz_mass compares with, from a window around eps_r.
-
-    Raises ValueError when L(E, eps) has a kink inside the window (the
-    slope fit is non-affine): the flux comparison does not apply there.
-    """
-    est = acceleration(potential, alpha, E, _kappa_window(eps_r),
-                       n=kappa_n, K=kappa_K)
-    if est.non_affine:
-        raise ValueError(
-            f"slope window around eps_r is non-affine (residual {est.residual:.3f})")
-    return est.kappa
+    """The acceleration riesz_mass compares with, from a window around eps_r;
+    a kink of L(E, .) inside the window raises (`_affine_kappa`)."""
+    return _affine_kappa(potential, alpha, E, _kappa_window(eps_r),
+                         kappa_n, kappa_K)
 
 
 def riesz_mass(
@@ -650,9 +655,8 @@ def riesz_mass(
     # the strip kernel is even in eps and the inner circles' difference is
     # minus the outer one's: (outer - inner) / (4 pi delta) = outer / (2 pi delta)
     n = fam.n
-    v_hi, v_lo = (est.value for est in lyapunov_n(
-        fam.potential, fam.alpha, fam.E, n,
-        [eps_flux + delta, eps_flux - delta], K))
+    v_hi, v_lo = lyapunov_n(fam.potential, fam.alpha, fam.E, n,
+                            [eps_flux + delta, eps_flux - delta], K)[0]
     mass_v = (v_hi - v_lo) / (TWO_PI * delta)
     coords = inv.eps_coords()
 
@@ -667,7 +671,8 @@ def riesz_mass(
         center = eps_flux
 
     def circle_mean_u(eps: float) -> float:
-        return float(np.mean(fam.log_abs_per_site_circle(math.exp(TWO_PI * eps), K)))
+        return float(np.mean(
+            fam.poly.eval_circle_log(math.exp(TWO_PI * eps), K) / fam.n))
 
     slope_u = (circle_mean_u(center + du) - circle_mean_u(center - du)) / (2.0 * du)
     mass_u = slope_u / math.pi
@@ -687,11 +692,8 @@ def riesz_mass(
 class ZeroCountReport(NamedTuple):
     """Per-site zero counts against 2*kappa along an n-ladder."""
 
-    E: float
-    eps: float
     kappa: int
     L0: float
-    ns: Tuple[int, ...]
     counts: Tuple[int, ...]          # N_n at half-width eps/2
     deviations: Tuple[float, ...]    # |N/(2n) - kappa|
     decay_exponent: Optional[float]  # fitted gamma in dev ~ n^-gamma
@@ -713,16 +715,12 @@ def zero_count_vs_acceleration(
     phase must clear TAU_POS, and the slope over (0, 1.2 eps] must be affine
     (single integer slope), otherwise the characterization does not apply.
     """
-    L0 = lyapunov_n(potential, alpha, E, kappa_n, 0.0, kappa_K).value
+    L0 = lyapunov_n(potential, alpha, E, kappa_n, 0.0, kappa_K)[0]
     if L0 < TAU_POS:
         raise ValueError(
             f"Lyapunov exponent {L0:.4f} below positivity threshold {TAU_POS}")
-    est = acceleration(potential, alpha, E, _count_window(eps),
-                       n=kappa_n, K=kappa_K)
-    if est.non_affine:
-        raise ValueError(
-            f"slope break inside (0, {1.2 * eps:.3f}]: residual {est.residual:.3f}")
-    kappa = est.kappa
+    kappa = _affine_kappa(potential, alpha, E, _count_window(eps),
+                          kappa_n, kappa_K)
 
     acs = [count_annulus(find_zeros(det_family(potential, alpha, E, int(n))),
                          eps / 2.0) for n in ns]
@@ -736,6 +734,5 @@ def zero_count_vs_acceleration(
         decay = float(-fit[0])
 
     return ZeroCountReport(
-        E=float(E), eps=float(eps), kappa=kappa, L0=float(L0),
-        ns=tuple(int(n) for n in ns), counts=tuple(counts),
+        kappa=kappa, L0=float(L0), counts=tuple(counts),
         deviations=tuple(devs), decay_exponent=decay, boundary_clear=clear)

@@ -147,7 +147,6 @@ def read_rows(path):
     # zeros plans |energies| x |n_ladder| tasks: 200,000 were planned here
     {"energies": [0.5], "n_ladder": list(range(2, 200002))},
     {"n_ladder": list(range(2, 67))},               # 65 entries
-    {"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -181,16 +180,57 @@ def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
                                                           capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    assert main(["green", "--config", str(cfg_path),
+    # `zeros`, whose plan refuses more (energy, n) tasks than the cap
+    assert main(["zeros", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out"), "--dry-run"]) == 2
     assert key in capsys.readouterr().err
 
 
 def test_config_accepts_the_plan_caps():
-    # parsed, never run: 64 ladder entries, and 2 x 50,000 (energy, n) tasks
+    # planned, never run: 64 ladder entries, and 2 x 50,000 (energy, n) tasks
     ExperimentConfig.from_raw({"n_ladder": list(range(2, 66))})
-    ExperimentConfig.from_raw({"energies": {"start": 0, "stop": 1,
-                                            "count": 50000}, "n_ladder": [2, 3]})
+    cfg = ExperimentConfig.from_raw({"energies": {"start": 0, "stop": 1,
+                                                  "count": 50000},
+                                     "n_ladder": [2, 3]})
+    assert len(cli_harness._REGISTRY["zeros"].plan(cfg)) == 100000
+
+
+def test_task_cap_counts_the_zeros_plan_only(tmp_path, capsys):
+    # 50,001 energies x 2 ladder lengths: 100,002 zeros tasks, 50,001 ids ones
+    raw = {"energies": {"start": 0, "stop": 1, "count": 50001},
+           "n_ladder": [2, 3]}
+    with pytest.raises(ConfigError, match="energies x n_ladder"):
+        run("zeros", config=raw, out_dir=str(tmp_path), dry_run=True)
+    man = run("ids", config=raw, out_dir=str(tmp_path), dry_run=True)
+    assert len(man.tasks) == 50001
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()  # the 50,001 planned keys
+
+
+def test_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and runs the tasks in this
+    # process, so no worker is ever forked
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    man = run("zeros", config=dict(SMALL, n_ladder=[20, 30]),
+              out_dir=str(tmp_path), threads=64)
+    assert [t["status"] for t in man.tasks] == ["ok", "ok"]
+    assert asked == [2]
 
 
 def test_config_accepts_the_minimums():
@@ -440,8 +480,7 @@ def test_strata_membership_edges_match_the_distance_rule(tmp_path):
     box, theta = 120, 0.123
     h = 10.0 / box
     small = ExperimentConfig.from_raw(SMALL)
-    ev = dirichlet_eigenvalues(small.potential, small.alpha, theta,
-                               box).eigenvalues
+    ev = dirichlet_eigenvalues(small.potential, small.alpha, theta, box)
     # the spectrum's ends and the edges of its three widest gaps, where
     # the points just outside E = ev_k +- h are really outside
     wide = np.argsort(np.diff(ev))[-3:]

@@ -144,10 +144,11 @@ def test_centered_modulus_reflection(amo2, golden):
 def test_circle_scan_matches_pointwise(amo2, golden):
     fam = det_family(amo2, golden, 0.5, 10)
     m, r = 8, 1.02
-    scan = fam.log_abs_per_site_circle(r, m)
+    scan = fam.poly.eval_circle_log(r, m) / fam.n
     for j in range(m):
         z = r * np.exp(2j * np.pi * j / m)
-        assert scan[j] == pytest.approx(fam.log_abs_per_site(z), abs=1e-10)
+        assert scan[j] == pytest.approx(fam.poly.eval_log(z)[0] / fam.n,
+                                        abs=1e-10)
 
 
 def test_scaled_poly_normalizes_into_log_scale():

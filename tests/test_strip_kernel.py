@@ -301,8 +301,8 @@ def test_huge_energy_still_runs():
     pot = Potential.amo(2.0)
     assert cocycle._rescale_interval(pot, np.array(1e300), np.array(0.1)) == 1
     for eps in (0.0, 0.1):
-        est = lyapunov_n(pot, GOLDEN_MEAN, 1e300, 512, eps, K=64)
-        assert "%.12g" % est.value == "690.775527898"
+        L = lyapunov_n(pot, GOLDEN_MEAN, 1e300, 512, eps, K=64)[0]
+        assert "%.12g" % L == "690.775527898"
 
 
 def test_deep_strip_stays_finite_and_near_the_loop(laurent):
@@ -351,9 +351,10 @@ def test_kernel_rows_are_even_in_eps(pot, E, golden):
 def test_lyapunov_grid_form_matches_scalar_calls(amo2, golden):
     grid = [0.0, 0.02, 0.05]
     ests = lyapunov_n(amo2, golden, 0.5, 64, grid, K=32)
-    assert isinstance(ests, tuple) and len(ests) == len(grid)
-    for est, eps in zip(ests, grid):
-        assert est == lyapunov_n(amo2, golden, 0.5, 64, eps, K=32)
+    assert ests.shape == (2, len(grid))
+    for k, eps in enumerate(grid):
+        assert np.array_equal(ests[:, k],
+                              lyapunov_n(amo2, golden, 0.5, 64, eps, K=32))
 
 
 def test_grid_refuses_eps_outside_the_strip(amo2, golden):
@@ -424,12 +425,15 @@ def test_lyapunov_flat_order_is_energy_n_eps(name, golden):
     pot = POTENTIALS[name]
     Es, ns, grid = [0.5, 3.7], [8, 24], [0.0, 0.05, -0.02]
     ests = lyapunov_n(pot, golden, Es, ns, grid, K=32)
-    assert len(ests) == len(Es) * len(ns) * len(grid)
-    for est, (E, n, eps) in zip(ests, itertools.product(Es, ns, grid)):
-        assert est == lyapunov_n(pot, golden, E, n, eps, K=32)
-    # a scalar at every position but one still gives the flat tuple
-    assert lyapunov_n(pot, golden, [0.5], 8, 0.0, K=32) == (
-        lyapunov_n(pot, golden, 0.5, 8, 0.0, K=32),)
+    assert ests.shape == (2, len(Es), len(ns), len(grid))
+    for (i, E), (j, n), (k, eps) in itertools.product(
+            enumerate(Es), enumerate(ns), enumerate(grid)):
+        assert np.array_equal(ests[:, i, j, k],
+                              lyapunov_n(pot, golden, E, n, eps, K=32))
+    # a one-entry list keeps its axis; a scalar has none
+    one = lyapunov_n(pot, golden, [0.5], 8, 0.0, K=32)
+    assert one.shape == (2, 1)
+    assert np.array_equal(one[:, 0], lyapunov_n(pot, golden, 0.5, 8, 0.0, K=32))
 
 
 def test_energy_blocks_do_not_change_any_estimate(amo2, golden, monkeypatch):
@@ -438,10 +442,12 @@ def test_energy_blocks_do_not_change_any_estimate(amo2, golden, monkeypatch):
     whole = lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K)
     # three energies per block: the batch spans four blocks
     monkeypatch.setattr(cocycle, "_BLOCK", 3 * len(grid) * K)
-    assert lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K) == whole
+    assert np.array_equal(lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K),
+                          whole)
     # below one energy's batch a block still holds one energy
     monkeypatch.setattr(cocycle, "_BLOCK", 1)
-    assert lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K) == whole
+    assert np.array_equal(lyapunov_n(amo2, golden, Es, [12, 20], grid, K=K),
+                          whole)
 
 
 def test_acceleration_batch_matches_per_energy_calls(amo2, golden):
