@@ -341,6 +341,15 @@ def _payload(tables: Optional[Dict[str, List[dict]]] = None,
     return {"tables": tables or {}, "json": json_files or {}}
 
 
+def _certified(rows: List[dict], columns: Sequence[str]) -> List[dict]:
+    """The rows, unless a certificate column is not finite: such a row
+    certifies nothing, so its task fails and the reason names the column."""
+    bad = [c for row in rows for c in columns if not math.isfinite(row[c])]
+    if bad:
+        raise ValueError(f"non-finite certificate column {bad[0]}")
+    return rows
+
+
 def _task_lyapunov(cfg: ExperimentConfig) -> Dict[str, Any]:
     K, grid = cfg.quadrature.lyapunov_K, (0.0,) + cfg.eps_grid
     L, err = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n_ladder,
@@ -478,14 +487,15 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
         while abs(math.log(abs(w)) - math.log(r)) < 0.01:
             r = math.exp(rng.uniform(-0.9 * lr, 0.9 * lr))
         quad = float(np.mean(green_annulus(r * np.exp(1j * phi), w, R)))
-        err_avg = max(err_avg, abs(quad - circle_average_green(r, R, w)))
+        # np.maximum, unlike max, keeps a NaN error
+        err_avg = np.maximum(err_avg, abs(quad - circle_average_green(r, R, w)))
     rows = [{"check": check, "samples": m, "max_abs_err": err,
              "tol": tol, "passed": err <= tol}
             for check, m, err, tol in (
                 ("boundary_zero", samples, err_boundary, 1e-10),
                 ("symmetry", samples, err_sym, 1e-12),
                 ("circle_average", samples // 4, err_avg, 1e-9))]
-    return _payload({"green_suite.csv": rows})
+    return _payload({"green_suite.csv": _certified(rows, ["max_abs_err"])})
 
 
 def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
@@ -515,7 +525,8 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     row = {"E": E, "n": cfg.n, "R_eps": R_eps, "L_ref": L_ref,
            "jensen_r1": r1, "jensen_r2": r2, "jensen_residual": jres,
            **dec._asdict(), **mass._asdict()}
-    return _payload({"riesz.csv": [row]})
+    return _payload({"riesz.csv": _certified(
+        [row], (*dec._fields, "jensen_residual"))})
 
 
 def _task_ids(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:

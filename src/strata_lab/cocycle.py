@@ -70,6 +70,12 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     return max(1, int(900.0 / max(1.0, math.log2(growth))))
 
 
+def _phases(alpha: float, n: int) -> np.ndarray:
+    """r_j = fl(j alpha) mod 1 (exact), j < n: step j + 1 of both transfer
+    recurrences, `transfer_log_norms` and `det_family`, sits at theta + r_j."""
+    return np.mod(np.arange(n) * alpha, 1.0)
+
+
 def _largest(ab, cd) -> np.ndarray:
     """Largest entry modulus of the running product, rows (a, b) and (c, d)."""
     return np.maximum(np.max(np.abs(ab), axis=0), np.max(np.abs(cd), axis=0))
@@ -96,7 +102,7 @@ def transfer_log_norms(
     `E` is a scalar or a 1-D array of energies and `eps` a scalar or a 1-D
     grid; the log-norms have shape E.shape + eps.shape + thetas.shape.  One
     recurrence runs over the whole (E, eps, theta) batch.  Step j sits at
-    theta + r_j, r_j = j alpha - floor(j alpha), with the symbol f_j = c_0 +
+    theta + r_j, r_j from `_phases`, with the symbol f_j = c_0 +
     sum_k [A_k cos(2 pi k r_j) + B_k sin(2 pi k r_j)] summed in ascending k
     into one (eps, theta) buffer, from `Potential._rotation_terms` and the
     cos, sin of 2 pi k r_j taken once per call; f_0 has `eval_theta`'s bits.
@@ -139,7 +145,7 @@ def transfer_log_norms(
     # complex entry); parts (A_1, cos 2 pi r_j), (B_1, sin 2 pi r_j), ...
     flat = f.reshape(-1).view(np.float64)
     term = np.empty_like(flat)
-    r = np.mod(np.arange(n) * alpha, 1.0)
+    r = _phases(alpha, n)
     (first, cos), *parts = [
         (v.reshape(-1).view(np.float64), fn(TWO_PI * k * r).tolist())
         for k, a, b in terms for v, fn in ((a, np.cos), (b, np.sin))

@@ -8,9 +8,9 @@ exponents in [-k0*n, k0*n].  It obeys the transfer recurrence
     D_j(z) = (E - f(z e^{2 pi i (j-1) alpha})) D_{j-1}(z) - D_{j-2}(z)
 
 with D_0 = 1, D_{-1} = 0.  Coefficients grow like e^{n L}, far beyond double
-range, so every polynomial carries a separate log-scale factor and is
-renormalized after each step.  All downstream potential theory (zero
-inventories, Riesz masses, deviation sets) is driven by this representation.
+range, so every polynomial carries a separate log-scale factor, which the
+recurrence keeps as an exact power of two.  All downstream potential theory
+(zero inventories, Riesz masses, deviation sets) is driven by this form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cocycle import transfer_log_norms
+from .cocycle import _phases, transfer_log_norms
 from .model import TWO_PI, Potential
 
 # refuse polynomials beyond this many one-sided exponents
@@ -39,7 +39,7 @@ class ScaledLaurentPoly(NamedTuple):
     """A Laurent polynomial e^{log_scale} * sum_k coeffs[k-lo] z^k.
 
     `coeffs` is a dense ascending complex vector for exponents lo..hi.  The
-    stored coefficients are kept normalized with max modulus in [0.5, 2];
+    stored coefficients are kept normalized with max modulus in [0.5, 1];
     the true magnitude lives in `log_scale`, so polynomials whose values
     overflow doubles by hundreds of orders remain representable.
     """
@@ -55,31 +55,26 @@ class ScaledLaurentPoly(NamedTuple):
     @classmethod
     def make(cls, lo: int, coeffs, log_scale: float = 0.0) -> "ScaledLaurentPoly":
         """Normalize so max|coeffs| = 1 and absorb the factor into log_scale."""
-        c = np.asarray(coeffs, dtype=np.complex128).copy()
-        if len(c) == 0:
-            c = np.zeros(1, dtype=np.complex128)
+        c = np.array(coeffs, dtype=np.complex128)
         m = float(np.max(np.abs(c)))
         if m == 0.0:
-            return cls(lo=int(lo), coeffs=np.zeros(1, dtype=np.complex128),
-                       log_scale=-math.inf)
+            return cls(int(lo), np.zeros(1, dtype=np.complex128), -math.inf)
         c /= m
         c.setflags(write=False)
-        return cls(lo=int(lo), coeffs=c, log_scale=float(log_scale) + math.log(m))
+        return cls(int(lo), c, float(log_scale) + math.log(m))
 
     @property
     def is_zero(self) -> bool:
         return not np.isfinite(self.log_scale)
 
     def trimmed(self) -> "ScaledLaurentPoly":
-        """Drop exactly-zero (or subnormal) leading and trailing coefficients."""
+        """Drop end coefficients that are zero or below 1e-300 of the largest."""
         mags = np.abs(self.coeffs)
-        nz = np.nonzero(mags > 1e-300)[0]
+        nz = np.flatnonzero(mags > 1e-300 * np.max(mags))
         if len(nz) == 0:
             return ScaledLaurentPoly.make(0, [0.0])
-        a, b = int(nz[0]), int(nz[-1])
-        return ScaledLaurentPoly(lo=self.lo + a,
-                                 coeffs=self.coeffs[a:b + 1],
-                                 log_scale=self.log_scale)
+        return self._replace(lo=self.lo + int(nz[0]),
+                             coeffs=self.coeffs[nz[0]:nz[-1] + 1])
 
     # -- evaluation ------------------------------------------------------
 
@@ -215,9 +210,10 @@ def det_family(
 ) -> DeterminantFamily:
     """Run the three-term recurrence and return D_n in polynomial form.
 
-    Each step multiplies by the degree-k0 symbol of (E - f) at the shifted
-    phase and subtracts the second predecessor; coefficients are renormalized
-    every step with the magnitude tracked in log_scale.
+    Step j multiplies D_{j-1} by the degree-k0 symbol of (E - f) at the
+    strip kernel's phase shift r_{j-1} (`_phases`) and subtracts D_{j-2}.
+    Then D_j and D_{j-1} are scaled by 2^-e, e the frexp exponent of D_j's
+    largest coefficient modulus: exactly, so log_scale is (sum e) ln 2.
     """
     if n < 1:
         raise ValueError("box length n must be >= 1")
@@ -226,32 +222,24 @@ def det_family(
         raise DegreeCapError(f"polynomial half-degree k0*n = {k0 * n} "
                              f"exceeds cap {DEFAULT_DEGREE_CAP}")
 
-    base = potential.laurent_coeffs()          # exponents -k0..k0
+    # row j: the symbol of E - f at phase shift r_j, exponents -k0..k0
     ks = np.arange(-k0, k0 + 1, dtype=np.float64)
-
-    prev2 = ScaledLaurentPoly(lo=0, coeffs=np.zeros(1, dtype=np.complex128),
-                              log_scale=-math.inf)  # D_{-1}
-    prev = ScaledLaurentPoly.make(0, [1.0])    # D_0
-
-    for j in range(1, n + 1):
-        # symbol of E - f at phase shift (j-1)*alpha
-        twist = np.exp(1j * TWO_PI * ks * ((j - 1) * alpha))
-        mult = -base * twist
-        mult[k0] += E
-        new = np.convolve(mult, prev.coeffs)
-        lo_new = prev.lo - k0
-        # an identically zero D_{j-1} has no scale; D_j = -D_{j-2} keeps
-        # the scale of D_{j-2}
-        scale = prev2.log_scale if prev.is_zero else prev.log_scale
-        if not prev2.is_zero:
-            off = prev2.lo - lo_new
-            fac = math.exp(min(prev2.log_scale - scale, 700.0))
-            new[off:off + len(prev2.coeffs)] -= fac * prev2.coeffs
-        cur = ScaledLaurentPoly.make(lo_new, new, scale)
-        prev2, prev = prev, cur
-
+    symbols = -potential.laurent_coeffs() * np.exp(
+        1j * TWO_PI * np.outer(_phases(alpha, n), ks))
+    symbols[:, k0] += E
+    # D_{-1} = 0 and D_0 = 1; D_{j-2} spans the middle of D_j, and at j = 1
+    # the length-1 zero broadcasts into that empty slice (k0 >= 1)
+    prev2, prev, exponent = np.zeros(1, np.complex128), np.ones(1), 0
+    for mult in symbols:
+        cur = np.convolve(mult, prev)
+        cur[2 * k0:len(cur) - 2 * k0] -= prev2
+        e = int(np.frexp(np.max(np.abs(cur)))[1])
+        prev2, prev, exponent = prev * 2.0 ** -e, cur * 2.0 ** -e, exponent + e
+    prev.setflags(write=False)
+    poly = (ScaledLaurentPoly(-k0 * n, prev, exponent * math.log(2.0))
+            if np.any(prev) else ScaledLaurentPoly.make(0, [0.0]))  # D_n = 0
     return DeterminantFamily(
-        potential=potential, alpha=alpha, E=float(E), n=n, poly=prev)
+        potential=potential, alpha=alpha, E=float(E), n=n, poly=poly)
 
 
 def det_at_phase(potential: Potential, alpha: float, theta, E, n: int):

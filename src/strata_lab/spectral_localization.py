@@ -354,8 +354,9 @@ def deviation_set(
     E: float,
     n: int,
     threshold: Optional[float] = None,
-    grid_size: Optional[int] = None,
-    lyapunov_K: int = 1024,
+    *,
+    grid_size: int,
+    lyapunov_K: int,
 ) -> DeviationSetGeometry:
     """Extract the arcs where u_n(e^{2 pi i theta}) < L_n - threshold.
 
@@ -368,8 +369,6 @@ def deviation_set(
     """
     if threshold is None:
         threshold = float(n) ** (-0.3)
-    if grid_size is None:
-        grid_size = 64 * n
     if grid_size < 64 * n:
         raise ValueError("grid must have at least 64 n points")
 
@@ -433,16 +432,10 @@ def deviation_set(
     pair_map: Optional[Tuple[int, ...]] = None
     if potential.is_even:
         c = (-(n - 1) * alpha) % 1.0
-        pm = []
-        for l, r in intervals:
-            refl = ((c - r) % 1.0, (c - r) % 1.0 + (r - l))
-            hit = -1
-            for k, arc in enumerate(intervals):
-                if _arcs_overlap(arc, refl):
-                    hit = k
-                    break
-            pm.append(hit)
-        pair_map = tuple(pm)
+        # each arc's partner: the first arc that meets its reflection, else -1
+        refl = [((c - r) % 1.0, (c - r) % 1.0 + (r - l)) for l, r in intervals]
+        pair_map = tuple(next((k for k, arc in enumerate(intervals)
+                               if _arcs_overlap(arc, x)), -1) for x in refl)
 
     return DeviationSetGeometry(
         E=float(E), n=n, threshold=float(threshold), level=float(level),

@@ -288,15 +288,15 @@ _R_MAX = math.exp(4.0 * math.pi)    # the widest served annulus, R_eps = 2
 
 def check_green_range(R: float) -> None:
     """Refuse an annulus outside the range the Green kernel serves:
-    log(R) / 2 pi < 0.014315, and log(R) / 2 pi > 2.  Both ends are the
+    log(R) / 2 pi < 0.005, and log(R) / 2 pi > 2.  Both ends are the
     thinnest and the widest annulus the kernel's oracle tests cover; past
     the ceiling the dual-nome polynomial loses digits to cancellation."""
     if not 1.0 < R <= _R_MAX:
         raise ValueError(f"annulus parameter R = {R:.6g} must lie in (1, e^(4 pi)]")
     lr = math.log(R)
-    if lr < 10.0 * math.log(10.0) / 256.0:
+    if lr < TWO_PI * 0.005:
         raise ValueError(f"annulus too thin: R = {R:.6g} has log(R) / 2 pi = "
-                         f"{lr / TWO_PI:.6g} < 0.014315")
+                         f"{lr / TWO_PI:.6g} < 0.005")
 
 
 def _check_in_annulus(R: float, *moduli: np.ndarray) -> None:
@@ -621,8 +621,8 @@ def riesz_kappa(
     alpha: float,
     E: float,
     eps_r: float,
-    kappa_n: int = 512,
-    kappa_K: int = 256,
+    kappa_n: int,
+    kappa_K: int,
 ) -> int:
     """The acceleration riesz_mass compares with, from a window around eps_r;
     a kink of L(E, .) inside the window raises (`_affine_kappa`)."""
@@ -706,8 +706,8 @@ def zero_count_vs_acceleration(
     E: float,
     eps: float,
     ns: Sequence[int],
-    kappa_n: int = 512,
-    kappa_K: int = 256,
+    kappa_n: int,
+    kappa_K: int,
 ) -> ZeroCountReport:
     """Compare annulus zero counts at half-width eps/2 with the acceleration.
 

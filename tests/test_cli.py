@@ -147,6 +147,11 @@ def read_rows(path):
     # zeros plans |energies| x |n_ladder| tasks: 200,000 were planned here
     {"energies": [0.5], "n_ladder": list(range(2, 200002))},
     {"n_ladder": list(range(2, 67))},               # 65 entries
+    # at the thinnest served annulus, R_eps = 0.005, the Jensen radii must
+    # still sit strictly inside it; a non-positive R_eps leaves no room
+    {"riesz": {"R_eps": 0.005, "jensen_radii": [0.001, 0.005]}},
+    {"riesz": {"R_eps": 0.0, "jensen_radii": [0.001, 0.002]}},
+    {"riesz": {"R_eps": -0.005, "jensen_radii": [-0.004, -0.001]}},
 ])
 def test_config_rejections(raw):
     with pytest.raises(ConfigError):
@@ -393,10 +398,10 @@ def test_riesz_kink_is_skipped_not_failed(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["riesz", "green"])
 def test_thin_annulus_is_skipped_up_front(subcommand, tmp_path):
-    # R_eps = 0.005 lies below the served floor log(R) / 2 pi = 0.014315
+    # R_eps = 0.004 lies below the served floor log(R) / 2 pi = 0.005
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
-        {"n": 64, "riesz": {"R_eps": 0.005, "jensen_radii": [0.001, 0.004]}}))
+        {"n": 64, "riesz": {"R_eps": 0.004, "jensen_radii": [0.001, 0.003]}}))
     t0 = time.perf_counter()
     code = main([subcommand, "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")])
@@ -417,6 +422,27 @@ def test_wide_annulus_is_skipped_up_front(subcommand, tmp_path):
     assert man.ok
     assert [t["status"] for t in man.tasks] == ["skipped"]
     assert "must lie in (1, e^(4 pi)]" in man.tasks[0]["error"]
+
+
+_real_riesz_decompose = cli_harness.riesz_decompose
+
+
+def _nan_decomposition(*args, **kwargs):
+    dec = _real_riesz_decompose(*args, **kwargs)
+    return dec._replace(mean_value_max_resid=float("nan"))
+
+
+@pytest.mark.parametrize("subcommand,column", [
+    ("riesz", "mean_value_max_resid"), ("green", "max_abs_err")])
+def test_non_finite_certificate_fails_its_task(subcommand, column, tmp_path,
+                                               monkeypatch):
+    # a NaN certificate was written and the task served ok
+    monkeypatch.setattr(cli_harness, "riesz_decompose", _nan_decomposition)
+    monkeypatch.setattr(cli_harness, "green_annulus",
+                        lambda z, w, R: np.full(np.broadcast(z, w).shape, np.nan))
+    man = run(subcommand, config=SMALL, out_dir=str(tmp_path))
+    assert [t["status"] for t in man.tasks] == ["failed"]
+    assert column in man.tasks[0]["error"]
 
 
 def _ids_raises(*args, **kwargs):

@@ -86,6 +86,64 @@ def test_polynomial_evaluation_matches_phase(amo2, golden):
                                         abs=1e-9)
 
 
+TWO_HARMONIC = Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0})
+
+
+def _mp_family(potential, alpha, E, n):
+    """D_n's coefficients over their largest modulus, and the log of that
+    modulus, from the recurrence at 50 digits on the phases j alpha."""
+    mp = pytest.importorskip("mpmath")
+    k0 = potential.k0
+    base = [mp.mpc(complex(c)) for c in potential.laurent_coeffs()]
+    with mp.workdps(50):
+        prev2, prev = [], [mp.mpc(1)]
+        for j in range(n):
+            mult = [-c * mp.expjpi(2 * (i - k0) * j * mp.mpf(alpha))
+                    for i, c in enumerate(base)]
+            mult[k0] += E
+            new = [mp.mpc(0)] * (len(prev) + 2 * k0)
+            for i, m in enumerate(mult):
+                for l, p in enumerate(prev):
+                    new[i + l] += m * p
+            for l, p in enumerate(prev2):
+                new[2 * k0 + l] -= p
+            prev2, prev = prev, new
+        top = max(abs(c) for c in prev)
+        return np.array([complex(c / top) for c in prev]), float(mp.log(top))
+
+
+@pytest.mark.parametrize("potential", [Potential.amo(2.0), TWO_HARMONIC],
+                         ids=["amo2", "two_harmonic"])
+@pytest.mark.parametrize("n", [40, 60])
+def test_family_matches_50_digit_recurrence(potential, golden, n):
+    # bounds fixed before the recurrence moved to the strip kernel's phases
+    # and power-of-two scaling; there the worst were 5.7e-13 and 2.2e-13
+    for E in (-3.0, 0.5, 5.5):
+        ref, log_top = _mp_family(potential, golden, E, n)
+        poly = det_family(potential, golden, E, n).poly
+        top = float(np.max(np.abs(poly.coeffs)))
+        assert poly.lo == -potential.k0 * n and len(poly.coeffs) == len(ref)
+        assert np.max(np.abs(poly.coeffs / top - ref)) <= 1.5e-12
+        assert abs(poly.log_scale + math.log(top) - log_top) <= 1e-12
+
+
+@pytest.mark.parametrize("potential", [Potential.amo(2.0), TWO_HARMONIC],
+                         ids=["amo2", "two_harmonic"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_family_on_the_circle_matches_the_strip_kernel(potential, golden, n):
+    # in each of 32 cells, the phase of largest |D_n| on a 16-point grid:
+    # no zero of D_n sits next to it.  The bound was fixed before the
+    # recurrence moved to the kernel's phases; there the worst was 2.0e-11
+    cells = (np.arange(32)[:, None] + (np.arange(16) + 0.5) / 16) / 32
+    for E in (0.5, -1.5):
+        grid = det_at_phase(potential, golden, cells.ravel(), E, n)[0]
+        thetas = cells[np.arange(32), np.argmax(grid.reshape(32, 16), axis=1)]
+        fam = det_family(potential, golden, E, n)
+        got = fam.poly.eval_log(np.exp(2j * np.pi * thetas))[0]
+        want = det_at_phase(potential, golden, thetas, E, n)[0]
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_span_and_coefficient_normalization(amo2, golden):
     n = 16
     fam = det_family(amo2, golden, 0.5, n)

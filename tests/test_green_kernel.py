@@ -18,9 +18,11 @@ from strata_lab import green_annulus
 from strata_lab.zeros_potential import _dual_theta_poly
 
 TWO_PI = 2.0 * math.pi
-# the thinnest served annulus, the riesz default, three wide ones and the
-# widest served annulus (R_eps = 2; at 3 the log-sum oracle reads 5.8e-12)
-R_EPS = (0.0144, 0.05, 0.3, 1.0, 1.5, 2.0)
+# the thinnest served annulus (R_eps = 0.005, the log-sum oracle's 300
+# image orders read 1.7e-14), two thin ones, the riesz default, three wide
+# ones and the widest served annulus (R_eps = 2; at 3 the log-sum oracle
+# reads 5.8e-12)
+R_EPS = (0.005, 0.008, 0.0144, 0.05, 0.3, 1.0, 1.5, 2.0)
 
 
 def _reference_green(z, w, R):
@@ -102,8 +104,8 @@ def test_kernel_keeps_its_accuracy_next_to_the_pole(R_eps, dist):
 def test_dual_series_term_counts():
     # M = floor(sqrt(7.5 log R)) + 1 terms; |F|^2 has one row per power of
     # sin^2 X, 2M - 1 in all
-    for R_eps, M in ((0.0144, 1), (0.05, 2), (0.3, 4), (1.0, 7), (1.5, 9),
-                     (2.0, 10)):
+    for R_eps, M in ((0.005, 1), (0.0144, 1), (0.05, 2), (0.3, 4), (1.0, 7),
+                     (1.5, 9), (2.0, 10)):
         assert len(_dual_theta_poly(TWO_PI * R_eps)) == 2 * M - 1
 
 

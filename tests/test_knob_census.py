@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 29
+CEILING = 23
 
 
 def census() -> int:

@@ -34,7 +34,7 @@ PINNED = {
     },
     "zeros": {
         "zeros.csv":
-            "62fd02a42c88025792d241a87193b0a39de11719390202ef98ad97dbba621134",
+            "f058e60f76441a6933ed6b727bd8f031e317d9ea2f437d050c580c860ef83c29",
         "zero_counts.csv":
             "dcc1d0b35abab63d699605468d8d9fc01b087271593f1935a3c9c1974f537088",
     },
@@ -48,7 +48,7 @@ PINNED = {
     },
     "riesz": {
         "riesz.csv":
-            "660b607157e741d5486ad1b7a0f3a9bbc59108227b9ae5ec4e7fd9dede4eb551",
+            "5ed946d4a356d994c0f5a0978592919f0eb8e39db1e5d34e0f777191b58c9640",
     },
     "ids": {
         "ids.csv":
@@ -136,7 +136,7 @@ PINNED_DEFAULT = {
     },
     "zeros": {
         "zeros.csv":
-            "8dfb397c332376d716fc00b004333bf2d8013728c9a1a08fd03448fce6ccb0b5",
+            "d1b31e2ce2000c7c28446cb8e2a7900389c6750920ec5663e55ab804803b735a",
         "zero_counts.csv":
             "32fa6514c58e96df7db3c8cf8b89d9a253f13bb247edd0f79c048708387b01cf",
     },
@@ -166,7 +166,7 @@ PINNED_DEFAULT = {
     },
     "riesz": {
         "riesz.csv":
-            "0d053b83bdfbbcfad966c26c0d3ecb5aad6fde818995afcecd9de56323bdab37",
+            "59760e9eedaf7e7edceefb2d414ff1b478698296c03784637839416ad43ceb7f",
     },
     "localize": {
         "localize_summary.csv":

@@ -197,14 +197,17 @@ def test_holder_ladder_validation(amo2, golden):
 
 # --------------------------------------------------------- deviation sets
 
+GRID = {"grid_size": 64 * 100, "lyapunov_K": 1024}  # the ldt defaults at n = 100
+
+
 def test_deviation_set_empty_at_default_threshold(amo2, free, golden):
-    assert deviation_set(amo2, golden, 0.5, 100).intervals == ()
-    assert deviation_set(free, golden, 0.5, 100).intervals == ()
+    assert deviation_set(amo2, golden, 0.5, 100, **GRID).intervals == ()
+    assert deviation_set(free, golden, 0.5, 100, **GRID).intervals == ()
 
 
 def test_deviation_set_arc_geometry(amo2, golden):
     geom = deviation_set(amo2, golden, 0.5, 100, threshold=0.05,
-                         grid_size=4096 * 100)
+                         grid_size=4096 * 100, lyapunov_K=1024)
     assert 0 < len(geom.intervals) <= 263  # 2n + n^0.9 budget
     # most arcs find their reflected partner
     pm = np.asarray(geom.pair_map)
@@ -214,7 +217,8 @@ def test_deviation_set_arc_geometry(amo2, golden):
 def test_deviation_set_lockstep_matches_scalar_bisection(amo2, golden):
     # reference: the per-endpoint bisection, one scalar call per step
     E, n = 0.5, 10
-    geom = deviation_set(amo2, golden, E, n, threshold=0.05)
+    geom = deviation_set(amo2, golden, E, n, threshold=0.05,
+                         grid_size=64 * n, lyapunov_K=1024)
     assert len(geom.intervals) > 0
     h = 1.0 / geom.grid_size
     u = det_family(amo2, golden, E, n).poly.eval_circle_log(
@@ -252,10 +256,11 @@ def test_deviation_set_lockstep_matches_scalar_bisection(amo2, golden):
 
 def test_deviation_set_validation(amo2, golden):
     with pytest.raises(ValueError):
-        deviation_set(amo2, golden, 0.5, 100, grid_size=100)
+        deviation_set(amo2, golden, 0.5, 100, grid_size=100,
+                      lyapunov_K=1024)
     with pytest.raises(ValueError):
         # a negative threshold puts the level above the whole sample
-        deviation_set(amo2, golden, 0.5, 100, threshold=-1.0)
+        deviation_set(amo2, golden, 0.5, 100, threshold=-1.0, **GRID)
 
 
 def test_double_resonance_scan_flags_synthetic_arc(golden):
@@ -269,7 +274,7 @@ def test_double_resonance_scan_flags_synthetic_arc(golden):
 
 def test_double_resonance_clear_on_thin_arcs(amo2, golden):
     geom = deviation_set(amo2, golden, 0.5, 100, threshold=0.10,
-                         grid_size=8192 * 100)
+                         grid_size=8192 * 100, lyapunov_K=1024)
     assert double_resonance_scan(geom, 0.123, golden, 300) == -1
 
 

@@ -146,11 +146,11 @@ def test_clearest_eps_avoids_coordinates():
 
 def test_green_served_range():
     check_green_range(R_STRIP)
-    check_green_range(math.exp(TWO_PI * 0.01432))
+    check_green_range(math.exp(TWO_PI * 0.005))
     R_max = math.exp(TWO_PI * 2.0)
     check_green_range(R_max)
     with pytest.raises(ValueError, match="too thin"):
-        check_green_range(math.exp(TWO_PI * 0.01431))
+        check_green_range(math.exp(TWO_PI * 0.00499))
     with pytest.raises(ValueError, match="too thin"):
         check_green_range(1.0001)
     for R in (0.9, 1.0, math.nextafter(R_max, math.inf), 1e50):
