@@ -24,8 +24,6 @@ from .cocycle import (
 )
 from .zeros_potential import (
     AnnulusCount,
-    RieszDecomposition,
-    RieszMassReport,
     ZeroCountReport,
     ZeroInventory,
     aberth_roots,

@@ -263,6 +263,8 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
     if c.riesz.eps_r <= 0:
         raise ConfigError("riesz.eps_r must be positive")
+    if c.riesz.R_eps <= 0:
+        raise ConfigError("riesz.R_eps must be positive")
     reach = max(max(c.eps_grid), c.riesz.R_eps,
                 window_reach(c.eps, c.riesz.eps_r))
     if reach >= c.potential.eta:
@@ -329,7 +331,7 @@ def _write_table(path: str, columns: Sequence[str],
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +512,8 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
         raise _Precondition(str(exc)) from exc
     fam = det_family(cfg.potential, cfg.alpha, E, cfg.n)
     inv = find_zeros(fam)
-    dec = riesz_decompose(fam, inv, R, n_angles=sec.n_angles)
+    boundary_max_dev, mean_value_max_resid, h_min, h_max = riesz_decompose(
+        fam, inv, R, sec.n_angles)
     L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, R_eps,
                        cfg.quadrature.lyapunov_K)[0]
     # nudge the comparison circles off any zero moduli before Jensen;
@@ -521,24 +524,36 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     r2 = clearest_eps(coords, jr2, min(1.5 * jr2, 0.9 * R_eps))
     jres = jensen_identity_residual(fam, inv, math.exp(TWO_PI * r1),
                                     math.exp(TWO_PI * r2), K=sec.K)
-    mass = riesz_mass(fam, inv, sec.eps_r, sec.K, kappa)
-    row = {"E": E, "n": cfg.n, "R_eps": R_eps, "L_ref": L_ref,
+    mass_v, mass_u, count_ratio = riesz_mass(fam, inv, sec.eps_r, sec.K)
+    row = {"E": E, "n": cfg.n, "R_eps": R_eps,
+           "boundary_max_dev": boundary_max_dev,
+           "mean_value_max_resid": mean_value_max_resid,
+           "h_min": h_min, "h_max": h_max, "L_ref": L_ref,
            "jensen_r1": r1, "jensen_r2": r2, "jensen_residual": jres,
-           **dec._asdict(), **mass._asdict()}
-    return _payload({"riesz.csv": _certified(
-        [row], (*dec._fields, "jensen_residual"))})
+           "eps_r": sec.eps_r, "mass_v": mass_v, "mass_u": mass_u,
+           "count_ratio": count_ratio, "kappa": kappa,
+           "dev_from_2kappa": abs(mass_v - 2.0 * kappa)}
+    return _payload({"riesz.csv": _certified([row], (
+        "boundary_max_dev", "mean_value_max_resid", "h_min", "h_max",
+        "jensen_residual"))})
 
 
 def _task_ids(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
-    est = ids(cfg.potential, cfg.alpha, E, cfg.ids.n, cfg.ids.samples)
-    return _payload({"ids.csv": [est._asdict()]})
+    value, spread = ids(cfg.potential, cfg.alpha, E, cfg.ids.n,
+                        cfg.ids.samples)
+    return _payload({"ids.csv": [{"E": E, "n": cfg.ids.n, "value": value,
+                                  "spread": spread}]})
 
 
 def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
-    fit = holder_exponent(cfg.potential, cfg.alpha, E0,
-                          cfg.holder.delta_ladder, cfg.holder.n,
-                          cfg.ids.samples)
-    return _payload({"holder.csv": [fit._asdict()]})
+    beta, beta_stderr = holder_exponent(cfg.potential, cfg.alpha, E0,
+                                        cfg.holder.delta_ladder, cfg.holder.n,
+                                        cfg.ids.samples)
+    in_gap = math.isnan(beta)
+    return _payload({"holder.csv": [{
+        "E0": E0, "n": cfg.holder.n, "beta": beta, "beta_stderr": beta_stderr,
+        "in_gap": in_gap,
+        "message": "in gap, locally constant IDS" if in_gap else "ok"}]})
 
 
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
@@ -762,7 +777,17 @@ def _run_task(packed):
     t0 = time.perf_counter()
     try:
         cfg = ExperimentConfig.from_raw(raw)
-        payload = _REGISTRY[subcommand].task(cfg, **params)
+        spec = _REGISTRY[subcommand]
+        payload = spec.task(cfg, **params)
+        for fname, rows in payload["tables"].items():
+            # a row must hold exactly its table's columns, or a misspelled
+            # key would be written as a blank cell
+            cols = set(spec.tables[fname])
+            for row in rows:
+                if row.keys() != cols:
+                    raise ValueError(
+                        f"{fname} row misses {sorted(cols - row.keys())} "
+                        f"and adds {sorted(row.keys() - cols)}")
         return key, "ok", payload, "", time.perf_counter() - t0
     except _Precondition as exc:
         return key, "skipped", _payload(), str(exc), time.perf_counter() - t0

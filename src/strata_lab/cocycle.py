@@ -190,8 +190,8 @@ def lyapunov_n(
     alpha: float,
     E: Union[float, Sequence[float]],
     n: Union[int, Sequence[int]],
-    eps: Union[float, Sequence[float]] = 0.0,
-    K: int = 256,
+    eps: Union[float, Sequence[float]],
+    K: int,
 ) -> np.ndarray:
     """L_n(E, eps): trapezoid average of (1/n) log||A_n|| over K phases.
 
@@ -255,8 +255,8 @@ def acceleration(
     alpha: float,
     E: Union[float, Sequence[float]],
     eps_grid: Sequence[float],
-    n: int = 512,
-    K: int = 256,
+    n: int,
+    K: int,
 ) -> Union[AccelerationEstimate, Tuple[AccelerationEstimate, ...]]:
     """Fit the quantized slope of the strip Lyapunov exponent.
 

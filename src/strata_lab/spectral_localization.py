@@ -177,10 +177,10 @@ def _side_fit(dist: np.ndarray, logs: np.ndarray):
 
 
 def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
-                        n: int, which: int,
-                        spectrum: Optional[np.ndarray] = None
+                        n: int, which: int, spectrum: Optional[np.ndarray]
                         ) -> DecayProfile:
-    """Decay profile of the eigenvector at spectral index `which`."""
+    """Decay profile of the eigenvector at spectral index `which`; the
+    eigenvalue is read from `spectrum` (None: solved here)."""
     if n < 500:
         raise ValueError("decay diagnostics need n >= 500")
     lam, logs, sign = dirichlet_eigenpair(potential, alpha, theta, n, which,
@@ -204,56 +204,32 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
 # integrated density of states
 # ----------------------------------------------------------------------
 
-class IDSEstimate(NamedTuple):
-    """Phase-averaged eigenvalue fraction below E with its sample spread."""
-
-    E: float
-    n: int
-    value: float
-    spread: float
-
-
-def _ids_phases(m: int) -> np.ndarray:
+def _ids_values(potential: Potential, alpha: float, Es: np.ndarray, n: int,
+                m: int) -> np.ndarray:
+    """Counts/n per (theta, E) at the m midpoint phases (i + 1/2) / m;
+    shape (m, len(Es))."""
     if m < 1:
         raise ValueError("need at least one phase sample")
-    return (np.arange(m) + 0.5) / m
-
-
-def _ids_values(potential: Potential, alpha: float, Es: np.ndarray, n: int,
-                thetas: np.ndarray) -> np.ndarray:
-    """Counts/n per (theta, E); shape (len(thetas), len(Es))."""
-    out = np.empty((len(thetas), len(Es)))
-    for i, th in enumerate(thetas):
-        out[i] = sturm_count(potential, alpha, th, Es, n) / n
+    out = np.empty((m, len(Es)))
+    for i in range(m):
+        out[i] = sturm_count(potential, alpha, (i + 0.5) / m, Es, n) / n
     return out
 
 
 def ids(potential: Potential, alpha: float, E: float, n: int,
-        theta_samples=8) -> IDSEstimate:
-    """IDS approximant k_n(E): eigenvalue fraction below E, phase-averaged.
+        theta_samples: int) -> Tuple[float, float]:
+    """IDS approximant k_n(E): eigenvalue fraction below E, phase-averaged
+    over theta_samples phases; returns (value, spread).
 
     Boundary effects move at most O(1) eigenvalues, so the per-phase
-    values agree to O(1/n); the spread is reported as a sanity band.
+    values agree to O(1/n); the spread, the largest minus the least
+    per-phase value, is reported as a sanity band.
     """
     if n < 100:
         raise ValueError("IDS estimates need n >= 100")
-    thetas = _ids_phases(theta_samples)
     vals = _ids_values(potential, alpha, np.atleast_1d(float(E)), n,
-                       thetas)[:, 0]
-    return IDSEstimate(
-        E=float(E), n=n, value=float(np.mean(vals)),
-        spread=float(np.max(vals) - np.min(vals)))
-
-
-class HolderFit(NamedTuple):
-    """Log-log fit of symmetric IDS increments against the half-width."""
-
-    E0: float
-    n: int
-    beta: float
-    beta_stderr: float
-    in_gap: bool
-    message: str
+                       theta_samples)[:, 0]
+    return float(np.mean(vals)), float(np.max(vals) - np.min(vals))
 
 
 def check_delta_ladder(delta_ladder: Sequence[float], n: int) -> np.ndarray:
@@ -282,26 +258,24 @@ def holder_exponent(
     E0: float,
     delta_ladder: Sequence[float],
     n: int,
-    theta_samples=8,
-) -> HolderFit:
-    """Hoelder exponent of the IDS at E0 from a ladder of increments.
+    theta_samples: int,
+) -> Tuple[float, float]:
+    """Hoelder exponent of the IDS at E0 from a ladder of increments;
+    returns (beta, beta_stderr), the slope and its standard error.
 
     Fits log(k(E0+delta) - k(E0-delta)) against log delta.  Symmetric
     increments cancel the odd part of the finite-volume error.  The ladder
     must pass `check_delta_ladder`.  A vanishing increment at the smallest
-    half-width means the IDS is locally constant: reported as a gap, not
-    fitted.
+    half-width means the IDS is locally constant: a gap, not fitted, and
+    reported as (nan, nan), the only NaN returned.
     """
     deltas = check_delta_ladder(delta_ladder, n)
-    thetas = _ids_phases(theta_samples)
     Es = np.concatenate([E0 + deltas, E0 - deltas])
-    vals = _ids_values(potential, alpha, Es, n, thetas).mean(axis=0)
+    vals = _ids_values(potential, alpha, Es, n, theta_samples).mean(axis=0)
     inc = vals[:deltas.size] - vals[deltas.size:]
 
     if inc[0] <= 0.0:
-        return HolderFit(
-            E0=float(E0), n=n, beta=math.nan, beta_stderr=math.nan,
-            in_gap=True, message="in gap, locally constant IDS")
+        return math.nan, math.nan
 
     x = np.log(deltas)
     y = np.log(inc)
@@ -311,9 +285,7 @@ def holder_exponent(
     s2 = float(np.sum(resid ** 2)) / dof
     denom = float(np.sum((x - np.mean(x)) ** 2))
     stderr = math.sqrt(s2 / denom) if denom > 0 else math.inf
-    return HolderFit(
-        E0=float(E0), n=n, beta=float(coef[0]), beta_stderr=stderr,
-        in_gap=False, message="ok")
+    return float(coef[0]), stderr
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +325,7 @@ def deviation_set(
     alpha: float,
     E: float,
     n: int,
-    threshold: Optional[float] = None,
+    threshold: Optional[float],
     *,
     grid_size: int,
     lyapunov_K: int,
@@ -362,8 +334,8 @@ def deviation_set(
 
     Scans u_n by FFT on an equispaced grid, groups sub-level runs into
     maximal arcs, and refines all endpoints by bisection in lockstep on
-    `det_at_phase`, down to a bracket of 1e-12.  The default threshold
-    n^{-0.3} is an explicit reporting convention; at desk scale the arcs
+    `det_at_phase`, down to a bracket of 1e-12.  A threshold of None takes
+    n^{-0.3}, an explicit reporting convention; at desk scale the arcs
     shrink like e^{-n t}, so seeing structure needs thresholds around
     (grid resolution) log / n.
     """

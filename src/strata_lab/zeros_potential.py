@@ -458,32 +458,21 @@ def green_potential(zs: np.ndarray, roots: np.ndarray, R: float,
 # Riesz decomposition of the per-site log-determinant
 # ----------------------------------------------------------------------
 
-class RieszDecomposition(NamedTuple):
-    """Certificates of the split u = Green part + harmonic part on A_R.
-
-    The Green part is the Green potential 2 pi G of the zero measure (per
-    site); the harmonic part is the difference, which must match u on the
-    boundary circles and satisfy the discrete mean-value property inside.
-    """
-
-    boundary_max_dev: float          # max |harmonic - u| on the two boundary rows
-    mean_value_max_resid: float      # worst interior mean-value defect of harmonic
-    h_min: float                     # harmonic range over interior rows
-    h_max: float
-
-
 def riesz_decompose(
     fam: DeterminantFamily,
     inv: ZeroInventory,
     R: float,
-    n_angles: int = 256,
-) -> RieszDecomposition:
+    n_angles: int,
+) -> Tuple[float, float, float, float]:
     """Split (1/n) log|D_n| into Green potential plus harmonic part on A_R.
 
-    Only zeros strictly inside the annulus feed the Green potential; the
-    harmonic remainder absorbs everything else.  The split is sampled on
-    9 circles of n_angles points from 1/R to R, and only its
-    certificates are kept.  Requires a zero-free boundary: any root within
+    The Green part is the per-site Green potential 2 pi G of the zeros
+    strictly inside the annulus; the harmonic part, the rest, must match u
+    on the boundary circles and have the mean-value property inside.  The
+    split is sampled on 9 circles of n_angles points from 1/R to R.
+    Returns its certificates: the largest |harmonic - u| on the two
+    boundary circles, the worst interior mean-value defect, and the least
+    and greatest harmonic value on the interior circles.  A root within
     _BOUNDARY_TOL of either circle is an error.
     """
     mods = np.abs(inv.roots)
@@ -517,10 +506,8 @@ def riesz_decompose(
     worst = float(np.max(np.abs(h_means - harm[1:-1, ::8])))
 
     interior = harm[1:-1, :]
-    return RieszDecomposition(
-        boundary_max_dev=boundary_max_dev,
-        mean_value_max_resid=float(worst),
-        h_min=float(np.min(interior)), h_max=float(np.max(interior)))
+    return (boundary_max_dev, worst, float(np.min(interior)),
+            float(np.max(interior)))
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +519,7 @@ def jensen_identity_residual(
     inv: ZeroInventory,
     r1: float,
     r2: float,
-    K: int = 4096,
+    K: int,
 ) -> float:
     """Residual of Jensen's formula for D_n between radii r1 < r2.
 
@@ -562,22 +549,6 @@ def jensen_identity_residual(
 # ----------------------------------------------------------------------
 # Riesz mass flux estimators
 # ----------------------------------------------------------------------
-
-class RieszMassReport(NamedTuple):
-    """Flux estimates of the zero/Riesz mass in the annulus A_r.
-
-    mass_v comes from the transfer log-norm flux (expected near 2 kappa);
-    mass_u from the log-determinant circle-average slope (expected to match
-    the direct per-site zero count).
-    """
-
-    eps_r: float          # log-radius of the target annulus / 2 pi
-    mass_v: float         # (1/2pi) net outward flux of grad v_n
-    mass_u: float         # slope of the u_n circle average / pi
-    kappa: int            # acceleration used for the comparison
-    dev_from_2kappa: float
-    count_ratio: float    # N_n(flux annulus)/n from the inventory
-
 
 # riesz_mass's finite-difference half-step: its flux circles sit at
 # |eps| = eps_r + delta +- delta
@@ -635,18 +606,19 @@ def riesz_mass(
     inv: ZeroInventory,
     eps_r: float,
     K: int,
-    kappa: int,
-) -> RieszMassReport:
-    """Estimate the Riesz mass of the annulus A_{r e^{2 pi delta}} two ways.
+) -> Tuple[float, float, float]:
+    """Estimate the Riesz mass of the annulus A_{r e^{2 pi delta}} two ways;
+    returns (mass_v, mass_u, count_ratio), with r = e^{2 pi eps_r}.
 
-    The v-route takes the net outward flux of the transfer log-norm through
-    the two boundary circles, with radial derivatives by central differences
-    of circle averages (step delta = _FLUX_DELTA).  The u-route
-    differentiates the circle average of the per-site log-determinant,
-    whose radial profile is piecewise linear, so the difference quotient is
-    exact between kinks; the kink-free step is chosen from the inventory
-    `inv` of `fam`.  Potential, frequency, energy and n come from `fam`;
-    `kappa` is the acceleration to compare with (`riesz_kappa`).
+    mass_v, expected near 2 kappa (`riesz_kappa`), is the net outward flux
+    of the transfer log-norm through the two boundary circles over 2 pi,
+    with radial derivatives by central differences of circle averages (step
+    delta = _FLUX_DELTA).  mass_u, expected near count_ratio (the per-site
+    inventory count of that annulus), is the radial slope of the circle
+    average of the per-site log-determinant over pi.  That profile is
+    piecewise linear, so the difference quotient is exact between kinks;
+    the kink-free step is chosen from the inventory `inv` of `fam`.
+    Potential, frequency, energy and n come from `fam`.
     """
     delta = _FLUX_DELTA
     eps_flux = eps_r + delta
@@ -679,10 +651,7 @@ def riesz_mass(
 
     count_ratio = count_annulus(inv, eps_flux).count / n
 
-    return RieszMassReport(
-        eps_r=float(eps_r), mass_v=float(mass_v), mass_u=float(mass_u),
-        kappa=int(kappa), dev_from_2kappa=float(abs(mass_v - 2.0 * kappa)),
-        count_ratio=count_ratio)
+    return float(mass_v), mass_u, count_ratio
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,7 @@ def test_widest_strip_below_the_overflow_is_served(tmp_path):
     ({"n_ladder": list(range(2, 67))}, "n_ladder"),
     ({"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
      "energies x n_ladder"),
+    ({"riesz": {"R_eps": 0.0, "jensen_radii": [0.001, 0.002]}}, "riesz.R_eps"),
 ])
 def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
                                                           capsys):
@@ -428,8 +429,8 @@ _real_riesz_decompose = cli_harness.riesz_decompose
 
 
 def _nan_decomposition(*args, **kwargs):
-    dec = _real_riesz_decompose(*args, **kwargs)
-    return dec._replace(mean_value_max_resid=float("nan"))
+    boundary_max_dev, _, h_min, h_max = _real_riesz_decompose(*args, **kwargs)
+    return boundary_max_dev, float("nan"), h_min, h_max
 
 
 @pytest.mark.parametrize("subcommand,column", [
@@ -443,6 +444,26 @@ def test_non_finite_certificate_fails_its_task(subcommand, column, tmp_path,
     man = run(subcommand, config=SMALL, out_dir=str(tmp_path))
     assert [t["status"] for t in man.tasks] == ["failed"]
     assert column in man.tasks[0]["error"]
+
+
+def _misspelled_ids(cfg, E):
+    payload = cli_harness._task_ids(cfg, E)
+    row, = payload["tables"]["ids.csv"]
+    row["sprad"] = row.pop("spread")
+    return payload
+
+
+def test_row_that_does_not_match_its_header_fails_its_task(tmp_path,
+                                                           monkeypatch):
+    # a misspelled key was written as a blank cell and the task served ok
+    spec = cli_harness._REGISTRY["ids"]
+    monkeypatch.setitem(cli_harness._REGISTRY, "ids",
+                        spec._replace(task=_misspelled_ids))
+    man = run("ids", config=SMALL, out_dir=str(tmp_path))
+    assert [t["status"] for t in man.tasks] == ["failed"]
+    assert "spread" in man.tasks[0]["error"]
+    assert "sprad" in man.tasks[0]["error"]
+    assert read_rows(tmp_path / "ids.csv") == [["E", "n", "value", "spread"]]
 
 
 def _ids_raises(*args, **kwargs):

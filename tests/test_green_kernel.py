@@ -2,11 +2,12 @@
 
 `green_annulus` evaluates theta_1 after Jacobi's imaginary transformation,
 a series of one or a few terms.  The first oracle is the image product in
-complex log-sum form: four complex factors, absolute values and logs per
-image order, with enough orders for a 1e-17 tail.  The second is
-`mpmath.jtheta` at 40 digits in the original nome e^{-2 log R}.  The kernel
-must agree with both to roundoff across the served range of R, vanish on
-both boundary circles, and keep its accuracy next to the pole.
+complex log-sum form: four complex factors per image order, one absolute
+value and log per run of 16 orders, with enough orders for a 1e-17 tail.
+The second is `mpmath.jtheta` at 40 digits in the original nome
+e^{-2 log R}.  The kernel must agree with both to roundoff across the
+served range of R, vanish on both boundary circles, and keep its accuracy
+next to the pole.
 """
 
 import math
@@ -34,12 +35,17 @@ def _reference_green(z, w, R):
     S = np.log(np.abs(z - w) / R)
     zw, wz = z / w, w / z
     wzc, izw = w * np.conj(z), 1.0 / (np.conj(z) * w)
-    # order k's factors differ from 1 by O(R^{-4k}): a 1e-17 tail
-    for k in range(1, math.ceil(17.0 * math.log(10.0) / (4.0 * lr)) + 1):
-        e4k = math.exp(-4.0 * k * lr)
-        e4k2 = math.exp(-(4.0 * k - 2.0) * lr)
-        S = S + np.log(np.abs(1.0 - zw * e4k)) + np.log(np.abs(1.0 - wz * e4k)) \
-              - np.log(np.abs(1.0 - wzc * e4k2)) - np.log(np.abs(1.0 - izw * e4k2))
+    # order k's factors differ from 1 by O(R^{-4k}): a 1e-17 tail; one log
+    # per run of 16 orders' complex product
+    orders = range(1, math.ceil(17.0 * math.log(10.0) / (4.0 * lr)) + 1)
+    for a in range(0, len(orders), 16):
+        num, den = np.ones(S.shape, complex), np.ones(S.shape, complex)
+        for k in orders[a:a + 16]:
+            e4k = math.exp(-4.0 * k * lr)
+            e4k2 = math.exp(-(4.0 * k - 2.0) * lr)
+            num *= (1.0 - zw * e4k) * (1.0 - wz * e4k)
+            den *= (1.0 - wzc * e4k2) * (1.0 - izw * e4k2)
+        S = S + np.log(np.abs(num / den))
     return term1 + S / TWO_PI
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 23
+CEILING = 13
 
 
 def census() -> int:

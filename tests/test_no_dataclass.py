@@ -1,8 +1,9 @@
 """Ratchet on the package's record types.
 
 Result records are `typing.NamedTuple`s: fields by name, `_asdict()` for
-a task that writes a record whole, and about a tenth of a frozen
-dataclass's cost to create at import.  No class in the package is a
+the few records written whole (the `ldt` geometry JSON, `AcceptanceRecord`
+and the manifest), and about a tenth of a frozen dataclass's cost to create
+at import.  No class in the package is a
 dataclass, and no module imports `dataclasses`.
 """
 

@@ -10,6 +10,7 @@ from strata_lab import (Potential, acceleration, classify_stratum,
                         expansion_identity_scan, holder_exponent, ids,
                         lyapunov_n, sturm_count)
 from strata_lab import transfer_log_norms
+from strata_lab.cli_harness import ExperimentConfig, _task_holder
 from strata_lab.spectral_localization import (DeviationSetGeometry,
                                               dirichlet_diagonal,
                                               dirichlet_eigenpair)
@@ -107,13 +108,13 @@ def test_eigenpair_index_validation(amo2, golden):
 # ----------------------------------------------------------------- decay
 
 def test_localized_state_decays_at_lyapunov_rate(amo2, golden):
-    prof = eigenfunction_decay(amo2, golden, 0.0, 600, 300)
+    prof = eigenfunction_decay(amo2, golden, 0.0, 600, 300, None)
     assert prof.is_localized()
     assert prof.decay_rate == pytest.approx(LOG2, rel=0.15)
 
 
 def test_free_state_is_not_localized(free, golden):
-    prof = eigenfunction_decay(free, golden, 0.2, 600, 300)
+    prof = eigenfunction_decay(free, golden, 0.2, 600, 300, None)
     assert not prof.is_localized()
     assert abs(prof.decay_rate) < 0.05 or math.isnan(prof.decay_rate)
 
@@ -143,36 +144,41 @@ def test_first_supercritical_stratum_decays_at_lyapunov_rate(golden):
 
 def test_decay_needs_room(amo2, golden):
     with pytest.raises(ValueError):
-        eigenfunction_decay(amo2, golden, 0.0, 400, 200)
+        eigenfunction_decay(amo2, golden, 0.0, 400, 200, None)
 
 
 # ------------------------------------------------------------------- ids
 
 def test_ids_free_values(free, golden):
-    assert ids(free, golden, 0.0, 200, theta_samples=4).value == 0.5
-    assert ids(free, golden, -3.0, 200, theta_samples=4).value == 0.0
-    assert ids(free, golden, 3.0, 200, theta_samples=4).value == 1.0
+    assert ids(free, golden, 0.0, 200, theta_samples=4)[0] == 0.5
+    assert ids(free, golden, -3.0, 200, theta_samples=4)[0] == 0.0
+    assert ids(free, golden, 3.0, 200, theta_samples=4)[0] == 1.0
 
 
 def test_ids_monotone_in_energy(amo2, golden):
-    vals = [ids(amo2, golden, E, 150, theta_samples=4).value
+    vals = [ids(amo2, golden, E, 150, theta_samples=4)[0]
             for E in (-3.5, -1.0, 0.5, 2.0, 3.8)]
     assert vals == sorted(vals)
 
 
 def test_ids_minimum_size(amo2, golden):
     with pytest.raises(ValueError):
-        ids(amo2, golden, 0.5, 99)
+        ids(amo2, golden, 0.5, 99, 8)
 
 
 # ---------------------------------------------------------------- holder
 
 def test_holder_reports_spectral_gap(amo2, golden):
     ladder = list(np.geomspace(1e-4, 1e-2, 7))
-    fit = holder_exponent(amo2, golden, 1.5, ladder, 1000)
-    assert fit.in_gap
-    assert fit.message == "in gap, locally constant IDS"
-    assert math.isnan(fit.beta)
+    beta, beta_stderr = holder_exponent(amo2, golden, 1.5, ladder, 1000, 8)
+    assert math.isnan(beta) and math.isnan(beta_stderr)   # in gap
+    # the holder task names the gap in its row
+    cfg = ExperimentConfig.from_raw({"holder": {"n": 1000,
+                                                "delta_ladder": ladder}})
+    row, = _task_holder(cfg, 1.5)["tables"]["holder.csv"]
+    assert row["in_gap"]
+    assert row["message"] == "in gap, locally constant IDS"
+    assert math.isnan(row["beta"])
 
 
 def test_holder_positive_at_spectrum_point(amo2, golden):
@@ -181,18 +187,18 @@ def test_holder_positive_at_spectrum_point(amo2, golden):
     n = 1000
     theta4 = (4 + 0.5) / 8
     E0 = float(dirichlet_eigenvalues(amo2, golden, theta4, n)[500])
-    fit = holder_exponent(amo2, golden, E0, list(np.geomspace(1e-3, 1e-1, 5)),
-                          n)
-    assert not fit.in_gap
-    assert 0.1 < fit.beta < 2.0
+    beta, _ = holder_exponent(amo2, golden, E0,
+                              list(np.geomspace(1e-3, 1e-1, 5)), n, 8)
+    assert not math.isnan(beta)   # not in a gap
+    assert 0.1 < beta < 2.0
 
 
 def test_holder_ladder_validation(amo2, golden):
     with pytest.raises(ValueError, match="two decades"):
         holder_exponent(amo2, golden, 0.0,
-                        list(np.geomspace(1e-3, 5e-3, 4)), 2000)
+                        list(np.geomspace(1e-3, 5e-3, 4)), 2000, 8)
     with pytest.raises(ValueError, match="resolution guard"):
-        holder_exponent(amo2, golden, 0.0, [1e-8, 1e-6, 1e-4, 1e-2], 100)
+        holder_exponent(amo2, golden, 0.0, [1e-8, 1e-6, 1e-4, 1e-2], 100, 8)
 
 
 # --------------------------------------------------------- deviation sets
@@ -201,8 +207,8 @@ GRID = {"grid_size": 64 * 100, "lyapunov_K": 1024}  # the ldt defaults at n = 10
 
 
 def test_deviation_set_empty_at_default_threshold(amo2, free, golden):
-    assert deviation_set(amo2, golden, 0.5, 100, **GRID).intervals == ()
-    assert deviation_set(free, golden, 0.5, 100, **GRID).intervals == ()
+    assert deviation_set(amo2, golden, 0.5, 100, None, **GRID).intervals == ()
+    assert deviation_set(free, golden, 0.5, 100, None, **GRID).intervals == ()
 
 
 def test_deviation_set_arc_geometry(amo2, golden):
@@ -256,7 +262,7 @@ def test_deviation_set_lockstep_matches_scalar_bisection(amo2, golden):
 
 def test_deviation_set_validation(amo2, golden):
     with pytest.raises(ValueError):
-        deviation_set(amo2, golden, 0.5, 100, grid_size=100,
+        deviation_set(amo2, golden, 0.5, 100, None, grid_size=100,
                       lyapunov_K=1024)
     with pytest.raises(ValueError):
         # a negative threshold puts the level above the whole sample

@@ -241,13 +241,14 @@ def test_green_potential_is_the_blocked_kernel_sum(amo2, golden):
 
 def test_riesz_decomposition_certificates(amo2, golden):
     fam = det_family(amo2, golden, 0.5, 100)
-    dec = riesz_decompose(fam, find_zeros(fam), R_STRIP)
-    assert dec.boundary_max_dev < 1e-8
-    assert dec.mean_value_max_resid < 1e-5
+    boundary_max_dev, mean_value_max_resid, h_min, h_max = riesz_decompose(
+        fam, find_zeros(fam), R_STRIP, 256)
+    assert boundary_max_dev < 1e-8
+    assert mean_value_max_resid < 1e-5
     # harmonic part sits at the strip Lyapunov value L + 2 pi eps
     target = math.log(2.0) + TWO_PI * 0.05
-    assert abs(dec.h_min - target) < 0.05
-    assert abs(dec.h_max - target) < 0.05
+    assert abs(h_min - target) < 0.05
+    assert abs(h_max - target) < 0.05
 
 
 def test_jensen_identity_amo_and_free(amo2, free, golden):
@@ -295,22 +296,22 @@ def test_jensen_radius_validation(amo2, golden):
     fam = det_family(amo2, golden, 0.5, 30)
     inv = find_zeros(fam)
     with pytest.raises(ValueError):
-        jensen_identity_residual(fam, inv, 1.2, 1.1)
+        jensen_identity_residual(fam, inv, 1.2, 1.1, 4096)
     with pytest.raises(ValueError):
-        jensen_identity_residual(fam, inv, 0.9, 1.1)
+        jensen_identity_residual(fam, inv, 0.9, 1.1, 4096)
     with pytest.raises(ValueError):
         # every zero of the in-spectrum family lies on the unit circle
-        jensen_identity_residual(fam, inv, 1.0, 1.1)
+        jensen_identity_residual(fam, inv, 1.0, 1.1, 4096)
 
 
 def test_riesz_mass_flux_matches_count(amo2, golden):
     fam = det_family(amo2, golden, 0.5, 200)
-    rep = riesz_mass(fam, find_zeros(fam), 0.02, 2048,
-                     riesz_kappa(amo2, golden, 0.5, 0.02, 256, 128))
-    assert rep.kappa == 1
-    assert abs(rep.mass_v - 2.0) < 0.3
-    assert rep.mass_u == pytest.approx(rep.count_ratio, abs=1e-6)
-    assert rep.count_ratio == pytest.approx(2.0, abs=1e-12)
+    kappa = riesz_kappa(amo2, golden, 0.5, 0.02, 256, 128)
+    mass_v, mass_u, count_ratio = riesz_mass(fam, find_zeros(fam), 0.02, 2048)
+    assert kappa == 1
+    assert abs(mass_v - 2.0) < 0.3
+    assert mass_u == pytest.approx(count_ratio, abs=1e-6)
+    assert count_ratio == pytest.approx(2.0, abs=1e-12)
 
 
 # ------------------------------------------------------ count vs slope
