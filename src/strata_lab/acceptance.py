@@ -52,7 +52,7 @@ def _rows(subcommand: str, table: str, raw: dict, **params) -> List[dict]:
 
 def _c1_acceleration_integrality() -> Tuple[bool, str]:
     """Fitted strip slopes sit on the integer 1 across a box spectrum."""
-    evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50)
+    evs = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.0, 50, range(50))
     rows = _rows("acceleration", "acceleration.csv",
                  {"energies": evs.tolist(), "n": 512, "quadrature": {"K": 256},
                   "eps_grid": np.linspace(0.02, 0.10, 5).tolist()})
@@ -141,7 +141,8 @@ def _c7_riesz_mass() -> Tuple[bool, str]:
 def _c8_ids_holder() -> Tuple[bool, str]:
     """IDS increments fit a positive Hoelder exponent inside the spectrum."""
     ladder = np.geomspace(1e-4, 1e-2, 7)
-    candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100)[44:56]
+    candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100,
+                                       range(44, 56))
     betas = []
     for E0 in candidates:
         beta, _ = holder_exponent(_AMO2, _ALPHA, float(E0), ladder, 4000, 8)

@@ -538,11 +538,12 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
         "jensen_residual"))})
 
 
-def _task_ids(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
-    value, spread = ids(cfg.potential, cfg.alpha, E, cfg.ids.n,
-                        cfg.ids.samples)
-    return _payload({"ids.csv": [{"E": E, "n": cfg.ids.n, "value": value,
-                                  "spread": spread}]})
+def _task_ids(cfg: ExperimentConfig) -> Dict[str, Any]:
+    values, spreads = ids(cfg.potential, cfg.alpha, cfg.energies, cfg.ids.n,
+                          cfg.ids.samples)
+    return _payload({"ids.csv": [
+        {"E": E, "n": cfg.ids.n, "value": value, "spread": spread}
+        for E, value, spread in zip(cfg.energies, values, spreads)]})
 
 
 def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
@@ -621,13 +622,12 @@ _WINDOW_MARGIN, _WINDOW_LEN = 8, 120
 def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     sec = cfg.localize
     n, theta, count, wlen = sec.n, sec.theta, sec.count, _WINDOW_LEN
-    base = n // 2 - count // 2
-    # the box spectrum does not depend on the index: one solve for all
-    spec = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n)
+    indices = np.arange(count) + (n // 2 - count // 2)
+    evs = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n, indices)
     srows, prows = [], []
-    for index in range(base, base + count):
+    for index, lam in zip(indices.tolist(), evs.tolist()):
         prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
-                                   spectrum=spec)
+                                   lam)
         l1 = tail_window(prof.center, n, _WINDOW_MARGIN, wlen)
         try:
             resid, (l1, l2), y = expansion_identity_scan(
@@ -740,7 +740,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
         _task_riesz, _per_energy("riesz")),
     "ids": _Subcommand(
         {"ids.csv": ["E", "n", "value", "spread"]},
-        _task_ids, _per_energy("ids")),
+        _task_ids, lambda cfg: [("ids[all]", {})]),
     "holder": _Subcommand(
         {"holder.csv": ["E0", "n", "beta", "beta_stderr", "in_gap",
                         "message"]},

@@ -2,12 +2,12 @@
 
 The box operator on sites [0, n-1] with Dirichlet ends is the symmetric
 tridiagonal matrix with diagonal f(theta + j alpha) and unit off-diagonals.
-This module covers its spectrum (Sturm counts, bisection eigensolves, and
-eigenvectors by twisted factorization on the Sturm counts' LDL^T pivots),
-the integrated density of states and its Hoelder exponent, the sublevel-set
-geometry of u_n = (1/n) log|D_n| on the unit circle, a double-resonance
-orbit scan over that geometry, and the interior expansion of a solution
-through window determinants.
+This module covers its spectrum (Sturm counts, eigenvalues by multisection
+on those counts, and eigenvectors by twisted factorization on their LDL^T
+pivots), the integrated density of states and its Hoelder exponent, the
+sublevel-set geometry of u_n = (1/n) log|D_n| on the unit circle, a
+double-resonance orbit scan over that geometry, and the interior expansion
+of a solution through window determinants.
 """
 
 from __future__ import annotations
@@ -69,32 +69,43 @@ def sturm_count(potential: Potential, alpha: float, theta: float, E,
 
 
 def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
-                          n: int) -> np.ndarray:
-    """All n box eigenvalues at one phase, ascending, by bisection with
-    Sturm counts (LAPACK stebz).  The off-diagonals are identically 1, so
-    the matrix is unreduced and every eigenvalue is simple: the length and
-    the strict ordering are checked."""
-    from scipy.linalg import eigvalsh_tridiagonal  # only box solves load scipy
+                          n: int, indices: Sequence[int]) -> np.ndarray:
+    """Box eigenvalues at the strictly ascending spectral `indices` (0 the
+    lowest), by multisection on `sturm_count`: from the Gershgorin bracket
+    [min d - 2, max d + 2], each sweep counts at 32 equispaced points in
+    every live bracket and keeps the cell where the count passes the index,
+    down to 2 ulp of max(|min d - 2|, |max d + 2|), the counts' resolution.
+    The midpoint is returned; unit off-diagonals make the order strict."""
     d = dirichlet_diagonal(potential, alpha, theta, n)
-    if n == 1:
-        evs = d.copy()
-    else:
-        evs = eigvalsh_tridiagonal(d, np.ones(n - 1),
-                                   lapack_driver="stebz")
-        evs = np.sort(evs)
-    if evs.shape != (n,):
-        raise ValueError("eigenvalue array must have length n")
-    if n > 1 and not np.all(np.diff(evs) > 0):
+    k = np.asarray(indices, dtype=np.int64)
+    if (k.ndim != 1 or np.any(k < 0) or np.any(k >= n)
+            or np.any(np.diff(k) <= 0)):
+        raise ValueError("indices must be strictly ascending in [0, n)")
+    lo, hi = (np.full(k.shape, v) for v in (np.min(d) - 2.0, np.max(d) + 2.0))
+    tol = 2.0 * np.spacing(max(2.0 - np.min(d), np.max(d) + 2.0))
+    frac = np.arange(1, 33) / 33  # the 32 interior points of a bracket
+    live = np.arange(k.size)
+    while live.size:
+        # count(lo) <= k < count(hi); keep the cell where the count passes k
+        grid = np.column_stack([lo[live], lo[live, None] + frac * (
+            hi - lo)[live, None], hi[live]])
+        above = sturm_count(potential, alpha, theta, grid[:, 1:-1], n) > \
+            k[live, None]
+        first = np.where(above.any(axis=1), above.argmax(axis=1), frac.size)
+        lo[live], hi[live] = np.take_along_axis(grid, first[:, None] + [0, 1],
+                                                axis=1).T
+        live = live[hi[live] - lo[live] > tol]
+    evs = 0.5 * (lo + hi)
+    if np.any(np.diff(evs) <= 0):
         raise ValueError("eigenvalues must be strictly increasing")
     return evs
 
 
 def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
-                        n: int, index: int,
-                        spectrum: Optional[np.ndarray]):
+                        n: int, index: int, eigenvalue: Optional[float]):
     """Eigenvalue, log|phi| and sign(phi) of the unit eigenvector, positive
     at its peak, for one spectral index, by twisted factorization; the
-    eigenvalue is read from `spectrum` (None: solved here).
+    index's `eigenvalue` is given or, when None, solved here alone.
 
     Forward pivots run on the diagonal, backward pivots on it reversed.  At
     the twist k minimizing |gamma_j| = |fwd_j + bwd_j - (d_j - lam)|, the
@@ -103,11 +114,8 @@ def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
     exactly, so |gamma_k| / |z| is its residual.  Raises RuntimeError when
     that residual exceeds 1e-10 of the matrix scale.
     """
-    if spectrum is None:
-        spectrum = dirichlet_eigenvalues(potential, alpha, theta, n)
-    if not 0 <= index < n:
-        raise ValueError("eigenvalue index out of range")
-    lam = float(spectrum[index])
+    lam = float(dirichlet_eigenvalues(potential, alpha, theta, n, [index])[0]
+                if eigenvalue is None else eigenvalue)
     d = dirichlet_diagonal(potential, alpha, theta, n)
     piv = np.array(list(_pivots(np.stack([d, d[::-1]], axis=1), lam)))
     fwd, bwd = piv[:, 0], piv[::-1, 1]
@@ -177,14 +185,14 @@ def _side_fit(dist: np.ndarray, logs: np.ndarray):
 
 
 def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
-                        n: int, which: int, spectrum: Optional[np.ndarray]
+                        n: int, which: int, eigenvalue: Optional[float]
                         ) -> DecayProfile:
-    """Decay profile of the eigenvector at spectral index `which`; the
-    eigenvalue is read from `spectrum` (None: solved here)."""
+    """Decay profile of the eigenvector at spectral index `which`; its
+    `eigenvalue` is given or, when None, solved here alone."""
     if n < 500:
         raise ValueError("decay diagnostics need n >= 500")
     lam, logs, sign = dirichlet_eigenpair(potential, alpha, theta, n, which,
-                                          spectrum)
+                                          eigenvalue)
     center = int(np.argmax(logs))
     half = max(1, n // 16)
     left = np.arange(center - half)
@@ -204,22 +212,11 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
 # integrated density of states
 # ----------------------------------------------------------------------
 
-def _ids_values(potential: Potential, alpha: float, Es: np.ndarray, n: int,
-                m: int) -> np.ndarray:
-    """Counts/n per (theta, E) at the m midpoint phases (i + 1/2) / m;
-    shape (m, len(Es))."""
-    if m < 1:
-        raise ValueError("need at least one phase sample")
-    out = np.empty((m, len(Es)))
-    for i in range(m):
-        out[i] = sturm_count(potential, alpha, (i + 0.5) / m, Es, n) / n
-    return out
-
-
-def ids(potential: Potential, alpha: float, E: float, n: int,
-        theta_samples: int) -> Tuple[float, float]:
-    """IDS approximant k_n(E): eigenvalue fraction below E, phase-averaged
-    over theta_samples phases; returns (value, spread).
+def ids(potential: Potential, alpha: float, Es: Sequence[float], n: int,
+        theta_samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """IDS approximants k_n(E) at the energies Es: eigenvalue fractions
+    below E, averaged over the phases (i + 1/2) / theta_samples; returns
+    (values, spreads), one entry per energy.
 
     Boundary effects move at most O(1) eigenvalues, so the per-phase
     values agree to O(1/n); the spread, the largest minus the least
@@ -227,9 +224,11 @@ def ids(potential: Potential, alpha: float, E: float, n: int,
     """
     if n < 100:
         raise ValueError("IDS estimates need n >= 100")
-    vals = _ids_values(potential, alpha, np.atleast_1d(float(E)), n,
-                       theta_samples)[:, 0]
-    return float(np.mean(vals)), float(np.max(vals) - np.min(vals))
+    if theta_samples < 1:
+        raise ValueError("need at least one phase sample")
+    vals = np.array([sturm_count(potential, alpha, (i + 0.5) / theta_samples,
+                                 Es, n) for i in range(theta_samples)]) / n
+    return np.mean(vals, axis=0), np.max(vals, axis=0) - np.min(vals, axis=0)
 
 
 def check_delta_ladder(delta_ladder: Sequence[float], n: int) -> np.ndarray:
@@ -271,7 +270,7 @@ def holder_exponent(
     """
     deltas = check_delta_ladder(delta_ladder, n)
     Es = np.concatenate([E0 + deltas, E0 - deltas])
-    vals = _ids_values(potential, alpha, Es, n, theta_samples).mean(axis=0)
+    vals = ids(potential, alpha, Es, n, theta_samples)[0]
     inc = vals[:deltas.size] - vals[deltas.size:]
 
     if inc[0] <= 0.0:

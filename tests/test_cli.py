@@ -202,13 +202,17 @@ def test_config_accepts_the_plan_caps():
 
 
 def test_task_cap_counts_the_zeros_plan_only(tmp_path, capsys):
-    # 50,001 energies x 2 ladder lengths: 100,002 zeros tasks, 50,001 ids ones
+    # 50,001 energies x 2 ladder lengths: 100,002 zeros tasks, 50,001
+    # verify ones, and one ids task over all the energies
     raw = {"energies": {"start": 0, "stop": 1, "count": 50001},
            "n_ladder": [2, 3]}
     with pytest.raises(ConfigError, match="energies x n_ladder"):
         run("zeros", config=raw, out_dir=str(tmp_path), dry_run=True)
-    man = run("ids", config=raw, out_dir=str(tmp_path), dry_run=True)
+    man = run("verify-acc-zeros", config=raw, out_dir=str(tmp_path),
+              dry_run=True)
     assert len(man.tasks) == 50001
+    man = run("ids", config=raw, out_dir=str(tmp_path), dry_run=True)
+    assert [t["key"] for t in man.tasks] == ["ids[all]"]
     assert list(tmp_path.iterdir()) == []
     capsys.readouterr()  # the 50,001 planned keys
 
@@ -446,8 +450,8 @@ def test_non_finite_certificate_fails_its_task(subcommand, column, tmp_path,
     assert column in man.tasks[0]["error"]
 
 
-def _misspelled_ids(cfg, E):
-    payload = cli_harness._task_ids(cfg, E)
+def _misspelled_ids(cfg):
+    payload = cli_harness._task_ids(cfg)
     row, = payload["tables"]["ids.csv"]
     row["sprad"] = row.pop("spread")
     return payload
@@ -527,7 +531,8 @@ def test_strata_membership_edges_match_the_distance_rule(tmp_path):
     box, theta = 120, 0.123
     h = 10.0 / box
     small = ExperimentConfig.from_raw(SMALL)
-    ev = dirichlet_eigenvalues(small.potential, small.alpha, theta, box)
+    ev = dirichlet_eigenvalues(small.potential, small.alpha, theta, box,
+                               range(box))
     # the spectrum's ends and the edges of its three widest gaps, where
     # the points just outside E = ev_k +- h are really outside
     wide = np.argsort(np.diff(ev))[-3:]
@@ -578,25 +583,30 @@ def test_free_zeros_at_a_dirichlet_eigenvalue_are_served(tmp_path):
 
 
 def test_light_subcommands_never_load_scipy(tmp_path):
-    # box-spectrum and eigenvector solves import scipy on demand; no other
-    # path may pay for it
+    # box eigenvalues come from multisection on the Sturm counts and
+    # eigenvectors from the same LDL^T pivots: no subcommand, localize
+    # included, and no acceptance gate loads scipy
     script = f"""
 import sys
-from strata_lab.cli_harness import run
-small = {SMALL!r}
-for sub in ("strata", "lyapunov", "riesz"):
-    assert run(sub, config=small, out_dir={str(tmp_path / "light")!r}).ok
+import strata_lab.acceptance
+from strata_lab.cli_harness import SUBCOMMANDS, run
+small = dict({SMALL!r}, localize={{"n": 500, "count": 1}})
+for sub in SUBCOMMANDS:
+    if sub != "all":
+        assert run(sub, config=small,
+                   out_dir={str(tmp_path)!r} + "/" + sub).ok, sub
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules
                                           if m.startswith("scipy"))
-cfg = dict(small, localize={{"n": 500, "count": 1}})
-assert run("localize", config=cfg, out_dir={str(tmp_path / "loc")!r}).ok
-assert "scipy" in sys.modules
 """
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
+    # the gates run in the `all` subcommand; none of the package's source
+    # names scipy, so no gate can import it either
+    assert not [p.name for p in (src / "strata_lab").glob("*.py")
+                if "scipy" in p.read_text(encoding="utf-8")]
 
 
 # ------------------------------------------------------------------ main

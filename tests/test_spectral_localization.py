@@ -21,24 +21,47 @@ LOG2 = math.log(2.0)
 # ------------------------------------------------------------- spectrum
 
 def test_free_three_site_eigenvalues(free, golden):
-    spec = dirichlet_eigenvalues(free, golden, 0.0, 3)
+    spec = dirichlet_eigenvalues(free, golden, 0.0, 3, range(3))
     np.testing.assert_allclose(spec,
                                [-math.sqrt(2.0), 0.0, math.sqrt(2.0)],
                                atol=1e-12)
 
 
 def test_single_site_spectrum(amo2, golden):
-    spec = dirichlet_eigenvalues(amo2, golden, 0.25, 1)
+    spec = dirichlet_eigenvalues(amo2, golden, 0.25, 1, [0])
     assert spec.shape == (1,)
     assert spec[0] == pytest.approx(
         float(np.real(amo2.eval_theta(0.25))), abs=1e-12)
 
 
-def test_eigenvalues_match_dense_solver(amo2, golden, dense_box):
-    n = 40
-    spec = dirichlet_eigenvalues(amo2, golden, 0.3, n)
-    oracle = np.linalg.eigvalsh(dense_box(amo2, golden, 0.3, n))
-    np.testing.assert_allclose(spec, oracle, atol=1e-10)
+# AMO(2) and the two-harmonic potentials f = 2 l1 cos 2 pi theta
+# + 2 l2 cos 4 pi theta with (l1, l2) = (1.6, 1.0) and (0.6, 1.6)
+_BOX_POTENTIALS = {"amo2": {1: 2.0, -1: 2.0},
+                   "l1=1.6,l2=1.0": {1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0},
+                   "l1=0.6,l2=1.6": {1: 0.6, -1: 0.6, 2: 1.6, -2: 1.6}}
+# index sets of an n-site box: all, a middle run, the first and the last;
+# and two that are refused, an index past the box and a list not ascending
+_INDEX_SETS = {"all": lambda n: range(n),
+               "middle": lambda n: range(n // 3, n - n // 3),
+               "ends": lambda n: sorted({0, n - 1}),
+               "past_end": lambda n: [0, n],
+               "not_ascending": lambda n: [n - 1, 0]}
+
+
+@pytest.mark.parametrize("which", list(_INDEX_SETS))
+@pytest.mark.parametrize("n", [1, 2, 40, 300])
+@pytest.mark.parametrize("coeffs", list(_BOX_POTENTIALS.values()),
+                         ids=list(_BOX_POTENTIALS))
+def test_eigenvalues_match_dense_solver(golden, dense_box, coeffs, n, which):
+    pot = Potential(coeffs)
+    indices = list(_INDEX_SETS[which](n))
+    if which in ("past_end", "not_ascending"):
+        with pytest.raises(ValueError):
+            dirichlet_eigenvalues(pot, golden, 0.3, n, indices)
+        return
+    spec = dirichlet_eigenvalues(pot, golden, 0.3, n, indices)
+    oracle = np.linalg.eigvalsh(dense_box(pot, golden, 0.3, n))[indices]
+    np.testing.assert_allclose(spec, oracle, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 3, 2 ** 40])
@@ -67,7 +90,7 @@ def test_huge_phase_equals_its_reduction(amo2, golden):
 
 def test_sturm_count_matches_spectrum(amo2, golden):
     n = 150
-    spec = dirichlet_eigenvalues(amo2, golden, 0.37, n)
+    spec = dirichlet_eigenvalues(amo2, golden, 0.37, n, range(n))
     rng = np.random.default_rng(9)
     Es = rng.uniform(-6.5, 6.5, size=15)
     counts = sturm_count(amo2, golden, 0.37, Es, n)
@@ -125,9 +148,8 @@ def test_first_supercritical_stratum_decays_at_lyapunov_rate(golden):
     # peak hits that floor within about 70 sites and reads a rate near 0
     pot = Potential({1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0})
     n = 1000
-    spec = dirichlet_eigenvalues(pot, golden, 0.0, n)
     indices = np.arange(0, n, 10)
-    Es = spec[indices]
+    Es = dirichlet_eigenvalues(pot, golden, 0.0, n, indices)
     L = lyapunov_n(pot, golden, Es, 512, 0.0, 1024)[0]
     accs = acceleration(pot, golden, Es, [0.02, 0.04, 0.06, 0.08, 0.1],
                         n=512, K=256)
@@ -136,7 +158,7 @@ def test_first_supercritical_stratum_decays_at_lyapunov_rate(golden):
         label = classify_stratum(L0, acc.kappa, acc.non_affine, True)
         if label == "S2+":
             rate = eigenfunction_decay(pot, golden, 0.0, n, index,
-                                       spectrum=spec).decay_rate
+                                       E).decay_rate
             errors[index] = abs(rate - L0) / L0
     assert {740, 800, 900} <= set(errors)
     assert max(errors.values()) <= 0.05, errors
@@ -150,15 +172,14 @@ def test_decay_needs_room(amo2, golden):
 # ------------------------------------------------------------------- ids
 
 def test_ids_free_values(free, golden):
-    assert ids(free, golden, 0.0, 200, theta_samples=4)[0] == 0.5
-    assert ids(free, golden, -3.0, 200, theta_samples=4)[0] == 0.0
-    assert ids(free, golden, 3.0, 200, theta_samples=4)[0] == 1.0
+    values, spreads = ids(free, golden, [-3.0, 0.0, 3.0], 200, 4)
+    assert values.tolist() == [0.0, 0.5, 1.0]
+    assert spreads.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_ids_monotone_in_energy(amo2, golden):
-    vals = [ids(amo2, golden, E, 150, theta_samples=4)[0]
-            for E in (-3.5, -1.0, 0.5, 2.0, 3.8)]
-    assert vals == sorted(vals)
+    vals = ids(amo2, golden, [-3.5, -1.0, 0.5, 2.0, 3.8], 150, 4)[0]
+    assert vals.tolist() == sorted(vals.tolist())
 
 
 def test_ids_minimum_size(amo2, golden):
@@ -186,7 +207,7 @@ def test_holder_positive_at_spectrum_point(amo2, golden):
     # smallest increment is guaranteed nonzero
     n = 1000
     theta4 = (4 + 0.5) / 8
-    E0 = float(dirichlet_eigenvalues(amo2, golden, theta4, n)[500])
+    E0 = float(dirichlet_eigenvalues(amo2, golden, theta4, n, [500])[0])
     beta, _ = holder_exponent(amo2, golden, E0,
                               list(np.geomspace(1e-3, 1e-1, 5)), n, 8)
     assert not math.isnan(beta)   # not in a gap
@@ -325,8 +346,7 @@ def test_expansion_identity_validation(free, golden):
 
 def test_expansion_identity_on_localized_eigenvector(amo2, golden):
     n = 500
-    spec = dirichlet_eigenvalues(amo2, golden, 0.0, n)
-    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 250, spec)
+    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 250, None)
     v = sign * np.exp(logs)
     c = int(np.argmax(logs))
     # a window on the far side of the localization center, where the
