@@ -325,13 +325,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt's strings for the cell types most cells have, keyed on the exact type
+# so that those cells skip its isinstance chain; other types (bool) take _fmt
+_FORMATS: Dict[type, Callable[[Any], str]] = {
+    int: str, np.int64: str, float: "%.12g".__mod__,
+    np.float64: "%.12g".__mod__, type(None): lambda v: "", str: str}
+
+
 def _write_table(path: str, columns: Sequence[str],
                  rows: Sequence[Dict[str, Any]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_FORMATS.get(type(v), _fmt)(v)
+                             for v in map(row.__getitem__, columns)])
 
 
 # ----------------------------------------------------------------------
@@ -625,9 +633,8 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     indices = np.arange(count) + (n // 2 - count // 2)
     evs = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n, indices)
     srows, prows = [], []
-    for index, lam in zip(indices.tolist(), evs.tolist()):
-        prof = eigenfunction_decay(cfg.potential, cfg.alpha, theta, n, index,
-                                   lam)
+    for index, prof in zip(indices.tolist(), eigenfunction_decay(
+            cfg.potential, cfg.alpha, theta, n, evs)):
         l1 = tail_window(prof.center, n, _WINDOW_MARGIN, wlen)
         try:
             resid, (l1, l2), y = expansion_identity_scan(
@@ -645,10 +652,9 @@ def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
             "decay_rate": prof.decay_rate, "localized": prof.is_localized(),
             "exp_l1": l1, "exp_l2": l2, "exp_y": y,
             "expansion_residual": resid})
-        absv = np.abs(prof.eigenvector)
-        prows.extend({"index": index, "site": j, "abs_phi": float(absv[j]),
-                      "log_abs_phi": float(prof.log_abs[j])}
-                     for j in range(n))
+        absv, logv = np.abs(prof.eigenvector).tolist(), prof.log_abs.tolist()
+        prows.extend({"index": index, "site": j, "abs_phi": absv[j],
+                      "log_abs_phi": logv[j]} for j in range(n))
     return _payload({"localize_summary.csv": srows,
                      "decay_profiles.csv": prows})
 

@@ -13,7 +13,7 @@ of a solution through window determinants.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,23 +26,24 @@ from .determinant import det_at_phase, det_family
 _PIVMIN = 1e-300
 
 
-def dirichlet_diagonal(potential: Potential, alpha: float, theta: float,
+def dirichlet_diagonal(potential: Potential, alpha: float, theta,
                        n: int) -> np.ndarray:
-    """Diagonal f(theta + j alpha), j = 0..n-1, of the n-site box.
+    """Diagonal f(theta + j alpha), j = 0..n-1, of the n-site box, with shape
+    (n,) + theta.shape: one column per phase of the scalar or array theta.
 
     theta is reduced mod 1 exactly (the identity on (-1, 1)) before it
     meets j alpha, so a huge phase keeps its quasi-periodic diagonal."""
     if n < 1:
         raise ValueError("box length n must be >= 1")
-    vals = potential.eval_theta(math.fmod(theta, 1.0) + alpha * np.arange(n))
-    return np.atleast_1d(np.asarray(vals, dtype=np.float64))
+    return potential.eval_theta(np.add.outer(alpha * np.arange(n),
+                                             np.fmod(theta, 1.0)))
 
 
 def _pivots(d: np.ndarray, E):
     """LDL^T pivots of the box minus E, one per site, in site order.
 
-    q_j = (d_j - E) - 1/q_{j-1} from q_{-1} = inf.  Rows of `d` may carry a
-    batch axis that broadcasts against E.  Pivots smaller in magnitude than
+    q_j = (d_j - E) - 1/q_{j-1} from q_{-1} = inf.  Rows of `d` may carry
+    batch axes that broadcast against E.  Pivots smaller in magnitude than
     the floor are clamped negative.
     """
     q = math.inf
@@ -52,20 +53,19 @@ def _pivots(d: np.ndarray, E):
         yield q
 
 
-def sturm_count(potential: Potential, alpha: float, theta: float, E,
-                n: int):
-    """Number of box eigenvalues at or below E (LDL^T inertia count).
+def sturm_count(potential: Potential, alpha: float, theta, E,
+                n: int) -> np.ndarray:
+    """Number of box eigenvalues at or below E (LDL^T inertia count), with
+    shape theta.shape + E.shape: one count per phase and energy.
 
-    Counts the negative pivots of `_pivots`.  E may be a scalar or an array
-    of any shape.  The pivot floor makes an exact hit count as below.
+    Counts the negative pivots of one `_pivots` sweep over every phase and
+    energy.  The pivot floor makes an exact hit count as below.
     """
-    E_arr = np.atleast_1d(np.asarray(E, dtype=np.float64))
-    count = np.zeros(E_arr.shape, dtype=np.int64)
-    for q in _pivots(dirichlet_diagonal(potential, alpha, theta, n), E_arr):
-        count += q < 0
-    if np.ndim(E) == 0:
-        return int(count[0])
-    return count
+    E = np.asarray(E, dtype=np.float64)
+    d = dirichlet_diagonal(potential, alpha, theta, n)
+    if d.ndim > 1:  # the phase axes ahead of the energy axes
+        d = d.reshape(d.shape + (1,) * E.ndim)
+    return sum(q < 0 for q in _pivots(d, E))
 
 
 def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
@@ -102,37 +102,38 @@ def dirichlet_eigenvalues(potential: Potential, alpha: float, theta: float,
 
 
 def dirichlet_eigenpair(potential: Potential, alpha: float, theta: float,
-                        n: int, index: int, eigenvalue: Optional[float]):
-    """Eigenvalue, log|phi| and sign(phi) of the unit eigenvector, positive
-    at its peak, for one spectral index, by twisted factorization; the
-    index's `eigenvalue` is given or, when None, solved here alone.
+                        n: int, eigenvalues: Sequence[float]) -> list:
+    """log|phi| and sign(phi) of the unit eigenvector, positive at its peak,
+    at each of the box `eigenvalues`, by twisted factorization.
 
-    Forward pivots run on the diagonal, backward pivots on it reversed.  At
-    the twist k minimizing |gamma_j| = |fwd_j + bwd_j - (d_j - lam)|, the
-    vector with z_k = 1, z_j = -z_{j+1}/fwd_j left of k and
-    z_j = -z_{j-1}/bwd_j right of k solves (T - lam) z = gamma_k e_k
-    exactly, so |gamma_k| / |z| is its residual.  Raises RuntimeError when
-    that residual exceeds 1e-10 of the matrix scale.
+    One sweep of `_pivots` runs forward on the diagonal and backward on it
+    reversed, for all eigenvalues.  At the twist k minimizing |gamma_j| =
+    |fwd_j + bwd_j - (d_j - lam)|, the vector with z_k = 1,
+    z_j = -z_{j+1}/fwd_j left of k and z_j = -z_{j-1}/bwd_j right of k
+    solves (T - lam) z = gamma_k e_k exactly, so |gamma_k| / |z| is its
+    residual.  Raises RuntimeError when that residual exceeds 1e-10 of the
+    matrix scale.
     """
-    lam = float(dirichlet_eigenvalues(potential, alpha, theta, n, [index])[0]
-                if eigenvalue is None else eigenvalue)
+    lams = np.asarray(eigenvalues, dtype=np.float64)
     d = dirichlet_diagonal(potential, alpha, theta, n)
-    piv = np.array(list(_pivots(np.stack([d, d[::-1]], axis=1), lam)))
-    fwd, bwd = piv[:, 0], piv[::-1, 1]
-    gamma = fwd + bwd - (d - lam)
-    k = int(np.argmin(np.abs(gamma)))
-    left, right = fwd[:k][::-1], bwd[k + 1:]
-    logs = np.concatenate([np.cumsum(-np.log(np.abs(left)))[::-1], [0.0],
-                           np.cumsum(-np.log(np.abs(right)))])
-    sign = np.concatenate([np.cumprod(-np.sign(left))[::-1], [1.0],
-                           np.cumprod(-np.sign(right))])
-    peak = int(np.argmax(logs))
-    log_norm = logs[peak] + 0.5 * math.log(
-        float(np.sum(np.exp(2.0 * (logs - logs[peak])))))
-    resid = abs(float(gamma[k])) * math.exp(-log_norm)
-    if resid > 1e-10 * (2.0 + float(np.max(np.abs(d))) + abs(lam)):
-        raise RuntimeError(f"eigenvector residual {resid:.3e} too large")
-    return lam, logs - log_norm, sign * sign[peak]
+    piv = np.array(list(_pivots(np.c_[d, d[::-1]][..., None], lams)))
+    pairs = []
+    for lam, fwd, bwd in zip(lams.tolist(), piv[:, 0].T, piv[::-1, 1].T):
+        gamma = fwd + bwd - (d - lam)
+        k = int(np.argmin(np.abs(gamma)))
+        left, right = fwd[:k][::-1], bwd[k + 1:]
+        logs = np.concatenate([np.cumsum(-np.log(np.abs(left)))[::-1], [0.0],
+                               np.cumsum(-np.log(np.abs(right)))])
+        sign = np.concatenate([np.cumprod(-np.sign(left))[::-1], [1.0],
+                               np.cumprod(-np.sign(right))])
+        peak = int(np.argmax(logs))
+        log_norm = logs[peak] + 0.5 * math.log(
+            float(np.sum(np.exp(2.0 * (logs - logs[peak])))))
+        resid = abs(float(gamma[k])) * math.exp(-log_norm)
+        if resid > 1e-10 * (2.0 + float(np.max(np.abs(d))) + abs(lam)):
+            raise RuntimeError(f"eigenvector residual {resid:.3e} too large")
+        pairs.append((logs - log_norm, sign * sign[peak]))
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -185,27 +186,27 @@ def _side_fit(dist: np.ndarray, logs: np.ndarray):
 
 
 def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
-                        n: int, which: int, eigenvalue: Optional[float]
-                        ) -> DecayProfile:
-    """Decay profile of the eigenvector at spectral index `which`; its
-    `eigenvalue` is given or, when None, solved here alone."""
+                        n: int, eigenvalues: Sequence[float]
+                        ) -> List[DecayProfile]:
+    """Decay profiles of the eigenvectors at the box `eigenvalues`, one per
+    eigenvalue, from one `dirichlet_eigenpair` call."""
     if n < 500:
         raise ValueError("decay diagnostics need n >= 500")
-    lam, logs, sign = dirichlet_eigenpair(potential, alpha, theta, n, which,
-                                          eigenvalue)
-    center = int(np.argmax(logs))
-    half = max(1, n // 16)
-    left = np.arange(center - half)
-    right = np.arange(center + half + 1, n)
-    s_l, r_l, m_l = _side_fit((center - left).astype(np.float64), logs[left])
-    s_r, r_r, m_r = _side_fit((right - center).astype(np.float64),
-                              logs[right])
-
-    return DecayProfile(
-        eigenvalue=lam, eigenvector=sign * np.exp(logs), log_abs=logs,
-        center=center, slope_left=s_l, slope_right=s_r,
-        resid_left=r_l, resid_right=r_r,
-        fit_sites_left=m_l, fit_sites_right=m_r)
+    half, profiles = max(1, n // 16), []
+    for lam, (logs, sign) in zip(np.asarray(eigenvalues).tolist(),
+                                 dirichlet_eigenpair(potential, alpha, theta,
+                                                     n, eigenvalues)):
+        center = int(np.argmax(logs))
+        (s_l, r_l, m_l), (s_r, r_r, m_r) = (
+            _side_fit(np.abs(side - center).astype(np.float64), logs[side])
+            for side in (np.arange(center - half),
+                         np.arange(center + half + 1, n)))
+        profiles.append(DecayProfile(
+            eigenvalue=lam, eigenvector=sign * np.exp(logs), log_abs=logs,
+            center=center, slope_left=s_l, slope_right=s_r,
+            resid_left=r_l, resid_right=r_r,
+            fit_sites_left=m_l, fit_sites_right=m_r))
+    return profiles
 
 
 # ----------------------------------------------------------------------
@@ -226,8 +227,8 @@ def ids(potential: Potential, alpha: float, Es: Sequence[float], n: int,
         raise ValueError("IDS estimates need n >= 100")
     if theta_samples < 1:
         raise ValueError("need at least one phase sample")
-    vals = np.array([sturm_count(potential, alpha, (i + 0.5) / theta_samples,
-                                 Es, n) for i in range(theta_samples)]) / n
+    phases = (np.arange(theta_samples) + 0.5) / theta_samples
+    vals = sturm_count(potential, alpha, phases, Es, n) / n
     return np.mean(vals, axis=0), np.max(vals, axis=0) - np.min(vals, axis=0)
 
 

@@ -514,6 +514,15 @@ def riesz_decompose(
 # Jensen's formula on D_n
 # ----------------------------------------------------------------------
 
+def _quadrature_excess(roots: np.ndarray, r: float, K: int) -> float:
+    """The K-point mean of sum_w log|z - w| on |z| = r minus its circle
+    mean sum_w log max(r, |w|), exactly: prod_k (r omega^k - w) = +-(r^K -
+    w^K) for the K-th root of unity omega, so each root w adds (1/K)
+    log|1 - q^K|, with q = w/r or r/w, whichever has |q| <= 1."""
+    q = np.where(np.abs(roots) <= r, roots / r, r / roots)
+    return float(np.sum(np.log(np.abs(1.0 - q ** K)))) / K
+
+
 def jensen_identity_residual(
     fam: DeterminantFamily,
     inv: ZeroInventory,
@@ -526,12 +535,14 @@ def jensen_identity_residual(
     With D_n = z^lo p(z), the mean of log|D_n| on |z| = r is a constant
     plus lo log r + sum_j log max(r, |w_j|) over the zeros w_j of p, a
     multiple zero listed once per multiplicity.  The residual is |u(r2) -
-    u(r1) - (1/n) [lo log(r2/r1) + sum_j (log max(r2, |w_j|) - log max(r1,
-    |w_j|))]|, u(r) the K-point mean of (1/n) log|D_n| on |z| = r (one
-    FFT).  The means come from the coefficients and the steps from the
-    inventory, so a root the inventory misses or misplaces between r1 and
-    r2 shows.  find_zeros refuses underflowed edge coefficients, so lo is
-    that of the factored polynomial.
+    u(r1) - (1/n) [lo log(r2/r1) + J(r2) - J(r1)]|, u(r) the K-point mean
+    of (1/n) log|D_n| on |z| = r (one FFT) and J(r) the K-point mean of
+    sum_j log|z - w_j| there, sum_j log max(r, |w_j|) plus
+    `_quadrature_excess`, so the identity is exact at every K.  The means
+    come from the coefficients and the steps from the inventory, so a root
+    the inventory misses or misplaces between r1 and r2 shows.  find_zeros
+    refuses underflowed edge coefficients, so lo is that of the factored
+    polynomial.
     """
     if not 1.0 <= r1 < r2:
         raise ValueError("radii must satisfy 1 <= r1 < r2")
@@ -542,7 +553,9 @@ def jensen_identity_residual(
     u1, u2 = (float(np.mean(fam.poly.eval_circle_log(r, K) / fam.n))
               for r in (r1, r2))
     jumps = float(np.sum(np.log(np.maximum(r2, mods))
-                         - np.log(np.maximum(r1, mods))))
+                         - np.log(np.maximum(r1, mods)))) + (
+        _quadrature_excess(inv.roots, r2, K)
+        - _quadrature_excess(inv.roots, r1, K))
     return abs(u2 - u1 - (fam.poly.lo * math.log(r2 / r1) + jumps) / fam.n)
 
 
@@ -617,7 +630,8 @@ def riesz_mass(
     inventory count of that annulus), is the radial slope of the circle
     average of the per-site log-determinant over pi.  That profile is
     piecewise linear, so the difference quotient is exact between kinks;
-    the kink-free step is chosen from the inventory `inv` of `fam`.
+    the kink-free step is chosen from the inventory `inv` of `fam`, and
+    each K-point mean drops its exact `_quadrature_excess`.
     Potential, frequency, energy and n come from `fam`.
     """
     delta = _FLUX_DELTA
@@ -643,8 +657,9 @@ def riesz_mass(
         center = eps_flux
 
     def circle_mean_u(eps: float) -> float:
-        return float(np.mean(
-            fam.poly.eval_circle_log(math.exp(TWO_PI * eps), K) / fam.n))
+        r = math.exp(TWO_PI * eps)
+        return float(np.mean(fam.poly.eval_circle_log(r, K) / fam.n)
+                     - _quadrature_excess(inv.roots, r, K) / fam.n)
 
     slope_u = (circle_mean_u(center + du) - circle_mean_u(center - du)) / (2.0 * du)
     mass_u = slope_u / math.pi

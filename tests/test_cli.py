@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from strata_lab import cli_harness, dirichlet_eigenvalues
-from strata_lab.cli_harness import (SUBCOMMANDS, ConfigError,
+from strata_lab.cli_harness import (_FORMATS, SUBCOMMANDS, ConfigError,
                                     ExperimentConfig, _fmt, config_hash, main,
                                     run)
 
@@ -323,6 +323,22 @@ def test_fmt_is_locale_free():
     assert _fmt(None) == ""
     assert _fmt(5) == "5"
     assert _fmt(1.0 / 3.0) == "0.333333333333"
+
+
+_CELLS = [True, False, np.bool_(True), np.bool_(False), 0, -7, 2 ** 70,
+          np.int64(-3), 0.1, 1.0 / 3.0, -0.0, 1e300, float("nan"),
+          float("-inf"), np.float64(2.0 / 3.0), np.float64(1e-320),
+          np.float64("inf"), None, "", "ok, \"quoted\""]
+
+
+def test_formats_by_exact_type_equal_the_isinstance_chain():
+    # the cells of bool, np.bool_, int, np.int64, float, np.float64, None and
+    # str; the bools have no entry of their own and take the chain
+    assert {type(v) for v in _CELLS} == set(_FORMATS) | {bool, np.bool_}
+    for v in _CELLS:
+        assert _FORMATS.get(type(v), _fmt)(v) == _fmt(v), v
+    assert [_fmt(v) for v in _CELLS[:8]] == [
+        "1", "0", "1", "0", "0", "-7", str(2 ** 70), "-3"]
 
 
 def test_unknown_subcommand():

@@ -11,7 +11,8 @@ the AMO box's Sturm counts at phase m theta.  These checks run the k0 = m
 paths of the determinant recurrence, the root finder, the Sturm pivots and
 the strip kernel.  The Lyapunov identity L^(m)(E, eps) = L^AMO(E, m eps) at
 frequency m alpha mod 1 checks the strip kernel's rotation of the k = m
-term by cos and sin of 2 pi m r_j.
+term by cos and sin of 2 pi m r_j.  For lam > 1 the eigenvectors are the
+AMO ones, so they decay at the AMO rate log lam.
 """
 
 import math
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 from strata_lab import (Potential, acceleration, count_annulus, det_at_phase,
-                        det_family, find_zeros, lyapunov_n, sturm_count)
+                        det_family, dirichlet_eigenvalues, eigenfunction_decay,
+                        find_zeros, lyapunov_n, sturm_count)
 
 LAM, N = 2.0, 60
 AMO = Potential.amo(LAM)
@@ -61,11 +63,23 @@ def test_mth_powers_of_the_zeros_are_the_amo_zeros(E, m, golden):
 @pytest.mark.parametrize("m", [2, 3])
 def test_sturm_counts_are_the_amo_counts_at_m_theta(m, golden):
     energies = np.linspace(-6.5, 6.5, 181)
-    for theta in (0.0, 0.123, 0.61):
-        fold = sturm_count(_fold(m), golden, theta, energies, 200)
-        amo = sturm_count(AMO, (m * golden) % 1.0, (m * theta) % 1.0,
-                          energies, 200)
-        assert np.array_equal(fold, amo)
+    thetas = np.array([0.0, 0.123, 0.61])
+    fold = sturm_count(_fold(m), golden, thetas, energies, 200)
+    amo = sturm_count(AMO, (m * golden) % 1.0, (m * thetas) % 1.0,
+                      energies, 200)
+    assert np.array_equal(fold, amo)
+
+
+@pytest.mark.parametrize("lam", [1.6, 2.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_m_fold_eigenvectors_decay_at_log_lambda(m, lam, golden):
+    # the 10 middle eigenvectors of the n = 1000 box at theta = 0, within
+    # the 5% of the (1.6, 1.0) S2+ decay test
+    pot, n = Potential({m: lam, -m: lam}), 1000
+    Es = dirichlet_eigenvalues(pot, golden, 0.0, n, np.arange(10) + n // 2 - 5)
+    profiles = eigenfunction_decay(pot, golden, 0.0, n, Es)
+    rates = [p.decay_rate for p in profiles]
+    np.testing.assert_allclose(rates, math.log(lam), rtol=0.05, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [2, 3])

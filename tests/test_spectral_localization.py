@@ -40,10 +40,12 @@ _BOX_POTENTIALS = {"amo2": {1: 2.0, -1: 2.0},
                    "l1=1.6,l2=1.0": {1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0},
                    "l1=0.6,l2=1.6": {1: 0.6, -1: 0.6, 2: 1.6, -2: 1.6}}
 # index sets of an n-site box: all, a middle run, the first and the last;
-# and two that are refused, an index past the box and a list not ascending
+# and three that are refused, an index before the box, one past it and a
+# list not ascending
 _INDEX_SETS = {"all": lambda n: range(n),
                "middle": lambda n: range(n // 3, n - n // 3),
                "ends": lambda n: sorted({0, n - 1}),
+               "before_start": lambda n: [-1],
                "past_end": lambda n: [0, n],
                "not_ascending": lambda n: [n - 1, 0]}
 
@@ -55,7 +57,7 @@ _INDEX_SETS = {"all": lambda n: range(n),
 def test_eigenvalues_match_dense_solver(golden, dense_box, coeffs, n, which):
     pot = Potential(coeffs)
     indices = list(_INDEX_SETS[which](n))
-    if which in ("past_end", "not_ascending"):
+    if which in ("before_start", "past_end", "not_ascending"):
         with pytest.raises(ValueError):
             dirichlet_eigenvalues(pot, golden, 0.3, n, indices)
         return
@@ -88,6 +90,21 @@ def test_huge_phase_equals_its_reduction(amo2, golden):
             det_at_phase(amo2, golden, 0.0, 0.7, 50)
 
 
+def test_phase_batches_equal_one_phase_at_a_time(amo2, golden):
+    thetas = np.array([[0.0, 0.3125], [0.7, 2.0 ** 40 + 0.5]])
+    Es = np.array([[-2.0, 0.5, 1.5], [3.0, -0.7, 4.2]])
+    d = dirichlet_diagonal(amo2, golden, thetas, 200)
+    counts = sturm_count(amo2, golden, thetas, Es, 200)
+    assert d.shape == (200, 2, 2) and counts.shape == (2, 2, 2, 3)
+    for i, j in np.ndindex(thetas.shape):
+        theta = thetas[i, j]
+        assert np.array_equal(d[:, i, j],
+                              dirichlet_diagonal(amo2, golden, theta, 200))
+        assert np.array_equal(counts[i, j],
+                              sturm_count(amo2, golden, theta, Es, 200))
+    assert sturm_count(amo2, golden, 0.3, 0.5, 200).shape == ()
+
+
 def test_sturm_count_matches_spectrum(amo2, golden):
     n = 150
     spec = dirichlet_eigenvalues(amo2, golden, 0.37, n, range(n))
@@ -100,10 +117,11 @@ def test_sturm_count_matches_spectrum(amo2, golden):
 
 def test_eigenpair_residual_and_normalization(amo2, golden, dense_box):
     n = 60
-    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 30, None)
+    lam = dirichlet_eigenvalues(amo2, golden, 0.0, n, [30])
+    (logs, sign), = dirichlet_eigenpair(amo2, golden, 0.0, n, lam)
     v = sign * np.exp(logs)
     H = dense_box(amo2, golden, 0.0, n)
-    assert np.linalg.norm(H @ v - lam * v) < 1e-9
+    assert np.linalg.norm(H @ v - lam[0] * v) < 1e-9
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert v[int(np.argmax(np.abs(v)))] > 0  # deterministic sign convention
 
@@ -111,8 +129,10 @@ def test_eigenpair_residual_and_normalization(amo2, golden, dense_box):
 def test_twisted_log_profile_matches_dense_eigh(amo2, golden, dense_box):
     n = 60
     _, oracle = np.linalg.eigh(dense_box(amo2, golden, 0.0, n))
-    for index in range(n):
-        _, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, index, None)
+    lams = dirichlet_eigenvalues(amo2, golden, 0.0, n, range(n))
+    pairs = dirichlet_eigenpair(amo2, golden, 0.0, n, lams)
+    assert len(pairs) == n
+    for index, (logs, sign) in enumerate(pairs):
         v = oracle[:, index]
         v = v * np.sign(v[np.argmax(np.abs(v))])
         seen = np.abs(v) > 1e-12
@@ -121,23 +141,28 @@ def test_twisted_log_profile_matches_dense_eigh(amo2, golden, dense_box):
         assert np.array_equal(sign[seen], np.sign(v[seen]))
 
 
-def test_eigenpair_index_validation(amo2, golden):
-    with pytest.raises(ValueError):
-        dirichlet_eigenpair(amo2, golden, 0.0, 10, 10, None)
-    with pytest.raises(ValueError):
-        dirichlet_eigenpair(amo2, golden, 0.0, 10, -1, None)
+def test_eigenpair_batch_equals_one_eigenvalue_at_a_time(amo2, golden):
+    lams = dirichlet_eigenvalues(amo2, golden, 0.2, 500, [3, 250, 251, 499])
+    pairs = dirichlet_eigenpair(amo2, golden, 0.2, 500, lams)
+    for (logs, sign), lam in zip(pairs, lams):
+        (one_logs, one_sign), = dirichlet_eigenpair(amo2, golden, 0.2, 500,
+                                                    [lam])
+        assert np.array_equal(one_logs, logs)
+        assert np.array_equal(one_sign, sign)
 
 
 # ----------------------------------------------------------------- decay
 
 def test_localized_state_decays_at_lyapunov_rate(amo2, golden):
-    prof = eigenfunction_decay(amo2, golden, 0.0, 600, 300, None)
+    lam = dirichlet_eigenvalues(amo2, golden, 0.0, 600, [300])
+    prof, = eigenfunction_decay(amo2, golden, 0.0, 600, lam)
     assert prof.is_localized()
     assert prof.decay_rate == pytest.approx(LOG2, rel=0.15)
 
 
 def test_free_state_is_not_localized(free, golden):
-    prof = eigenfunction_decay(free, golden, 0.2, 600, 300, None)
+    lam = dirichlet_eigenvalues(free, golden, 0.2, 600, [300])
+    prof, = eigenfunction_decay(free, golden, 0.2, 600, lam)
     assert not prof.is_localized()
     assert abs(prof.decay_rate) < 0.05 or math.isnan(prof.decay_rate)
 
@@ -153,20 +178,19 @@ def test_first_supercritical_stratum_decays_at_lyapunov_rate(golden):
     L = lyapunov_n(pot, golden, Es, 512, 0.0, 1024)[0]
     accs = acceleration(pot, golden, Es, [0.02, 0.04, 0.06, 0.08, 0.1],
                         n=512, K=256)
-    errors = {}
-    for index, E, L0, acc in zip(indices.tolist(), Es, L, accs):
-        label = classify_stratum(L0, acc.kappa, acc.non_affine, True)
-        if label == "S2+":
-            rate = eigenfunction_decay(pot, golden, 0.0, n, index,
-                                       E).decay_rate
-            errors[index] = abs(rate - L0) / L0
+    s2 = [classify_stratum(L0, acc.kappa, acc.non_affine, True) == "S2+"
+          for L0, acc in zip(L, accs)]
+    profs = eigenfunction_decay(pot, golden, 0.0, n, Es[s2])
+    errors = {index: abs(prof.decay_rate - L0) / L0
+              for index, L0, prof in zip(indices[s2].tolist(), L[s2], profs)}
     assert {740, 800, 900} <= set(errors)
     assert max(errors.values()) <= 0.05, errors
 
 
 def test_decay_needs_room(amo2, golden):
+    lam = dirichlet_eigenvalues(amo2, golden, 0.0, 400, [200])
     with pytest.raises(ValueError):
-        eigenfunction_decay(amo2, golden, 0.0, 400, 200, None)
+        eigenfunction_decay(amo2, golden, 0.0, 400, lam)
 
 
 # ------------------------------------------------------------------- ids
@@ -180,6 +204,36 @@ def test_ids_free_values(free, golden):
 def test_ids_monotone_in_energy(amo2, golden):
     vals = ids(amo2, golden, [-3.5, -1.0, 0.5, 2.0, 3.8], 150, 4)[0]
     assert vals.tolist() == sorted(vals.tolist())
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+def test_ids_obeys_aubry_duality(golden, lam, n):
+    # Delta + 2 lam cos 2 pi theta is lam times the dual operator at coupling
+    # 1/lam (Aubry & Andre 1980), so N_lam(E) = N_{1/lam}(E/lam); the box
+    # IDS moves by O(1) eigenvalues, hence the bound 2/n
+    Es = np.linspace(-4.5, 4.5, 37)
+    N = ids(Potential.amo(lam), golden, Es, n, 8)[0]
+    dual = ids(Potential.amo(1.0 / lam), golden, Es / lam, n, 8)[0]
+    assert np.max(np.abs(N - dual)) <= 2.0 / n
+
+
+@pytest.mark.parametrize("coeffs", list(_BOX_POTENTIALS.values()),
+                         ids=list(_BOX_POTENTIALS))
+def test_thouless_formula(golden, dense_box, coeffs):
+    # L(E) = integral of log|E - E'| dN(E') (Thouless 1972), the IDS taken
+    # as the eigenvalues of n = 500 boxes at 16 phases, from a dense solver
+    # independent of the Sturm pivots; sum |c_k| = max |f| for these
+    # potentials, so +-(3 + max |f|) lie off the spectrum by Gershgorin
+    pot = Potential(coeffs)
+    reach = 3.0 + sum(abs(c) for c in coeffs.values())
+    Es = np.array([-1.5, 0.5, 1.0, 3.0, 7.0, -reach, reach])
+    spectra = np.concatenate([
+        np.linalg.eigvalsh(dense_box(pot, golden, (i + 0.5) / 16, 500))
+        for i in range(16)])
+    mean_log = np.mean(np.log(np.abs(Es[:, None] - spectra)), axis=1)
+    L = lyapunov_n(pot, golden, Es, 4096, 0.0, 1024)[0]
+    assert np.max(np.abs(mean_log - L)) <= 2e-3
 
 
 def test_ids_minimum_size(amo2, golden):
@@ -346,7 +400,8 @@ def test_expansion_identity_validation(free, golden):
 
 def test_expansion_identity_on_localized_eigenvector(amo2, golden):
     n = 500
-    lam, logs, sign = dirichlet_eigenpair(amo2, golden, 0.0, n, 250, None)
+    lam = dirichlet_eigenvalues(amo2, golden, 0.0, n, [250])
+    (logs, sign), = dirichlet_eigenpair(amo2, golden, 0.0, n, lam)
     v = sign * np.exp(logs)
     c = int(np.argmax(logs))
     # a window on the far side of the localization center, where the
@@ -354,7 +409,7 @@ def test_expansion_identity_on_localized_eigenvector(amo2, golden):
     wlen, margin = 120, 8
     l1 = c + margin if c <= n // 2 else c - margin - wlen
     l1 = min(max(1, l1), n - 2 - wlen)
-    res, (a, b), y = expansion_identity_scan(amo2, golden, 0.0, lam, v,
+    res, (a, b), y = expansion_identity_scan(amo2, golden, 0.0, lam[0], v,
                                              (l1, l1 + wlen))
     assert res < 1e-8
     assert 1 <= a <= y <= b <= n - 2

@@ -8,6 +8,7 @@ from strata_lab import (Potential, circle_average_green, count_annulus,
                         green_potential, jensen_identity_residual,
                         riesz_decompose, riesz_kappa, riesz_mass,
                         zero_count_vs_acceleration)
+from strata_lab.cli_harness import ExperimentConfig, _task_riesz
 from strata_lab.zeros_potential import (_BLOCK, RootConvergenceError,
                                         aberth_roots, check_green_range,
                                         clearest_eps)
@@ -268,16 +269,18 @@ def _c6_radii(inv):
             math.exp(TWO_PI * clearest_eps(coords, 0.04, 0.045)))
 
 
-def test_jensen_residual_sees_a_missing_or_moved_root(amo2, golden):
+@pytest.mark.parametrize("K", [16, 64, 512, 4096])
+def test_jensen_residual_sees_a_missing_or_moved_root(amo2, golden, K):
     # the circle means come from the coefficients of D_n and the jumps from
     # the inventory, so an inventory that drops a root, or moves one that
-    # lies between the radii, no longer balances
+    # lies between the radii, no longer balances; the inventory side is the
+    # exact K-point mean, so a clean inventory balances at every K
     fam = det_family(amo2, golden, 0.5, 200)
     inv = find_zeros(fam)
     r1, r2 = _c6_radii(inv)
-    assert jensen_identity_residual(fam, inv, r1, r2, K=4096) <= 1e-14
+    assert jensen_identity_residual(fam, inv, r1, r2, K=K) <= 1e-14
     short = inv._replace(roots=inv.roots[1:])
-    assert jensen_identity_residual(fam, short, r1, r2, K=4096) > 1e-6
+    assert jensen_identity_residual(fam, short, r1, r2, K=K) > 1e-6
 
     fam = det_family(amo2, golden, 1.5, 128)
     inv = find_zeros(fam)
@@ -287,9 +290,20 @@ def test_jensen_residual_sees_a_missing_or_moved_root(amo2, golden):
     roots = inv.roots.copy()
     roots[k] *= 1.01
     assert abs(roots[k]) < r2
-    assert jensen_identity_residual(fam, inv, r1, r2, K=4096) <= 1e-14
+    assert jensen_identity_residual(fam, inv, r1, r2, K=K) <= 1e-14
     moved = inv._replace(roots=roots)
-    assert jensen_identity_residual(fam, moved, r1, r2, K=4096) > 1e-6
+    assert jensen_identity_residual(fam, moved, r1, r2, K=K) > 1e-6
+
+
+def test_riesz_task_is_exact_at_small_K():
+    # K = 64 is far below the zeros' reach of the circles: the quadrature
+    # error is removed, not made small
+    cfg = ExperimentConfig.from_raw({"energies": [0.5, 1.5], "n": 128,
+                                     "riesz": {"K": 64}})
+    for E in cfg.energies:
+        row, = _task_riesz(cfg, E)["tables"]["riesz.csv"]
+        assert row["jensen_residual"] <= 1e-14
+        assert abs(row["mass_u"] - row["count_ratio"]) <= 1e-12
 
 
 def test_jensen_radius_validation(amo2, golden):
