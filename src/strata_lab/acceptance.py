@@ -143,15 +143,10 @@ def _c8_ids_holder() -> Tuple[bool, str]:
     ladder = np.geomspace(1e-4, 1e-2, 7)
     candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100,
                                        range(44, 56))
-    betas = []
-    for E0 in candidates:
-        beta, _ = holder_exponent(_AMO2, _ALPHA, float(E0), ladder, 4000, 8)
-        if not math.isnan(beta):  # NaN: E0 sits in a gap
-            betas.append(beta)
-        if len(betas) == 3:
-            break
-    gap_beta, _ = holder_exponent(_AMO2, _ALPHA, 1.5, ladder, 4000, 8)
-    in_gap = math.isnan(gap_beta)
+    fits = holder_exponent(_AMO2, _ALPHA, np.append(candidates, 1.5),
+                           ladder, 4000, 8)[0].tolist()
+    betas = [b for b in fits[:-1] if not math.isnan(b)][:3]  # NaN: a gap
+    in_gap = math.isnan(fits[-1])
     ok = len(betas) == 3 and all(b >= 0.40 for b in betas) and in_gap
     return (ok, "beta = " + "/".join(f"{b:.3f}" for b in betas)
                 + f", gap energy in_gap = {in_gap}")

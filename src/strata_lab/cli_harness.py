@@ -259,6 +259,8 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError("eps must be positive")
     if len(c.eps_grid) < 2:
         raise ConfigError("eps_grid needs >= 2 entries")
+    if c.eps_grid[-1] - c.eps_grid[0] < 1e-6:  # the slope fit's resolution
+        raise ConfigError("eps_grid must span at least 1e-6")
     if len(c.n_ladder) > _MAX_LADDER:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
     if c.riesz.eps_r <= 0:
@@ -287,16 +289,12 @@ def _check_rules(c: ExperimentConfig) -> None:
 
 
 class ExperimentConfig(SimpleNamespace):
-    """Validated experiment parameters plus the resolved raw dict.
-
-    `raw` is what gets hashed and shipped to worker processes.  Each key of
-    `_CONFIG_TABLE` is also an attribute holding its typed value, parsed
-    from `raw` exactly once; a section is a namespace (`cfg.riesz.K`)."""
+    """Validated experiment parameters: each key of `_CONFIG_TABLE`, typed
+    once, is an attribute; a section is a namespace (`cfg.riesz.K`)."""
 
     @classmethod
     def from_raw(cls, raw: Dict[str, Any]) -> "ExperimentConfig":
-        resolved = _merge(_DEFAULTS, raw)
-        cfg = cls(raw=resolved, **_parse(_CONFIG_TABLE, resolved))
+        cfg = cls(**_parse(_CONFIG_TABLE, _merge(_DEFAULTS, raw)))
         _check_rules(cfg)
         return cfg
 
@@ -554,15 +552,15 @@ def _task_ids(cfg: ExperimentConfig) -> Dict[str, Any]:
         for E, value, spread in zip(cfg.energies, values, spreads)]})
 
 
-def _task_holder(cfg: ExperimentConfig, E0: float) -> Dict[str, Any]:
-    beta, beta_stderr = holder_exponent(cfg.potential, cfg.alpha, E0,
-                                        cfg.holder.delta_ladder, cfg.holder.n,
-                                        cfg.ids.samples)
-    in_gap = math.isnan(beta)
+def _task_holder(cfg: ExperimentConfig) -> Dict[str, Any]:
+    betas, stderrs = holder_exponent(cfg.potential, cfg.alpha, cfg.energies,
+                                     cfg.holder.delta_ladder, cfg.holder.n,
+                                     cfg.ids.samples)
     return _payload({"holder.csv": [{
-        "E0": E0, "n": cfg.holder.n, "beta": beta, "beta_stderr": beta_stderr,
-        "in_gap": in_gap,
-        "message": "in gap, locally constant IDS" if in_gap else "ok"}]})
+        "E0": E0, "n": cfg.holder.n, "beta": beta, "beta_stderr": stderr,
+        "in_gap": math.isnan(beta), "message": "in gap, locally constant IDS"
+        if math.isnan(beta) else "ok"} for E0, beta, stderr in zip(
+            cfg.energies, betas.tolist(), stderrs.tolist())]})
 
 
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
@@ -684,8 +682,8 @@ class _Subcommand(NamedTuple):
     plan: Callable[[ExperimentConfig], _Plan]
 
 
-def _per_energy(prefix: str, param: str = "E") -> Callable[..., _Plan]:
-    return lambda cfg: [(f"{prefix}[{param}={E:.6g}]", {param: E})
+def _per_energy(prefix: str) -> Callable[..., _Plan]:
+    return lambda cfg: [(f"{prefix}[E={E:.6g}]", {"E": E})
                         for E in cfg.energies]
 
 
@@ -750,7 +748,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
     "holder": _Subcommand(
         {"holder.csv": ["E0", "n", "beta", "beta_stderr", "in_gap",
                         "message"]},
-        _task_holder, _per_energy("holder", "E0")),
+        _task_holder, lambda cfg: [("holder[all]", {})]),
     "strata": _Subcommand(
         {"strata.csv": ["E", "L0", "kappa", "residual", "non_affine",
                         "in_spectrum", "label"]},
@@ -778,11 +776,10 @@ _REGISTRY: Dict[str, _Subcommand] = {
 SUBCOMMANDS = tuple(_REGISTRY)
 
 
-def _run_task(packed):
-    subcommand, raw, key, params = packed
+def _run_task(subcommand: str, cfg: ExperimentConfig, key: str,
+              params: Dict[str, Any]):
     t0 = time.perf_counter()
     try:
-        cfg = ExperimentConfig.from_raw(raw)
         spec = _REGISTRY[subcommand]
         payload = spec.task(cfg, **params)
         for fname, rows in payload["tables"].items():
@@ -803,6 +800,20 @@ def _run_task(packed):
     except Exception as exc:  # sibling tasks keep running; manifest records it
         msg = f"{type(exc).__name__}: {exc}"
         return key, "failed", _payload(), msg, time.perf_counter() - t0
+
+
+_WORKER: Tuple[Any, ...] = ()  # a pool worker's (subcommand, typed config)
+
+
+def _init_worker(subcommand: str, cfg: ExperimentConfig) -> None:
+    """Each pool worker receives the config once, when it starts, so that
+    a work item is only a (task key, task params) pair."""
+    global _WORKER
+    _WORKER = (subcommand, cfg)
+
+
+def _worker_task(item: Tuple[str, Dict[str, Any]]):
+    return _run_task(*_WORKER, *item)
 
 
 # ----------------------------------------------------------------------
@@ -882,16 +893,16 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
                                   "seconds": 0.0, "error": ""}
                                  for key, _ in plan), ())
 
-    packed = [(subcommand, cfg.raw, key, params) for key, params in plan]
-    if threads > 1 and len(packed) > 1:
+    if threads > 1 and len(plan) > 1:
         from concurrent.futures import ProcessPoolExecutor
         # under the fork start method every worker is forked up front,
         # so ask for no more workers than there are tasks
-        workers = min(threads, len(packed))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, packed))
+        workers = min(threads, len(plan))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(subcommand, cfg)) as pool:
+            results = list(pool.map(_worker_task, plan))
     else:
-        results = [_run_task(p) for p in packed]
+        results = [_run_task(subcommand, cfg, *task) for task in plan]
 
     os.makedirs(target, exist_ok=True)
     tables: Dict[str, List[dict]] = {f: [] for f in spec.tables}

@@ -131,6 +131,8 @@ class ScaledLaurentPoly(NamedTuple):
         """
         ks = np.arange(self.lo, self.hi + 1, dtype=np.float64)
         mag = np.abs(self.coeffs)
+        if not np.any(mag):  # the zero polynomial
+            return np.full(m, -np.inf)
         safe = np.maximum(mag, 1e-300)
         expo = ks * math.log(radius) + np.where(mag > 0, np.log(safe), -np.inf)
         S = float(np.max(expo))
@@ -233,7 +235,8 @@ def det_family(
     for mult in symbols:
         cur = np.convolve(mult, prev)
         cur[2 * k0:len(cur) - 2 * k0] -= prev2
-        e = int(np.frexp(np.max(np.abs(cur)))[1])
+        # >= -1022: a D_j below 2^-1023 (subnormal E - f) leaves D_{j-1} finite
+        e = max(int(np.frexp(np.max(np.abs(cur)))[1]), -1022)
         prev2, prev, exponent = prev * 2.0 ** -e, cur * 2.0 ** -e, exponent + e
     prev.setflags(write=False)
     poly = (ScaledLaurentPoly(-k0 * n, prev, exponent * math.log(2.0))

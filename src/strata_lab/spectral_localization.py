@@ -255,37 +255,38 @@ def check_delta_ladder(delta_ladder: Sequence[float], n: int) -> np.ndarray:
 def holder_exponent(
     potential: Potential,
     alpha: float,
-    E0: float,
+    E0,
     delta_ladder: Sequence[float],
     n: int,
     theta_samples: int,
-) -> Tuple[float, float]:
-    """Hoelder exponent of the IDS at E0 from a ladder of increments;
-    returns (beta, beta_stderr), the slope and its standard error.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hoelder exponents of the IDS at the energies E0 from a ladder of
+    increments; returns (betas, beta_stderrs), the slopes and their standard
+    errors, each of E0's shape.
 
-    Fits log(k(E0+delta) - k(E0-delta)) against log delta.  Symmetric
+    Fits log(k(E0+delta) - k(E0-delta)) against log delta, one fit per E0,
+    on the values of one `ids` call over every E0 +- delta.  Symmetric
     increments cancel the odd part of the finite-volume error.  The ladder
     must pass `check_delta_ladder`.  A vanishing increment at the smallest
     half-width means the IDS is locally constant: a gap, not fitted, and
     reported as (nan, nan), the only NaN returned.
     """
     deltas = check_delta_ladder(delta_ladder, n)
-    Es = np.concatenate([E0 + deltas, E0 - deltas])
+    E0 = np.asarray(E0, dtype=np.float64)
+    Es = np.concatenate([E0[..., None] + deltas, E0[..., None] - deltas], -1)
     vals = ids(potential, alpha, Es, n, theta_samples)[0]
-    inc = vals[:deltas.size] - vals[deltas.size:]
-
-    if inc[0] <= 0.0:
-        return math.nan, math.nan
-
-    x = np.log(deltas)
-    y = np.log(inc)
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    dof = max(len(x) - 2, 1)
-    s2 = float(np.sum(resid ** 2)) / dof
-    denom = float(np.sum((x - np.mean(x)) ** 2))
-    stderr = math.sqrt(s2 / denom) if denom > 0 else math.inf
-    return float(coef[0]), stderr
+    incs = vals[..., :deltas.size] - vals[..., deltas.size:]
+    x = np.log(deltas)  # three or more rungs over two decades: not constant
+    betas, stderrs = np.full(E0.shape, math.nan), np.full(E0.shape, math.nan)
+    for i in np.ndindex(E0.shape):
+        if incs[i][0] > 0.0:  # else a gap
+            y = np.log(incs[i])
+            coef = np.polyfit(x, y, 1)
+            resid = y - np.polyval(coef, x)
+            s2 = float(np.sum(resid ** 2)) / (x.size - 2)
+            betas[i] = coef[0]
+            stderrs[i] = math.sqrt(s2 / float(np.sum((x - np.mean(x)) ** 2)))
+    return betas, stderrs
 
 
 # ----------------------------------------------------------------------

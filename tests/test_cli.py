@@ -36,6 +36,7 @@ def read_rows(path):
     {"eps": 0.6},                              # reaches outside the strip
     {"eps_grid": [0.05]},
     {"eps_grid": [-0.01, 0.05]},
+    {"eps_grid": [0.0, 1e-200]},               # the slope fit broke down
     {"alpha": "bogus"},
     {"potential": "cos(2)"},
     {"energies": {"start": 0.0, "stop": 1.0, "qty": 3}},
@@ -224,8 +225,9 @@ def test_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
     asked = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             asked.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -241,6 +243,54 @@ def test_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
               out_dir=str(tmp_path), threads=64)
     assert [t["status"] for t in man.tasks] == ["ok", "ok"]
     assert asked == [2]
+
+
+def test_a_run_types_its_config_once(tmp_path, monkeypatch):
+    # each task reads the typed config of the run; none parses it again
+    parse, calls = ExperimentConfig.from_raw.__func__, []
+
+    def counted(cls, raw):
+        calls.append(raw)
+        return parse(cls, raw)
+
+    monkeypatch.setattr(ExperimentConfig, "from_raw", classmethod(counted))
+    man = run("zeros", config={"energies": {"start": -3, "stop": 3,
+                                            "count": 100},
+                               "n_ladder": [2, 3]},
+              out_dir=str(tmp_path), threads=1)
+    assert len(man.tasks) == 200
+    assert {t["status"] for t in man.tasks} == {"ok"}
+    assert len(calls) == 1
+
+
+def test_pool_work_items_stay_small(tmp_path, monkeypatch):
+    # each worker receives the typed config once; a work item is a task key
+    # and its params, whatever the size of the config
+    import concurrent.futures
+    import pickle
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.initargs = initargs
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            for item in items:
+                sizes.append(len(pickle.dumps((fn, item))))
+                yield item[0], "skipped", {"tables": {}, "json": {}}, "", 0.0
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    energies = np.linspace(-3.0, 3.0, 10 ** 4).tolist()
+    man = run("zeros", config={"energies": energies, "n_ladder": [8]},
+              out_dir=str(tmp_path), threads=2)
+    assert len(man.tasks) == len(sizes) == 10 ** 4
+    assert max(sizes) < 1000
 
 
 def test_config_accepts_the_minimums():

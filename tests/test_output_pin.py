@@ -90,7 +90,7 @@ TASKS = {
     "green": ["green[suite]"],
     "riesz": ["riesz[E=0.5]", "riesz[E=1.5]"],
     "ids": ["ids[all]"],
-    "holder": ["holder[E0=0.5]", "holder[E0=1.5]"],
+    "holder": ["holder[all]"],
     "strata": ["strata[all]"],
     "ldt": ["ldt[E=0.5]", "ldt[E=1.5]"],
     "localize": ["localize[all]"],
@@ -184,7 +184,7 @@ TASKS_DEFAULT = {
     "verify-acc-zeros": ["verify[E=0.5]"],
     "green": ["green[suite]"],
     "ids": ["ids[all]"],
-    "holder": ["holder[E0=0.5]"],
+    "holder": ["holder[all]"],
     "ldt": ["ldt[E=0.5]"],
     "riesz": ["riesz[E=0.5]"],
     "localize": ["localize[all]"],

@@ -248,12 +248,24 @@ def test_holder_reports_spectral_gap(amo2, golden):
     beta, beta_stderr = holder_exponent(amo2, golden, 1.5, ladder, 1000, 8)
     assert math.isnan(beta) and math.isnan(beta_stderr)   # in gap
     # the holder task names the gap in its row
-    cfg = ExperimentConfig.from_raw({"holder": {"n": 1000,
-                                                "delta_ladder": ladder}})
-    row, = _task_holder(cfg, 1.5)["tables"]["holder.csv"]
+    cfg = ExperimentConfig.from_raw({"energies": [1.5], "holder": {
+        "n": 1000, "delta_ladder": ladder}})
+    row, = _task_holder(cfg)["tables"]["holder.csv"]
     assert row["in_gap"]
     assert row["message"] == "in gap, locally constant IDS"
     assert math.isnan(row["beta"])
+
+
+def test_holder_batch_equals_one_call_per_energy(amo2, golden):
+    # one ids call over every E0 +- delta serves each fit bit for bit
+    ladder = list(np.geomspace(1e-3, 1e-1, 5))
+    E0s = np.array([[-2.1, 0.5], [1.5, 0.1234]])
+    betas, stderrs = holder_exponent(amo2, golden, E0s, ladder, 500, 4)
+    assert betas.shape == stderrs.shape == E0s.shape
+    for E0, beta, stderr in zip(E0s.ravel(), betas.ravel(), stderrs.ravel()):
+        one = holder_exponent(amo2, golden, E0, ladder, 500, 4)
+        np.testing.assert_array_equal(one, (beta, stderr))
+    assert math.isnan(betas[1, 0]) and not np.isnan(betas[0, 1])
 
 
 def test_holder_positive_at_spectrum_point(amo2, golden):
