@@ -21,7 +21,7 @@ from typing import Callable, List, NamedTuple, Tuple
 import numpy as np
 
 from .model import GOLDEN_MEAN, Potential
-from .cocycle import lyapunov_n
+from .cocycle import line_fit, lyapunov_n
 from .determinant import det_family
 from .spectral_localization import (
     dirichlet_eigenvalues,
@@ -183,7 +183,7 @@ def _c10_convergence_rate() -> Tuple[bool, str]:
     ns = [100, 200, 400, 800, 1600]
     L = dict(zip(ns, lyapunov_n(_AMO2, _ALPHA, 0.5, ns, 0.0, 8192)[0]))
     diffs = [abs(L[n] - L[2 * n]) for n in ns[:-1]]
-    slope = float(np.polyfit(np.log(ns[:-1]), np.log(diffs), 1)[0])
+    slope = line_fit(np.log(ns[:-1]), np.log(diffs))[0]
     return slope <= -0.8, f"log-log slope {slope:.3f}"
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
 import sys
 import time
+import zlib
 from datetime import datetime, timezone
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .model import GOLDEN_MEAN, Potential
 from .cocycle import (_check_symbol_range, acceleration, classify_stratum,
-                      lyapunov_n)
+                      line_fit, lyapunov_n)
 from .determinant import det_family
 from .spectral_localization import (
     check_delta_ladder,
@@ -300,11 +300,11 @@ class ExperimentConfig(SimpleNamespace):
 
 
 def config_hash(raw: Dict[str, Any]) -> str:
-    """Hash of the resolved config, minus the output location."""
+    """CRC-32 of the resolved config minus the output location: a run label."""
     resolved = _merge(_DEFAULTS, raw)
     items = {k: v for k, v in resolved.items() if k != "out_dir"}
     blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
 
 # ----------------------------------------------------------------------
@@ -378,18 +378,11 @@ def _fit_segments(eps: np.ndarray, L: np.ndarray) -> np.ndarray:
     labels = np.zeros(m, dtype=int)
     if m < 5:
         return labels
-    def ssr(sl):
-        c = np.polyfit(eps[sl], L[sl], 1)
-        r = L[sl] - np.polyval(c, eps[sl])
-        return float(np.dot(r, r))
-    one = ssr(slice(None))
-    best_k, best = -1, one
-    for k in range(2, m - 1):
-        tot = ssr(slice(0, k)) + ssr(slice(k, m))
-        if tot < best:
-            best_k, best = k, tot
-    if best_k >= 0 and best < 0.25 * one:
-        labels[best_k:] = 1
+    ssr = [line_fit(eps[:k], L[:k])[2] + line_fit(eps[k:], L[k:])[2]
+           for k in range(2, m - 1)]
+    k = 2 + int(np.argmin(ssr))  # the first best cut
+    if ssr[k - 2] < 0.25 * line_fit(eps, L)[2]:
+        labels[k:] = 1
     return labels
 
 
@@ -410,7 +403,7 @@ def _task_acceleration(cfg: ExperimentConfig) -> Dict[str, Any]:
         segments = []
         for s in sorted(set(labels.tolist())):
             sel = labels == s
-            slope = float(np.polyfit(eps[sel], L[sel], 1)[0]) / TWO_PI
+            slope = line_fit(eps[sel], L[sel])[0] / TWO_PI
             segments.append({
                 "E": E, "segment": int(s),
                 "eps_min": float(eps[sel].min()),
@@ -697,6 +690,12 @@ def _plan_zeros(cfg: ExperimentConfig) -> _Plan:
             for E in cfg.energies for n in cfg.n_ladder]
 
 
+def _plan_verify(cfg: ExperimentConfig) -> _Plan:
+    if cfg.eps < 1e-6:  # the slope window [0.2 eps, 1.2 eps] spans eps
+        raise ConfigError("verify-acc-zeros needs eps >= 1e-6 to fit a slope")
+    return _per_energy("verify")(cfg)
+
+
 def _plan_ldt(cfg: ExperimentConfig) -> _Plan:
     return [(f"ldt[E={E:.6g}]", {"E": E, "seed": cfg.seed + i,
                                  "geom_name": f"ldt_geometry_{i}.json"})
@@ -730,7 +729,7 @@ _REGISTRY: Dict[str, _Subcommand] = {
         {"verify_acc_zeros.csv": ["E", "eps", "kappa", "L0", "n", "count",
                                   "ratio_per_2n", "deviation",
                                   "decay_exponent", "boundary_clear"]},
-        _task_verify, _per_energy("verify")),
+        _task_verify, _plan_verify),
     "green": _Subcommand(
         {"green_suite.csv": ["check", "samples", "max_abs_err", "tol",
                              "passed"]},

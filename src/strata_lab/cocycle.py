@@ -232,6 +232,16 @@ def lyapunov_n(
 # acceleration and strata
 # ----------------------------------------------------------------------
 
+def line_fit(x, y) -> Tuple[float, float, float]:
+    """Least-squares (slope, intercept, residual sum of squares) of y on x."""
+    dx, dy = (np.asarray(v, dtype=float) - np.mean(v) for v in (x, y))
+    if not np.dot(dx, dx) > 0.0:
+        raise ValueError("line fit needs abscissae that spread")
+    slope = float(np.dot(dx, dy) / np.dot(dx, dx))
+    r = dy - slope * dx
+    return slope, float(np.mean(y) - slope * np.mean(x)), float(np.dot(r, r))
+
+
 class AccelerationEstimate(NamedTuple):
     """Slope of eps -> L(E, eps) over a window, in units of 2 pi.
 
@@ -272,7 +282,7 @@ def acceleration(
     out = []
     for L_vals in lyapunov_n(potential, alpha, np.reshape(E, -1), n,
                              eps_grid, K)[0].tolist():
-        slope = float(np.polyfit(eps_grid, L_vals, 1)[0]) / TWO_PI
+        slope = line_fit(eps_grid, L_vals)[0] / TWO_PI
         kappa = int(round(slope))
         out.append(AccelerationEstimate(
             L_values=tuple(L_vals), raw_slope=slope, kappa=kappa,

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import Potential
-from .cocycle import TAU_POS, lyapunov_n
+from .cocycle import TAU_POS, line_fit, lyapunov_n
 from .determinant import det_at_phase, det_family
 
 # pivot floor for the inertia recurrence; a pivot this small is treated as
@@ -180,9 +180,8 @@ def _side_fit(dist: np.ndarray, logs: np.ndarray):
     log|phi| against `dist`, the distance from the peak, on one side."""
     if len(dist) < 5:
         return math.nan, math.nan, 0
-    coef = np.polyfit(dist, logs, 1)
-    resid = logs - np.polyval(coef, dist)
-    return -float(coef[0]), float(np.sqrt(np.mean(resid ** 2))), len(dist)
+    slope, _, ssr = line_fit(dist, logs)
+    return -slope, math.sqrt(ssr / len(dist)), len(dist)
 
 
 def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
@@ -277,15 +276,12 @@ def holder_exponent(
     vals = ids(potential, alpha, Es, n, theta_samples)[0]
     incs = vals[..., :deltas.size] - vals[..., deltas.size:]
     x = np.log(deltas)  # three or more rungs over two decades: not constant
+    sxx = float(np.sum((x - np.mean(x)) ** 2))
     betas, stderrs = np.full(E0.shape, math.nan), np.full(E0.shape, math.nan)
     for i in np.ndindex(E0.shape):
         if incs[i][0] > 0.0:  # else a gap
-            y = np.log(incs[i])
-            coef = np.polyfit(x, y, 1)
-            resid = y - np.polyval(coef, x)
-            s2 = float(np.sum(resid ** 2)) / (x.size - 2)
-            betas[i] = coef[0]
-            stderrs[i] = math.sqrt(s2 / float(np.sum((x - np.mean(x)) ** 2)))
+            betas[i], _, ssr = line_fit(x, np.log(incs[i]))
+            stderrs[i] = math.sqrt(ssr / (x.size - 2) / sxx)
     return betas, stderrs
 
 
@@ -346,6 +342,8 @@ def deviation_set(
         raise ValueError("grid must have at least 64 n points")
 
     fam = det_family(potential, alpha, E, n)
+    if fam.poly.is_zero:
+        raise ValueError("determinant is identically zero")
     u = fam.poly.eval_circle_log(1.0, grid_size) / fam.n
     L = lyapunov_n(potential, alpha, E, n, 0.0, K=lyapunov_K)[0]
     level = L - threshold

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cocycle import TAU_POS, acceleration, lyapunov_n
+from .cocycle import TAU_POS, acceleration, line_fit, lyapunov_n
 from .determinant import DeterminantFamily, _horner_pair, det_family
 from .model import TWO_PI, Potential
 
@@ -273,9 +273,11 @@ def clearest_eps(coords: np.ndarray, lo: float, hi: float) -> float:
     """
     if len(coords) == 0:
         return float(0.5 * (lo + hi))
-    ends = np.concatenate([[lo], np.sort(coords[(coords > lo) & (coords < hi)]), [hi]])
+    s = np.concatenate([[-np.inf], np.sort(coords), [np.inf]])
+    ends = np.concatenate([[lo], s[(s > lo) & (s < hi)], [hi]])
     cands = np.concatenate([[lo, hi], 0.5 * (ends[:-1] + ends[1:])])
-    d = np.min(np.abs(cands[:, None] - coords[None, :]), axis=1)
+    k = np.searchsorted(s, cands)   # s[k - 1] < cand <= s[k]
+    d = np.minimum(cands - s[k - 1], s[k] - cands)
     return float(cands[int(np.argmax(d))])
 
 
@@ -714,8 +716,7 @@ def zero_count_vs_acceleration(
 
     decay = None
     if all(d > 0 for d in devs) and len(devs) >= 2:
-        fit = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(devs), 1)
-        decay = float(-fit[0])
+        decay = -line_fit(np.log(ns), np.log(devs))[0]
 
     return ZeroCountReport(
         kappa=kappa, L0=float(L0), counts=tuple(counts),

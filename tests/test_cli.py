@@ -218,6 +218,22 @@ def test_task_cap_counts_the_zeros_plan_only(tmp_path, capsys):
     capsys.readouterr()  # the 50,001 planned keys
 
 
+def test_verify_plan_refuses_an_eps_its_slope_window_cannot_resolve(
+        tmp_path, capsys):
+    # the count window [0.2 eps, 1.2 eps] spans eps, below eps_grid's
+    # least span of 1e-6; no task runs and no file is written
+    raw = {"eps": 1e-200, "n": 32, "n_ladder": [20]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["verify-acc-zeros", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "eps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the other subcommands keep serving such an eps
+    man = run("zeros", config=raw, out_dir=str(tmp_path), dry_run=True)
+    assert [t["key"] for t in man.tasks] == ["zeros[E=0.5,n=20]"]
+
+
 def test_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
     # a stand-in pool that records its size and runs the tasks in this
     # process, so no worker is ever forked
@@ -572,6 +588,14 @@ def test_ldt_scan_without_arcs_leaves_clear_empty(tmp_path):
     assert [row[scans[0].index("clear")] for row in scans[1:]] == [""] * 20
 
 
+def test_ldt_names_a_vanishing_determinant(tmp_path):
+    # D_5 of the free box vanishes identically at E = 0
+    man = run("ldt", config={"potential": "zero", "energies": [0.0], "n": 5},
+              out_dir=str(tmp_path))
+    assert [(t["status"], t["error"]) for t in man.tasks] == [
+        ("skipped", "determinant is identically zero")]
+
+
 def test_ldt_lyapunov_value_follows_the_quadrature_key(tmp_path):
     values = []
     for K in (64, 1024):
@@ -651,16 +675,21 @@ def test_free_zeros_at_a_dirichlet_eigenvalue_are_served(tmp_path):
 def test_light_subcommands_never_load_scipy(tmp_path):
     # box eigenvalues come from multisection on the Sturm counts and
     # eigenvectors from the same LDL^T pivots: no subcommand, localize
-    # included, and no acceptance gate loads scipy
+    # included, and no acceptance gate loads scipy.  The config label is a
+    # CRC-32, so no subcommand loads OpenSSL either, except through
+    # numpy.random, which imports `secrets`: green and ldt draw samples
+    # and run last
     script = f"""
 import sys
 import strata_lab.acceptance
 from strata_lab.cli_harness import SUBCOMMANDS, run
 small = dict({SMALL!r}, localize={{"n": 500, "count": 1}})
-for sub in SUBCOMMANDS:
-    if sub != "all":
-        assert run(sub, config=small,
-                   out_dir={str(tmp_path)!r} + "/" + sub).ok, sub
+samplers = ["green", "ldt"]
+for sub in [s for s in SUBCOMMANDS if s not in samplers + ["all"]] + samplers:
+    if sub == samplers[0]:
+        assert "_hashlib" not in sys.modules, sorted(sys.modules)
+    assert run(sub, config=small,
+               out_dir={str(tmp_path)!r} + "/" + sub).ok, sub
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules
                                           if m.startswith("scipy"))
 """
@@ -670,9 +699,11 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     # the gates run in the `all` subcommand; none of the package's source
-    # names scipy, so no gate can import it either
-    assert not [p.name for p in (src / "strata_lab").glob("*.py")
-                if "scipy" in p.read_text(encoding="utf-8")]
+    # names scipy, so no gate can import it either; nor hashlib, nor the
+    # LAPACK line fit and its residuals
+    assert not [(p.name, word) for p in (src / "strata_lab").glob("*.py")
+                for word in ("scipy", "hashlib", "polyfit", "polyval")
+                if word in p.read_text(encoding="utf-8")]
 
 
 # ------------------------------------------------------------------ main

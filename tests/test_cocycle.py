@@ -5,6 +5,7 @@ import pytest
 
 from strata_lab import (Potential, acceleration, classify_stratum,
                         lyapunov_n, transfer_log_norms)
+from strata_lab.cocycle import line_fit
 
 LOG2 = math.log(2.0)
 
@@ -90,3 +91,34 @@ def test_acceleration_validation(amo2, golden):
 def test_stratum_labels(kwargs, label):
     full = {"non_affine": False, "in_spectrum": True, **kwargs}
     assert classify_stratum(**full) == label
+
+
+# ---------------------------------------------------------------- line fit
+
+def test_line_fit_is_exact_on_collinear_points():
+    slope, intercept, ssr = line_fit([0.0, 1.0, 2.0, 4.0], [1.0, 3.0, 5.0, 9.0])
+    assert (slope, intercept, ssr) == (2.0, 1.0, 0.0)
+
+
+def test_line_fit_agrees_with_polyfit():
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        m = int(rng.integers(2, 40))
+        x = rng.uniform(-3.0, 3.0, m) * 10.0 ** rng.uniform(-4, 4)
+        y = rng.standard_normal() * x + rng.standard_normal(m)
+        slope, intercept, ssr = line_fit(x, y)
+        coef = np.polyfit(x, y, 1)  # the LAPACK least squares, as oracle
+        resid = y - np.polyval(coef, x)
+        scale = max(abs(coef[0]) * np.max(np.abs(x)), np.max(np.abs(y)))
+        assert slope == pytest.approx(coef[0], rel=1e-12,
+                                      abs=1e-12 * scale / np.ptp(x))
+        assert intercept == pytest.approx(coef[1], rel=1e-12, abs=1e-12 * scale)
+        assert ssr == pytest.approx(float(resid @ resid), rel=1e-9,
+                                    abs=1e-24 * m * scale ** 2)
+
+
+def test_line_fit_refuses_abscissae_that_do_not_spread():
+    with pytest.raises(ValueError, match="spread"):
+        line_fit([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="spread"):
+        line_fit([1.0], [1.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,51 @@ def test_clearest_eps_avoids_coordinates():
     assert 0.01 <= out <= 0.03
     assert abs(out - 0.02) >= 0.0099
     assert clearest_eps(np.array([]), 0.01, 0.03) == pytest.approx(0.02)
+
+
+def _clearest_eps_oracle(coords, lo, hi):
+    """Every candidate against every coordinate: the m x m formula."""
+    if len(coords) == 0:
+        return float(0.5 * (lo + hi))
+    ends = np.concatenate([[lo], np.sort(coords[(coords > lo) & (coords < hi)]),
+                           [hi]])
+    cands = np.concatenate([[lo, hi], 0.5 * (ends[:-1] + ends[1:])])
+    d = np.min(np.abs(cands[:, None] - coords[None, :]), axis=1)
+    return float(cands[int(np.argmax(d))])
+
+
+def test_clearest_eps_matches_the_all_pairs_oracle():
+    # duplicates, coordinates outside [lo, hi], coordinates on its ends,
+    # rounded draws with tied gaps, an empty window (hi < lo) and one
+    # coordinate; the same floats, so the same argmax and the same ties
+    rng = np.random.default_rng(30)
+    for _ in range(3000):
+        lo = float(rng.uniform(-1.0, 1.0))
+        hi = lo + float(rng.uniform(-0.2, 1.0))
+        coords = rng.uniform(lo - 0.5, hi + 0.5, int(rng.integers(1, 12)))
+        if rng.random() < 0.5:
+            coords = np.concatenate([coords, rng.choice(coords, 3)])
+        if rng.random() < 0.3:
+            coords, lo, hi = np.round(coords, 1), round(lo, 1), round(hi, 1)
+        if rng.random() < 0.2:
+            coords = np.concatenate([coords, [lo, hi]])
+        assert clearest_eps(coords, lo, hi) == _clearest_eps_oracle(
+            coords, lo, hi), (coords, lo, hi)
+    for coords in (np.array([0.5]), np.array([0.0]), np.array([2.0])):
+        assert clearest_eps(coords, 0.0, 1.0) == _clearest_eps_oracle(
+            coords, 0.0, 1.0)
+
+
+def test_clearest_eps_memory_is_linear_in_the_coordinates():
+    # an all-pairs distance matrix on 4,000 coordinates would take 128 MB
+    coords = np.random.default_rng(31).uniform(0.0, 1.0, 4000)
+    tracemalloc.start()
+    try:
+        clearest_eps(coords, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 # ---------------------------------------------------------------- green
