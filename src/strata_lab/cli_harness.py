@@ -33,7 +33,6 @@ from .cocycle import (_check_symbol_range, acceleration, classify_stratum,
                       line_fit, lyapunov_n)
 from .determinant import det_family
 from .spectral_localization import (
-    check_delta_ladder,
     deviation_set,
     dirichlet_eigenvalues,
     eigenfunction_decay,
@@ -45,7 +44,6 @@ from .spectral_localization import (
     tail_window,
 )
 from .zeros_potential import (
-    check_green_range,
     clearest_eps,
     circle_average_green,
     count_annulus,
@@ -135,12 +133,12 @@ def _parse_potential(spec) -> Potential:
             if bad:
                 raise ConfigError(f"unknown keys {sorted(bad)} in potential")
             # each [k, re, im] and eta by the number rule of every other key
-            return Potential.from_dict({
-                "coeffs": [(_typed(k, int, "potential.coeffs k"),
-                            _typed(re, float, "potential.coeffs re"),
-                            _typed(im, float, "potential.coeffs im"))
-                           for k, re, im in spec["coeffs"]],
-                "eta": _typed(spec.get("eta", 0.5), float, "potential.eta")})
+            return Potential(
+                {_typed(k, int, "potential.coeffs k"):
+                 complex(_typed(re, float, "potential.coeffs re"),
+                         _typed(im, float, "potential.coeffs im"))
+                 for k, re, im in spec["coeffs"]},
+                eta=_typed(spec.get("eta", 0.5), float, "potential.eta"))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
     raise ConfigError("potential must be a preset string or a coeffs dict")
@@ -157,13 +155,23 @@ def _parse_alpha(spec) -> float:
     return a
 
 
+# Fixtures of the lab's checks, not parameters of the paper: the riesz
+# annulus and flux-circle half-widths (R_EPS inside green_annulus's range),
+# the Jensen radii, the holder ladder of IDS half-widths and the box phases
+_R_EPS, _EPS_R, _JENSEN_RADII = 0.05, 0.02, (0.01, 0.04)
+_DELTA_LADDER = (1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3, 2.15443469e-3,
+                 4.64158883e-3, 1e-2)
+_LOCALIZE_THETA, _SPECTRUM_THETA = 0.0, 0.123
+# the least box with the ladder's smallest rung above its resolution 10/n^2
+_HOLDER_MIN_N = math.ceil(math.sqrt(10.0 / _DELTA_LADDER[0]))
+
 # The config schema, each key once: key -> (default, kind, least value), a
 # nested dict being a section.  A kind is int or float (typed by _typed),
-# "phase" (a float in [0, 1)), [int] or [float] (a non-empty, strictly
-# increasing list), (float,) (a non-empty list in any order), or a function
-# that parses the value itself.  The least value bounds a number or each
-# entry of a list: below it a task would fail late, serve NaN or plan
-# nothing.  A key whose default is None also takes null.
+# [int] or [float] (a non-empty, strictly increasing list), (float,) (a
+# non-empty list in any order), or a function that parses the value itself.
+# The least value bounds a number or each entry of a list: below it a task
+# would fail late, serve NaN or plan nothing.  A key whose default is None
+# also takes null.
 _CONFIG_TABLE: Dict[str, Any] = {
     "potential": ("amo(2.0)", _parse_potential, None),
     "alpha": ("golden", _parse_alpha, None),
@@ -177,20 +185,12 @@ _CONFIG_TABLE: Dict[str, Any] = {
     "quadrature": {"K": (256, int, 1), "lyapunov_K": (1024, int, 1)},
     "ids": {"n": (2000, int, 100),          # IDS estimates
             "samples": (8, int, 1)},
-    "holder": {"n": (2000, int, 100),       # the holder fit runs IDS estimates
-               "delta_ladder": ([1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3,
-                                 2.15443469e-3, 4.64158883e-3, 1e-2],
-                                (float,), None)},
+    "holder": {"n": (2000, int, _HOLDER_MIN_N)},
     "ldt": {"threshold": (None, float, None), "grid_per_n": (64, int, 64),
             "scan_count": (20, int, 0)},
-    "localize": {"n": (1000, int, 500),     # decay diagnostics
-                 "theta": (0.0, "phase", None), "count": (10, int, 1)},
-    "riesz": {"R_eps": (0.05, float, None), "eps_r": (0.02, float, None),
-              "n_angles": (256, int, 1),
-              "jensen_radii": ([0.01, 0.04], [float], None),
-              "K": (4096, int, 1)},
-    "strata": {"spectrum_box": (300, int, 1),
-               "spectrum_theta": (0.123, "phase", None)},
+    "localize": {"n": (1000, int, 500), "count": (10, int, 1)},
+    "riesz": {"n_angles": (256, int, 1), "K": (4096, int, 1)},
+    "strata": {"spectrum_box": (300, int, 1)},
 }
 
 
@@ -221,13 +221,9 @@ def _value(value, kind, least, key: str):
         if isinstance(kind, list) and any(b <= a for a, b in zip(out, out[1:])):
             raise ConfigError(f"{key} must be strictly increasing")
         return out
-    if kind not in (int, float, "phase"):
+    if kind not in (int, float):
         return kind(value)
-    out = _typed(value, int if kind is int else float, key)
-    # a phase is refused outside [0, 1) like alpha: at a huge phase
-    # theta + j alpha rounds to theta, a constant box potential
-    if kind == "phase" and not 0.0 <= out < 1.0:
-        raise ConfigError(f"{key} must lie in [0, 1)")
+    out = _typed(value, kind, key)
     if least is not None and out < least:
         raise ConfigError(f"{key} must be >= {least}")
     return out
@@ -263,12 +259,7 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError("eps_grid must span at least 1e-6")
     if len(c.n_ladder) > _MAX_LADDER:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
-    if c.riesz.eps_r <= 0:
-        raise ConfigError("riesz.eps_r must be positive")
-    if c.riesz.R_eps <= 0:
-        raise ConfigError("riesz.R_eps must be positive")
-    reach = max(max(c.eps_grid), c.riesz.R_eps,
-                window_reach(c.eps, c.riesz.eps_r))
+    reach = max(max(c.eps_grid), _R_EPS, window_reach(c.eps, _EPS_R))
     if reach >= c.potential.eta:
         raise ConfigError(
             f"strip half-widths reach {reach} but the potential is "
@@ -277,15 +268,8 @@ def _check_rules(c: ExperimentConfig) -> None:
         _check_symbol_range(c.potential, reach)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    jr = c.riesz.jensen_radii
-    if len(jr) != 2 or not 0 < jr[0] < jr[1] < c.riesz.R_eps:
-        raise ConfigError("riesz.jensen_radii must be 0 < r1 < r2 < R_eps")
     if c.localize.count > c.localize.n:  # indices past the box
         raise ConfigError("localize.count must be <= localize.n")
-    try:
-        check_delta_ladder(c.holder.delta_ladder, c.holder.n)
-    except ValueError as exc:
-        raise ConfigError(f"holder: {exc}") from exc
 
 
 class ExperimentConfig(SimpleNamespace):
@@ -458,11 +442,7 @@ def _task_verify(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 
 
 def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
-    R = math.exp(TWO_PI * cfg.riesz.R_eps)
-    try:
-        check_green_range(R)    # refuse an annulus the kernel cannot serve
-    except ValueError as exc:
-        raise _Precondition(str(exc)) from exc
+    R = math.exp(TWO_PI * _R_EPS)
     samples = 100
     rng = np.random.default_rng(seed)
     lr = math.log(R)
@@ -501,11 +481,9 @@ def _task_green(cfg: ExperimentConfig, seed: int) -> Dict[str, Any]:
 
 def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     sec = cfg.riesz
-    R_eps = sec.R_eps
-    R = math.exp(TWO_PI * R_eps)
+    R = math.exp(TWO_PI * _R_EPS)
     try:
-        check_green_range(R)    # refuse an annulus the kernel cannot serve
-        kappa = riesz_kappa(cfg.potential, cfg.alpha, E, sec.eps_r,
+        kappa = riesz_kappa(cfg.potential, cfg.alpha, E, _EPS_R,
                             kappa_n=cfg.n, kappa_K=cfg.quadrature.K)
     except ValueError as exc:
         raise _Precondition(str(exc)) from exc
@@ -513,23 +491,23 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
     inv = find_zeros(fam)
     boundary_max_dev, mean_value_max_resid, h_min, h_max = riesz_decompose(
         fam, inv, R, sec.n_angles)
-    L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, R_eps,
+    L_ref = lyapunov_n(cfg.potential, cfg.alpha, E, cfg.n, _R_EPS,
                        cfg.quadrature.lyapunov_K)[0]
     # nudge the comparison circles off any zero moduli before Jensen;
     # the identity wants radii, clearest_eps works in half-width coords
     coords = inv.eps_coords()
-    jr1, jr2 = sec.jensen_radii
+    jr1, jr2 = _JENSEN_RADII
     r1 = clearest_eps(coords, 0.5 * jr1, jr1)
-    r2 = clearest_eps(coords, jr2, min(1.5 * jr2, 0.9 * R_eps))
+    r2 = clearest_eps(coords, jr2, min(1.5 * jr2, 0.9 * _R_EPS))
     jres = jensen_identity_residual(fam, inv, math.exp(TWO_PI * r1),
                                     math.exp(TWO_PI * r2), K=sec.K)
-    mass_v, mass_u, count_ratio = riesz_mass(fam, inv, sec.eps_r, sec.K)
-    row = {"E": E, "n": cfg.n, "R_eps": R_eps,
+    mass_v, mass_u, count_ratio = riesz_mass(fam, inv, _EPS_R, sec.K)
+    row = {"E": E, "n": cfg.n, "R_eps": _R_EPS,
            "boundary_max_dev": boundary_max_dev,
            "mean_value_max_resid": mean_value_max_resid,
            "h_min": h_min, "h_max": h_max, "L_ref": L_ref,
            "jensen_r1": r1, "jensen_r2": r2, "jensen_residual": jres,
-           "eps_r": sec.eps_r, "mass_v": mass_v, "mass_u": mass_u,
+           "eps_r": _EPS_R, "mass_v": mass_v, "mass_u": mass_u,
            "count_ratio": count_ratio, "kappa": kappa,
            "dev_from_2kappa": abs(mass_v - 2.0 * kappa)}
     return _payload({"riesz.csv": _certified([row], (
@@ -547,7 +525,7 @@ def _task_ids(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 def _task_holder(cfg: ExperimentConfig) -> Dict[str, Any]:
     betas, stderrs = holder_exponent(cfg.potential, cfg.alpha, cfg.energies,
-                                     cfg.holder.delta_ladder, cfg.holder.n,
+                                     _DELTA_LADDER, cfg.holder.n,
                                      cfg.ids.samples)
     return _payload({"holder.csv": [{
         "E0": E0, "n": cfg.holder.n, "beta": beta, "beta_stderr": stderr,
@@ -557,14 +535,13 @@ def _task_holder(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 
 def _task_strata(cfg: ExperimentConfig) -> Dict[str, Any]:
-    sec = cfg.strata
     L0s = lyapunov_n(cfg.potential, cfg.alpha, cfg.energies, cfg.n, 0.0,
                      cfg.quadrature.lyapunov_K)[0].tolist()
     accs = acceleration(cfg.potential, cfg.alpha, cfg.energies, cfg.eps_grid,
                         n=cfg.n, K=cfg.quadrature.K)
-    box = sec.spectrum_box
+    box = cfg.strata.spectrum_box
     h = 10.0 / box  # in spectrum: a box eigenvalue lies in (E - h, E + h]
-    lo, hi = sturm_count(cfg.potential, cfg.alpha, sec.spectrum_theta,
+    lo, hi = sturm_count(cfg.potential, cfg.alpha, _SPECTRUM_THETA,
                          np.add.outer((-h, h), cfg.energies), box)
     rows = [{"E": E, "L0": L0, "kappa": acc.kappa, "residual": acc.residual,
              "non_affine": acc.non_affine, "in_spectrum": in_spec,
@@ -620,7 +597,7 @@ _WINDOW_MARGIN, _WINDOW_LEN = 8, 120
 
 def _task_localize(cfg: ExperimentConfig) -> Dict[str, Any]:
     sec = cfg.localize
-    n, theta, count, wlen = sec.n, sec.theta, sec.count, _WINDOW_LEN
+    n, theta, count, wlen = sec.n, _LOCALIZE_THETA, sec.count, _WINDOW_LEN
     indices = np.arange(count) + (n // 2 - count // 2)
     evs = dirichlet_eigenvalues(cfg.potential, cfg.alpha, theta, n, indices)
     srows, prows = [], []
@@ -854,8 +831,8 @@ def _load_config(config) -> Dict[str, Any]:
     with open(config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config JSON must be an object")
     return raw
@@ -894,9 +871,11 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
 
     if threads > 1 and len(plan) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # under the fork start method every worker is forked up front,
-        # so ask for no more workers than there are tasks
-        workers = min(threads, len(plan))
+        # under the fork start method every worker is forked up front, so
+        # ask for no more workers than there are tasks or usable cores
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = min(threads, len(plan), cores)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(subcommand, cfg)) as pool:
             results = list(pool.map(_worker_task, plan))

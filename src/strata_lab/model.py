@@ -157,30 +157,25 @@ class Potential:
             terms.append((k, a, b))
         return sum((c.real for k, c in self._terms if k == 0), 0.0), terms
 
-    # -- constructors / serialization --------------------------------------
+    # -- constructors -----------------------------------------------------
 
     @classmethod
-    def amo(cls, coupling: float, eta: float = 0.5) -> "Potential":
+    def amo(cls, coupling: float) -> "Potential":
         """Almost Mathieu potential f(theta) = 2*coupling*cos(2 pi theta)."""
         lam = float(coupling)
-        return cls({1: lam, -1: lam}, eta=eta)
+        return cls({1: lam, -1: lam})
 
     @classmethod
-    def zero(cls, eta: float = 0.5) -> "Potential":
+    def zero(cls) -> "Potential":
         """Free potential f = 0 (the discrete Laplacian)."""
-        return cls({}, eta=eta)
+        return cls({})
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Potential":
-        coeffs = {int(k): complex(re, im) for k, re, im in data["coeffs"]}
-        return cls(coeffs, eta=float(data.get("eta", 0.5)))
-
-    @classmethod
-    def from_preset(cls, text: str, eta: float = 0.5) -> "Potential":
+    def from_preset(cls, text: str) -> "Potential":
         """Parse preset strings:  "zero"  or  "amo(<coupling>)"."""
         s = text.strip().lower()
         if s == "zero":
-            return cls.zero(eta=eta)
+            return cls.zero()
         if s.startswith("amo(") and s.endswith(")"):
-            return cls.amo(float(s[4:-1]), eta=eta)
+            return cls.amo(float(s[4:-1]))
         raise ValueError(f"unknown potential preset {text!r}")

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +258,15 @@ def test_pool_asks_for_no_more_workers_than_tasks(tmp_path, monkeypatch):
               out_dir=str(tmp_path), threads=64)
     assert [t["status"] for t in man.tasks] == ["ok", "ok"]
     assert asked == [2]
+    # nor more than the cores this process may use; the manifest keeps
+    # the requested count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    man = run("zeros", config=dict(SMALL, n_ladder=[10, 20, 30, 40, 50]),
+              out_dir=str(tmp_path), threads=100000)
+    assert [t["status"] for t in man.tasks] == ["ok"] * 5
+    assert asked == [2, 3]
+    assert man.threads == 100000
 
 
 def test_a_run_types_its_config_once(tmp_path, monkeypatch):
@@ -317,27 +325,35 @@ def test_config_accepts_the_minimums():
         "ldt": {"grid_per_n": 64},
         "localize": {"n": 500},
         "ids": {"n": 100, "samples": 1},
-        "holder": {"n": 100, "delta_ladder": [1e-3, 1e-2, 1e-1]},
+        "holder": {"n": 317},  # 10/n^2 below the ladder's 1e-4
     })
-    ExperimentConfig.from_raw({"holder": {"n": 317}})  # the default ladder
     ExperimentConfig.from_raw({"ldt": {"threshold": None}})
     ExperimentConfig.from_raw({"ldt": {"threshold": 0.05, "scan_count": 0}})
-    ExperimentConfig.from_raw({"riesz": {"eps_r": 0.3124}, "eps": 0.41})
+    ExperimentConfig.from_raw({"eps": 0.41})   # verify window top 0.492
     ExperimentConfig.from_raw({"ids": {"samples": 8.0}})  # an integral float
 
 
-def test_riesz_flux_circles_count_in_the_strip_reach():
-    # on a thin strip the outer flux circle eps_r + 2e-3 reaches further
-    # than the slope window top 1.6 eps_r
-    thin = {"potential": {"coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]],
-                          "eta": 0.004},
-            "eps": 0.001, "eps_grid": [0.001, 0.002],
-            "riesz": {"R_eps": 0.003, "jensen_radii": [0.001, 0.002]}}
-    ExperimentConfig.from_raw(dict(thin, riesz=dict(thin["riesz"],
-                                                    eps_r=0.0019)))
+def test_riesz_annulus_counts_in_the_strip_reach():
+    # the riesz annulus R_eps = 0.05 reaches further than the riesz slope
+    # window top 1.6 eps_r = 0.032, and here than eps and eps_grid too
+    thin = {"eps": 0.01, "eps_grid": [0.01, 0.02]}
     with pytest.raises(ConfigError, match="strip"):
-        ExperimentConfig.from_raw(dict(thin, riesz=dict(thin["riesz"],
-                                                        eps_r=0.0021)))
+        ExperimentConfig.from_raw(dict(thin, potential={
+            "coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 0.05}))
+    ExperimentConfig.from_raw(dict(thin, potential={
+        "coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 0.0501}))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("riesz", "R_eps", 0.05), ("riesz", "eps_r", 0.02),
+    ("riesz", "jensen_radii", [0.01, 0.04]),
+    ("holder", "delta_ladder", [1e-4, 1e-3, 1e-2]),
+    ("localize", "theta", 0.0), ("strata", "spectrum_theta", 0.123)])
+def test_key_fixed_by_the_code_is_refused_as_unknown(section, key, value):
+    # even at the value the code fixes, a config may not set it
+    with pytest.raises(ConfigError,
+                       match=rf"unknown config keys \['{section}\.{key}'\]"):
+        ExperimentConfig.from_raw({section: {key: value}})
 
 
 @pytest.mark.parametrize("section,key", [
@@ -346,21 +362,6 @@ def test_riesz_flux_circles_count_in_the_strip_reach():
 def test_bad_section_float_names_its_key(section, key):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         ExperimentConfig.from_raw({section: {key: "abc"}})
-
-
-@pytest.mark.parametrize("section,key", [
-    ("strata", "spectrum_theta"), ("localize", "theta")])
-def test_phase_outside_the_unit_interval_names_its_key(section, key):
-    ExperimentConfig.from_raw({section: {key: 0.0}})
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
-        ExperimentConfig.from_raw({section: {key: 1e300}})
-
-
-def test_largest_accepted_eps_r_is_served(tmp_path):
-    man = run("riesz", config={"riesz": {"eps_r": 0.3124}, "n": 64},
-              out_dir=str(tmp_path))
-    assert [t["status"] for t in man.tasks] == ["ok"]
-    assert read_rows(tmp_path / "riesz.csv")[1][11] == "0.3124"  # eps_r
 
 
 def test_main_bad_value_exits_two_naming_the_key(tmp_path, capsys):
@@ -483,34 +484,6 @@ def test_riesz_kink_is_skipped_not_failed(tmp_path):
     assert len(read_rows(tmp_path / "out" / "riesz.csv")) == 1  # header only
 
 
-@pytest.mark.parametrize("subcommand", ["riesz", "green"])
-def test_thin_annulus_is_skipped_up_front(subcommand, tmp_path):
-    # R_eps = 0.004 lies below the served floor log(R) / 2 pi = 0.005
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        {"n": 64, "riesz": {"R_eps": 0.004, "jensen_radii": [0.001, 0.003]}}))
-    t0 = time.perf_counter()
-    code = main([subcommand, "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")])
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 0
-    meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert [t["status"] for t in meta["tasks"]] == ["skipped"]
-    assert "annulus too thin" in meta["tasks"][0]["error"]
-
-
-@pytest.mark.parametrize("subcommand", ["riesz", "green"])
-def test_wide_annulus_is_skipped_up_front(subcommand, tmp_path):
-    # R_eps = 8 lies past the served ceiling log(R) / 2 pi = 2; the kernel
-    # returned NaN there and both tasks were served ok
-    man = run(subcommand, out_dir=str(tmp_path), config={
-        "potential": {"coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 20.0},
-        "n": 128, "energies": [0.5], "riesz": {"R_eps": 8.0}})
-    assert man.ok
-    assert [t["status"] for t in man.tasks] == ["skipped"]
-    assert "must lie in (1, e^(4 pi)]" in man.tasks[0]["error"]
-
-
 _real_riesz_decompose = cli_harness.riesz_decompose
 
 
@@ -609,7 +582,7 @@ def test_ldt_lyapunov_value_follows_the_quadrature_key(tmp_path):
 
 def test_strata_uniform_grid_writes_summary(tmp_path):
     cfg = dict(SMALL, energies={"start": -1.0, "stop": 1.0, "count": 5},
-               strata={"spectrum_box": 120, "spectrum_theta": 0.123})
+               strata={"spectrum_box": 120})
     man = run("strata", config=cfg, out_dir=str(tmp_path))
     assert man.ok
     summary = json.loads((tmp_path / "strata_summary.json").read_text())
@@ -618,7 +591,7 @@ def test_strata_uniform_grid_writes_summary(tmp_path):
 
 
 def test_strata_membership_edges_match_the_distance_rule(tmp_path):
-    box, theta = 120, 0.123
+    box, theta = 120, cli_harness._SPECTRUM_THETA
     h = 10.0 / box
     small = ExperimentConfig.from_raw(SMALL)
     ev = dirichlet_eigenvalues(small.potential, small.alpha, theta, box,
@@ -630,7 +603,7 @@ def test_strata_membership_edges_match_the_distance_rule(tmp_path):
     energies = [float(ev[k] + side * h * (1.0 + tilt)) for k in ks
                 for side in (-1.0, 1.0) for tilt in (-1e-9, 1e-9)]
     cfg = dict(SMALL, energies=energies,
-               strata={"spectrum_box": box, "spectrum_theta": theta})
+               strata={"spectrum_box": box})
     assert run("strata", config=cfg, out_dir=str(tmp_path)).ok
     with open(tmp_path / "strata.csv", newline="") as fh:
         got = [row["in_spectrum"] == "1" for row in csv.DictReader(fh)]
@@ -728,6 +701,15 @@ def test_main_config_error_exits_two(tmp_path, capsys):
 def test_main_missing_config_exits_two(tmp_path):
     assert main(["lyapunov", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_main_non_utf8_config_exits_two(tmp_path, capsys):
+    # a UnicodeDecodeError traceback exited 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"n": "\xff"}')
+    assert main(["lyapunov", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out"), "--dry-run"]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_main_failed_task_exits_three(tmp_path, monkeypatch):

@@ -36,13 +36,13 @@ def test_transfer_validation(amo2, golden):
 
 def test_transfer_refuses_a_strip_that_overflows_the_symbol(golden):
     # log(2 * 1000) + 2 pi eps crosses ln(DBL_MAX) = 709.78 near eps = 111.76
-    pot = Potential.amo(1000.0, eta=1000.0)
+    pot = Potential({1: 1000.0, -1: 1000.0}, eta=1000.0)
     with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 112.5, 4)
     logs = transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 111.0, 4)
     assert np.all(np.isfinite(logs))
     # a tiny coefficient does not save 2 cosh(2 pi eps) = e^722.6
-    tiny = Potential.amo(1e-10, eta=1000.0)
+    tiny = Potential({1: 1e-10, -1: 1e-10}, eta=1000.0)
     with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(tiny, golden, np.array([0.0]), 0.5, 115.0, 4)
 
@@ -59,6 +59,28 @@ def test_lyapunov_is_log_coupling(amo2, golden):
 def test_strip_slope_adds_two_pi_eps(amo2, golden, eps):
     L = lyapunov_n(amo2, golden, 0.5, 512, eps, K=256)[0]
     assert L == pytest.approx(LOG2 + 2.0 * math.pi * eps, abs=0.02)
+
+
+def _large_eps_line_error(coeffs, alpha, scale=1.0):
+    """Largest |L_n - (log|scale c_k0| + 2 pi k0 eps)| at n = 256, K = 1024
+    over E in {-1.5, 0.5, 3.0} and eps in {0.2, 0.3, 0.4}."""
+    pot, eps = Potential(coeffs), np.array([0.2, 0.3, 0.4])
+    L = lyapunov_n(pot, alpha, [-1.5, 0.5, 3.0], 256, eps, 1024)[0]
+    line = (math.log(scale * abs(coeffs[pot.k0]))
+            + 2.0 * math.pi * pot.k0 * eps)
+    return float(np.max(np.abs(L - line)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1.6, -1: 1.6, 2: 1.0, -2: 1.0}, {1: 0.6, -1: 0.6, 2: 1.6, -2: 1.6},
+    {1: 2.0, -1: 2.0}, {3: 1.6, -3: 1.6}])
+def test_lyapunov_at_large_eps_is_the_jensen_line(coeffs, golden):
+    # once |z| = e^{2 pi eps} encloses every zero of D_n, Jensen's formula
+    # puts L_n on the line log|c_k0| + 2 pi k0 eps; the bound 1e-12 was
+    # fixed before running, and the largest error read 8.9e-16
+    assert _large_eps_line_error(coeffs, golden) <= 1e-12
+    # control: a c_k0 1% off misses the line by log 1.01 = 1.0e-2
+    assert _large_eps_line_error(coeffs, golden, scale=1.01) > 1e-12
 
 
 def test_free_lyapunov_vanishes(free, golden):

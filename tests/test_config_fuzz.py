@@ -31,8 +31,6 @@ def _number(kind, least):
     if kind is int:
         near = _INTS if least is None else st.integers(least - 2, least + 2)
         return near | near.map(float) | near.map(lambda v: v + 0.5) | _INTS
-    if kind == "phase":
-        return st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 1e300])
     return _FLOATS
 
 
@@ -132,8 +130,7 @@ def test_small_accepted_configs_serve_finite_lyapunov(raw):
 
 
 # every section bounded, so that one config runs all its tasks in about
-# 0.2 s: n <= 32, K <= 64, localize.n = 500, ids.n = holder.n = 100
-_PHASE = st.floats(0.0, 1.0, exclude_max=True)
+# 0.2 s: n <= 32, K <= 64, localize.n = 500, ids.n = 100, holder.n = 317
 _BOUNDED = st.fixed_dictionaries({
     "potential": st.fixed_dictionaries(
         {"coeffs": st.lists(_COEFF_SMALL, min_size=1, max_size=2).map(
@@ -152,24 +149,15 @@ _BOUNDED = st.fixed_dictionaries({
                                          "lyapunov_K": st.integers(1, 64)}),
     "ids": st.fixed_dictionaries({"n": st.just(100),
                                   "samples": st.integers(1, 3)}),
-    "holder": st.fixed_dictionaries({
-        "n": st.just(100),
-        "delta_ladder": st.just([1e-3, 1e-2, 1e-1])
-        | st.just([1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3])}),
+    "holder": st.fixed_dictionaries({"n": st.just(317)}),
     "ldt": st.fixed_dictionaries({
         "threshold": st.none() | st.floats(0.0, 1.0),
         "grid_per_n": st.integers(64, 128), "scan_count": st.integers(0, 3)}),
-    "localize": st.fixed_dictionaries({"n": st.just(500), "theta": _PHASE,
+    "localize": st.fixed_dictionaries({"n": st.just(500),
                                        "count": st.integers(1, 3)}),
-    "riesz": st.floats(0.005, 0.25).flatmap(lambda R_eps: st.fixed_dictionaries({
-        "R_eps": st.just(R_eps), "eps_r": st.floats(0.001, 0.1),
-        "n_angles": st.integers(1, 32),
-        "jensen_radii": st.lists(st.floats(0.01 * R_eps, 0.99 * R_eps),
-                                 min_size=2, max_size=2, unique=True).map(
-                                     sorted),
-        "K": st.integers(1, 256)})),
-    "strata": st.fixed_dictionaries({"spectrum_box": st.integers(1, 64),
-                                     "spectrum_theta": _PHASE}),
+    "riesz": st.fixed_dictionaries({"n_angles": st.integers(1, 32),
+                                    "K": st.integers(1, 256)}),
+    "strata": st.fixed_dictionaries({"spectrum_box": st.integers(1, 64)}),
 })
 
 # the failures a task documents; any other exception type is a bug
@@ -181,7 +169,7 @@ _DOCUMENTED = ("ValueError: ", "RootConvergenceError: ", "DegreeCapError: ",
 _BOUNDED_SECTIONS = {
     "quadrature": {"K": 16, "lyapunov_K": 16},
     "ids": {"n": 100, "samples": 1},
-    "holder": {"n": 100, "delta_ladder": [1e-3, 1e-2, 1e-1]},
+    "holder": {"n": 317},
     "localize": {"n": 500, "count": 1},
     "riesz": {"K": 64, "n_angles": 8},
 }

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 13
+CEILING = 10
 
 
 def census() -> int:

@@ -32,7 +32,9 @@ def test_library_tour_runs():
 REMOVED_KEYS = ("strata.tau_pos", "green.samples", "green.boundary_tol",
                 "green.symmetry_tol", "green.average_tol",
                 "localize.window_margin", "localize.window_len",
-                "riesz.n_radii")
+                "riesz.n_radii", "riesz.R_eps", "riesz.eps_r",
+                "riesz.jensen_radii", "holder.delta_ladder", "localize.theta",
+                "strata.spectrum_theta")
 
 
 def _configuration_paragraph() -> str:

@@ -248,8 +248,8 @@ def test_holder_reports_spectral_gap(amo2, golden):
     beta, beta_stderr = holder_exponent(amo2, golden, 1.5, ladder, 1000, 8)
     assert math.isnan(beta) and math.isnan(beta_stderr)   # in gap
     # the holder task names the gap in its row
-    cfg = ExperimentConfig.from_raw({"energies": [1.5], "holder": {
-        "n": 1000, "delta_ladder": ladder}})
+    cfg = ExperimentConfig.from_raw({"energies": [1.5],
+                                     "holder": {"n": 1000}})
     row, = _task_holder(cfg)["tables"]["holder.csv"]
     assert row["in_gap"]
     assert row["message"] == "in gap, locally constant IDS"
