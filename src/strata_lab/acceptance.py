@@ -122,9 +122,8 @@ def _c6_jensen_identity() -> Tuple[bool, str]:
     r, = _rows("riesz", "riesz.csv", {"n": 200}, E=0.5)
     res_amo = r["jensen_residual"]
     fam0 = det_family(Potential.zero(), _ALPHA, 0.5, 200)
-    res_free = jensen_identity_residual(
-        fam0, find_zeros(fam0), math.exp(2.0 * math.pi * 0.01),
-        math.exp(2.0 * math.pi * 0.04), K=4096)
+    radii = [math.exp(2.0 * math.pi * w) for w in cli_harness._JENSEN_RADII]
+    res_free = jensen_identity_residual(fam0, find_zeros(fam0), *radii, K=4096)
     ok = res_amo <= 1e-6 and res_free <= 1e-15
     return ok, f"residual {res_amo:.2e} (AMO), {res_free:.2e} (free)"
 
@@ -140,11 +139,10 @@ def _c7_riesz_mass() -> Tuple[bool, str]:
 
 def _c8_ids_holder() -> Tuple[bool, str]:
     """IDS increments fit a positive Hoelder exponent inside the spectrum."""
-    ladder = np.geomspace(1e-4, 1e-2, 7)
     candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100,
                                        range(44, 56))
     fits = holder_exponent(_AMO2, _ALPHA, np.append(candidates, 1.5),
-                           ladder, 4000, 8)[0].tolist()
+                           cli_harness._DELTA_LADDER, 4000, 8)[0].tolist()
     betas = [b for b in fits[:-1] if not math.isnan(b)][:3]  # NaN: a gap
     in_gap = math.isnan(fits[-1])
     ok = len(betas) == 3 and all(b >= 0.40 for b in betas) and in_gap

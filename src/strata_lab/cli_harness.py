@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .model import GOLDEN_MEAN, Potential
-from .cocycle import (_check_symbol_range, acceleration, classify_stratum,
-                      line_fit, lyapunov_n)
+from .cocycle import acceleration, classify_stratum, line_fit, lyapunov_n
 from .determinant import det_family
 from .spectral_localization import (
     deviation_set,
@@ -129,16 +128,15 @@ def _parse_potential(spec) -> Potential:
         if isinstance(spec, str):
             return Potential.from_preset(spec)
         if isinstance(spec, dict):
-            bad = set(spec) - {"coeffs", "eta"}
+            bad = set(spec) - {"coeffs"}
             if bad:
                 raise ConfigError(f"unknown keys {sorted(bad)} in potential")
-            # each [k, re, im] and eta by the number rule of every other key
+            # each [k, re, im] by the number rule of every other key
             return Potential(
                 {_typed(k, int, "potential.coeffs k"):
                  complex(_typed(re, float, "potential.coeffs re"),
                          _typed(im, float, "potential.coeffs im"))
-                 for k, re, im in spec["coeffs"]},
-                eta=_typed(spec.get("eta", 0.5), float, "potential.eta"))
+                 for k, re, im in spec["coeffs"]})
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad potential spec: {exc}") from exc
     raise ConfigError("potential must be a preset string or a coeffs dict")
@@ -260,12 +258,8 @@ def _check_rules(c: ExperimentConfig) -> None:
     if len(c.n_ladder) > _MAX_LADDER:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
     reach = max(max(c.eps_grid), _R_EPS, window_reach(c.eps, _EPS_R))
-    if reach >= c.potential.eta:
-        raise ConfigError(
-            f"strip half-widths reach {reach} but the potential is "
-            f"only analytic up to eta = {c.potential.eta}")
     try:
-        _check_symbol_range(c.potential, reach)
+        c.potential._check_symbol_range(reach)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if c.localize.count > c.localize.n:  # indices past the box

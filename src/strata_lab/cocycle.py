@@ -14,7 +14,6 @@ detecting that integer from finite-n data is what this module is for.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,26 +28,6 @@ _BLOCK = 1 << 14
 # L(E, 0) above this counts as positive (stratum S<l>+ rather than S<l>0);
 # the zero-count check and the localization verdict use it too
 TAU_POS = 0.05
-
-_LOG_DBL_MAX = math.log(sys.float_info.max)
-
-
-def _check_symbol_range(potential: Potential, width: float) -> float:
-    """log sum_k |c_k| e^{2 pi |k| width}, the log of a bound on |f(theta +
-    i eps)| for |eps| <= width.  A width at which it reaches the largest
-    double is refused: the symbol, and the transfer products, would
-    overflow there.  So would the factor 2 cosh(2 pi k0 width) of
-    `Potential.eval_theta`, however small c_k0."""
-    logs = [math.log(abs(c)) + TWO_PI * abs(k) * width
-            for k, c in potential.coeffs_dict().items()]
-    log_bound = float(np.logaddexp.reduce(logs)) if logs else -math.inf
-    if max(log_bound, TWO_PI * potential.k0 * width) >= _LOG_DBL_MAX:
-        raise ValueError(
-            f"the potential overflows a double on the strip |eps| <= {width:g}: "
-            f"log sum_k |c_k| e^(2 pi |k| |eps|) = {log_bound:.6g}, "
-            f"2 pi k0 |eps| = {TWO_PI * potential.k0 * width:.6g}, "
-            f"ln(DBL_MAX) = {_LOG_DBL_MAX:.6g}")
-    return log_bound
 
 
 def _rescale_interval(potential: Potential, energies: np.ndarray,
@@ -65,7 +44,7 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     A strip on which the symbol bound overflows is refused.
     """
     width = float(np.max(np.abs(grid), initial=0.0))
-    bound = math.exp(_check_symbol_range(potential, width))
+    bound = math.exp(potential._check_symbol_range(width))
     growth = float(np.max(np.abs(energies), initial=0.0)) + 1.0 + bound
     return max(1, int(900.0 / max(1.0, math.log2(growth))))
 
@@ -129,8 +108,6 @@ def transfer_log_norms(
     if energies.ndim > 1:
         raise ValueError("E must be a scalar or a 1-D array")
     grid = np.asarray(eps, dtype=np.float64)
-    if np.any(np.abs(grid) >= potential.eta):
-        raise ValueError("|eps| must stay below the declared strip width")
     # exact reduction mod 1 before the phases meet r_j
     thetas = np.fmod(np.asarray(thetas, dtype=np.float64), 1.0)
     shape = energies.shape + grid.shape + thetas.shape

@@ -39,9 +39,10 @@ class ScaledLaurentPoly(NamedTuple):
     """A Laurent polynomial e^{log_scale} * sum_k coeffs[k-lo] z^k.
 
     `coeffs` is a dense ascending complex vector for exponents lo..hi.  The
-    stored coefficients are kept normalized with max modulus in [0.5, 1];
+    stored coefficients are kept normalized with max modulus in [0.5, 1);
     the true magnitude lives in `log_scale`, so polynomials whose values
-    overflow doubles by hundreds of orders remain representable.
+    overflow doubles by hundreds of orders remain representable.  The zero
+    polynomial is `_ZERO_POLY`, one 0 with log_scale -inf.
     """
 
     lo: int                # lowest exponent stored
@@ -52,17 +53,6 @@ class ScaledLaurentPoly(NamedTuple):
     def hi(self) -> int:
         return self.lo + len(self.coeffs) - 1
 
-    @classmethod
-    def make(cls, lo: int, coeffs, log_scale: float = 0.0) -> "ScaledLaurentPoly":
-        """Normalize so max|coeffs| = 1 and absorb the factor into log_scale."""
-        c = np.array(coeffs, dtype=np.complex128)
-        m = float(np.max(np.abs(c)))
-        if m == 0.0:
-            return cls(int(lo), np.zeros(1, dtype=np.complex128), -math.inf)
-        c /= m
-        c.setflags(write=False)
-        return cls(int(lo), c, float(log_scale) + math.log(m))
-
     @property
     def is_zero(self) -> bool:
         return not np.isfinite(self.log_scale)
@@ -72,7 +62,7 @@ class ScaledLaurentPoly(NamedTuple):
         mags = np.abs(self.coeffs)
         nz = np.flatnonzero(mags > 1e-300 * np.max(mags))
         if len(nz) == 0:
-            return ScaledLaurentPoly.make(0, [0.0])
+            return _ZERO_POLY
         return self._replace(lo=self.lo + int(nz[0]),
                              coeffs=self.coeffs[nz[0]:nz[-1] + 1])
 
@@ -146,6 +136,9 @@ class ScaledLaurentPoly(NamedTuple):
                         S + self.log_scale + np.log(np.maximum(mag, 1e-300)),
                         -np.inf)
 
+
+_ZERO_POLY = ScaledLaurentPoly(0, np.zeros(1, np.complex128), -math.inf)
+_ZERO_POLY.coeffs.setflags(write=False)
 
 # coefficients per block of the blocked evaluator; points x (table + blocks)
 # entries per eval_log chunk, so its temporaries stay near 1 MB
@@ -240,7 +233,7 @@ def det_family(
         prev2, prev, exponent = prev * 2.0 ** -e, cur * 2.0 ** -e, exponent + e
     prev.setflags(write=False)
     poly = (ScaledLaurentPoly(-k0 * n, prev, exponent * math.log(2.0))
-            if np.any(prev) else ScaledLaurentPoly.make(0, [0.0]))  # D_n = 0
+            if np.any(prev) else _ZERO_POLY)  # D_n = 0
     return DeterminantFamily(
         potential=potential, alpha=alpha, E=float(E), n=n, poly=poly)
 

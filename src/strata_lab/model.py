@@ -21,6 +21,8 @@ TWO_PI = 2.0 * math.pi
 # Golden rotation number, the default frequency for every experiment.
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
+_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
+
 
 # ----------------------------------------------------------------------
 # potential
@@ -32,18 +34,14 @@ class Potential:
     Coefficients are a finite family {c_k : |k| <= k0}.  Real-valuedness on
     the circle forces c_{-k} = conj(c_k); the constructor rejects data that
     violates this beyond roundoff, a coefficient that is not finite and an
-    index that is not an integer.  `eta` is the half-width (in the variable
-    theta) of the horizontal strip the analytic extension will be evaluated
-    on; the Laurent form converges everywhere, so `eta` is a declared working
-    band rather than a convergence radius, and evaluation outside it is
-    refused to keep downstream error budgets honest.  Instances are immutable.
+    index that is not an integer.  The Laurent form is entire, so the
+    extension theta + i eps is served at every eps on which it fits a double
+    (`_check_symbol_range`).  Instances are immutable.
     """
 
     _REALITY_TOL = 1e-12
 
-    def __init__(self, coeffs: Mapping[int, complex], eta: float = 0.5):
-        if not eta > 0.0:
-            raise ValueError(f"strip half-width eta must be positive, got {eta}")
+    def __init__(self, coeffs: Mapping[int, complex]):
         if any(k != int(k) for k in coeffs):
             raise ValueError("frequency indices must be integers")
         items = sorted((int(k), complex(v)) for k, v in coeffs.items())
@@ -65,14 +63,9 @@ class Potential:
         self._ks = ks
         self._cs = cs
         self._terms = list(zip(ks.tolist(), cs.tolist()))
-        self._eta = float(eta)
         self._k0 = int(np.max(np.abs(ks))) if len(ks) else 0
 
     # -- basic accessors ------------------------------------------------
-
-    @property
-    def eta(self) -> float:
-        return self._eta
 
     @property
     def k0(self) -> int:
@@ -100,7 +93,7 @@ class Potential:
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{k}: {c:.6g}" for k, c in self.coeffs_dict().items())
-        return f"Potential({{{terms}}}, eta={self._eta})"
+        return f"Potential({{{terms}}})"
 
     # -- evaluation -------------------------------------------------------
 
@@ -120,15 +113,15 @@ class Potential:
         - 2i sinh(2 pi k eps) Im w_k, so all rows share one cos and sin of
         2 pi k theta per k.  At eps == 0, 2 cosh(0) = 2.0 exactly and the
         value is the cosine form c_0 + sum_k 2 Re w_k, bit for bit.  The A_k
-        come from `_rotation_terms`, which also serves the strip kernel.
+        come from `_rotation_terms`, which also serves the strip kernel.  A
+        grid on which the symbol overflows a double is refused.
         """
         theta = np.asarray(theta, dtype=np.float64)
         grid = np.asarray(eps, dtype=np.float64)
         if grid.ndim > 1:
             raise ValueError("eps must be a scalar or a 1-D grid")
         rows = grid.reshape(-1).tolist()
-        if any(abs(e) > self._eta * (1 + 1e-12) for e in rows):
-            raise ValueError("phase imaginary part exceeds the declared strip")
+        self._check_symbol_range(max(map(abs, rows), default=0.0))
         real = not any(rows)
         c0, terms = self._rotation_terms(theta, rows)
         out = sum((a for _, a, _ in terms),
@@ -136,6 +129,24 @@ class Potential:
         if grid.ndim or theta.ndim:
             return out if grid.ndim else out[0]
         return float(out[0]) if real else complex(out[0])
+
+    def _check_symbol_range(self, width: float) -> float:
+        """log sum_k |c_k| e^{2 pi |k| width}, the log of a bound on |f(theta +
+        i eps)| for |eps| <= width.  A width at which it reaches the largest
+        double is refused: the symbol, and the transfer products, would
+        overflow there.  So would the factor 2 cosh(2 pi k0 width) of
+        `eval_theta`, however small c_k0."""
+        logs = [math.log(abs(c)) + TWO_PI * abs(k) * width
+                for k, c in self._terms]
+        log_bound = float(np.logaddexp.reduce(logs)) if logs else -math.inf
+        log_cosh = TWO_PI * self._k0 * width
+        if max(log_bound, log_cosh) >= _LOG_DBL_MAX:
+            raise ValueError(
+                f"the potential overflows a double on the strip |eps| <= "
+                f"{width:g}: log sum_k |c_k| e^(2 pi |k| |eps|) = "
+                f"{log_bound:.6g}, 2 pi k0 |eps| = {log_cosh:.6g}, "
+                f"ln(DBL_MAX) = {_LOG_DBL_MAX:.6g}")
+        return log_bound
 
     def _rotation_terms(self, theta: np.ndarray, rows: Sequence[float]):
         """c_0 and (k, A_k, B_k) per k > 0 ascending: f(theta + r + i eps) =

@@ -475,7 +475,8 @@ def riesz_decompose(
     Returns its certificates: the largest |harmonic - u| on the two
     boundary circles, the worst interior mean-value defect, and the least
     and greatest harmonic value on the interior circles.  A root within
-    _BOUNDARY_TOL of either circle is an error.
+    _BOUNDARY_TOL of either circle, or a grid sample where D_n vanishes in
+    double precision, is an error.
     """
     mods = np.abs(inv.roots)
     offenders = np.nonzero((np.abs(mods - R) < _BOUNDARY_TOL)
@@ -491,6 +492,10 @@ def riesz_decompose(
     thetas = np.arange(n_angles) / n_angles
     u = np.stack([fam.poly.eval_circle_log(r, n_angles) / fam.n for r in radii])
     grid = radii[:, None] * np.exp(2j * math.pi * thetas)[None, :]
+    if np.any(np.isneginf(u)):  # harm - u would take -inf - -inf
+        i, j = np.argwhere(np.isneginf(u))[0]
+        raise ValueError(f"D_n vanishes at the grid sample [{i}, {j}], "
+                         f"z = {grid[i, j]:.6g}")
     green = green_potential(grid.ravel(), roots, R, fam.n).reshape(grid.shape)
     harm = u - green
 
@@ -583,8 +588,8 @@ def window_reach(eps: float, eps_r: float) -> float:
 
     That is the top of the slope window of `zero_count_vs_acceleration`
     at `eps`, and at `eps_r` the top of the `riesz_kappa` window and the
-    outer flux circle of `riesz_mass`.  A config whose reach stays inside
-    the potential's strip never fails there late."""
+    outer flux circle of `riesz_mass`.  A config whose potential serves its
+    reach (`Potential._check_symbol_range`) never fails there late."""
     return float(max(_count_window(eps)[-1], np.max(_kappa_window(eps_r)),
                      eps_r + 2.0 * _FLUX_DELTA))
 

@@ -32,7 +32,8 @@ def read_rows(path):
 @pytest.mark.parametrize("raw", [
     {"bogus_key": 1},
     {"eps": -0.01},
-    {"eps": 0.6},                              # reaches outside the strip
+    # eps 94 is served, but the verify window top 1.2 eps = 112.8 overflows
+    {"potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]]}, "eps": 94},
     {"eps_grid": [0.05]},
     {"eps_grid": [-0.01, 0.05]},
     {"eps_grid": [0.0, 1e-200]},               # the slope fit broke down
@@ -96,12 +97,13 @@ def read_rows(path):
     {"riesz": {"eps_r": "x"}},
     {"ldt": {"threshold": "x"}},
     {"ldt": {"scan_count": "x"}},
-    # L(E, eps) evaluated past the strip by a task's own window
-    {"riesz": {"eps_r": 0.35}},                    # window top 1.6 eps_r
-    {"riesz": {"eps_r": 0.3125}},                  # ... exactly at eta
+    # riesz.eps_r is the constant _EPS_R, so each is an unknown key
+    {"riesz": {"eps_r": 0.35}},
+    {"riesz": {"eps_r": 0.3125}},
     {"riesz": {"eps_r": 0.0}},
     {"riesz": {"eps_r": -0.02}},
-    {"eps": 0.45},                                 # verify window top 1.2 eps
+    # the verify window top 1.2 eps = 113.4 overflows 2 cosh(2 pi eps)
+    {"potential": {"coeffs": [[1, 1e-10, 0], [-1, 1e-10, 0]]}, "eps": 94.5},
     # integer keys take integers: these ran truncated or as 1
     {"riesz": {"n_angles": 64.5}},
     {"n": 100.9},
@@ -124,6 +126,7 @@ def read_rows(path):
     # the potential's numbers follow the number rule of every other key
     {"potential": {"coeffs": [[True, 2, 0], [-1, 2, 0]]}},
     {"potential": {"coeffs": [["1", 2, 0], [-1, 2, 0]]}},
+    # eta, like Eta, is an unknown key of a potential spec
     {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": "0.5"}},
     {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": True}},
     {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "Eta": 0.1}},
@@ -131,12 +134,11 @@ def read_rows(path):
     {"energies": {"start": 0.0, "stop": 1.0, "count": 2 ** 63}},  # IndexError
     # strips on which the symbol overflows a double: the first failed late
     # with OverflowError, the second served L = nan
-    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": 1000},
-     "eps_grid": [0.1, 150]},
-    {"potential": {"coeffs": [[1, 1000, 0], [-1, 1000, 0]], "eta": 1000},
+    {"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]]}, "eps_grid": [0.1, 150]},
+    {"potential": {"coeffs": [[1, 1000, 0], [-1, 1000, 0]]},
      "eps_grid": [0.1, 112.5]},
     # ... and one where 2 cosh(2 pi eps) overflows before it meets 1e-10
-    {"potential": {"coeffs": [[1, 1e-10, 0], [-1, 1e-10, 0]], "eta": 1000},
+    {"potential": {"coeffs": [[1, 1e-10, 0], [-1, 1e-10, 0]]},
      "eps_grid": [0.1, 115]},
     # more energies than a run may plan: the range was materialized and
     # planning `ids` ran out of memory; a list gets the same cap
@@ -160,7 +162,7 @@ def test_config_rejections(raw):
 
 def test_widest_strip_below_the_overflow_is_served(tmp_path):
     # log(2 * 10) + 2 pi 110 = 694.15 stays below ln(DBL_MAX) = 709.78
-    raw = {"potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]], "eta": 1000},
+    raw = {"potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]]},
            "eps_grid": [0.1, 110], "n_ladder": [64],
            "quadrature": {"lyapunov_K": 64}}
     man = run("lyapunov", config=raw, out_dir=str(tmp_path), threads=1)
@@ -177,6 +179,7 @@ def test_widest_strip_below_the_overflow_is_served(tmp_path):
     ({"potential": "amo(inf)"}, "potential"),
     ({"potential": {"coeffs": [[1.5, 2, 0], [-1.5, 2, 0]]}}, "potential"),
     ({"riesz": {"bogus": 1}}, "riesz.bogus"),
+    ({"potential": {"coeffs": [[1, 2, 0], [-1, 2, 0]], "eta": 0.5}}, "['eta']"),
     ({"n_ladder": list(range(2, 67))}, "n_ladder"),
     ({"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
      "energies x n_ladder"),
@@ -330,18 +333,22 @@ def test_config_accepts_the_minimums():
     ExperimentConfig.from_raw({"ldt": {"threshold": None}})
     ExperimentConfig.from_raw({"ldt": {"threshold": 0.05, "scan_count": 0}})
     ExperimentConfig.from_raw({"eps": 0.41})   # verify window top 0.492
+    ExperimentConfig.from_raw({   # verify window top 108 below the overflow
+        "potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]]}, "eps": 90})
     ExperimentConfig.from_raw({"ids": {"samples": 8.0}})  # an integral float
 
 
 def test_riesz_annulus_counts_in_the_strip_reach():
     # the riesz annulus R_eps = 0.05 reaches further than the riesz slope
-    # window top 1.6 eps_r = 0.032, and here than eps and eps_grid too
+    # window top 1.6 eps_r = 0.032, and here than eps and eps_grid too:
+    # log(2c) + 2 pi 0.05 crosses ln(DBL_MAX) between these two c, and
+    # log(2c) + 2 pi 0.032 crosses it at neither
     thin = {"eps": 0.01, "eps_grid": [0.01, 0.02]}
     with pytest.raises(ConfigError, match="strip"):
         ExperimentConfig.from_raw(dict(thin, potential={
-            "coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 0.05}))
+            "coeffs": [[1, 6.79e307, 0.0], [-1, 6.79e307, 0.0]]}))
     ExperimentConfig.from_raw(dict(thin, potential={
-        "coeffs": [[1, 2.0, 0.0], [-1, 2.0, 0.0]], "eta": 0.0501}))
+        "coeffs": [[1, 6.14e307, 0.0], [-1, 6.14e307, 0.0]]}))
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -30,19 +30,17 @@ def test_transfer_log_norms_oracle(amo2, golden):
 def test_transfer_validation(amo2, golden):
     with pytest.raises(ValueError):
         transfer_log_norms(amo2, golden, np.array([0.0]), 0.5, 0.0, 0)
-    with pytest.raises(ValueError):
-        transfer_log_norms(amo2, golden, np.array([0.0]), 0.5, 0.6, 4)
 
 
 def test_transfer_refuses_a_strip_that_overflows_the_symbol(golden):
     # log(2 * 1000) + 2 pi eps crosses ln(DBL_MAX) = 709.78 near eps = 111.76
-    pot = Potential({1: 1000.0, -1: 1000.0}, eta=1000.0)
+    pot = Potential({1: 1000.0, -1: 1000.0})
     with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 112.5, 4)
     logs = transfer_log_norms(pot, golden, np.array([0.0]), 0.5, 111.0, 4)
     assert np.all(np.isfinite(logs))
     # a tiny coefficient does not save 2 cosh(2 pi eps) = e^722.6
-    tiny = Potential({1: 1e-10, -1: 1e-10}, eta=1000.0)
+    tiny = Potential({1: 1e-10, -1: 1e-10})
     with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(tiny, golden, np.array([0.0]), 0.5, 115.0, 4)
 
@@ -81,6 +79,15 @@ def test_lyapunov_at_large_eps_is_the_jensen_line(coeffs, golden):
     assert _large_eps_line_error(coeffs, golden) <= 1e-12
     # control: a c_k0 1% off misses the line by log 1.01 = 1.0e-2
     assert _large_eps_line_error(coeffs, golden, scale=1.01) > 1e-12
+
+
+def test_amo_at_wide_eps_is_the_jensen_line(amo2, golden):
+    # the symbol is entire, so no strip half-width caps eps below the
+    # overflow bound; past the zeros of D_n, L_n is the Jensen line
+    # log 2 + 2 pi eps exactly, within a bound of 1e-12 fixed before running
+    L = lyapunov_n(amo2, golden, 0.5, 256, [0.6, 2.0], 1024)[0]
+    line = LOG2 + 2.0 * math.pi * np.array([0.6, 2.0])
+    assert np.max(np.abs(L - line)) <= 1e-12
 
 
 def test_free_lyapunov_vanishes(free, golden):

@@ -45,7 +45,7 @@ _POTENTIAL = (
     | _FLOATS.map(lambda lam: f"amo({lam})")
     | st.fixed_dictionaries(
         {"coeffs": st.lists(_COEFF, max_size=2).map(lambda cs: sum(cs, []))},
-        optional={"eta": _FLOATS | _WRONG, "bogus": _FLOATS})
+        optional={"bogus": _FLOATS})
     | st.fixed_dictionaries({"coeffs": st.lists(
         st.lists(_INTS | _FLOATS | _WRONG, min_size=2, max_size=4),
         max_size=3)}))
@@ -104,8 +104,7 @@ _COEFF_SMALL = st.builds(_symmetric_coeffs, st.integers(0, 3),
 _SMALL = st.fixed_dictionaries({
     "potential": st.fixed_dictionaries(
         {"coeffs": st.lists(_COEFF_SMALL, min_size=1, max_size=2).map(
-            lambda cs: sum(cs, []))},
-        optional={"eta": st.floats(0.01, 2.0)}),
+            lambda cs: sum(cs, []))}),
     "alpha": st.just("golden") | st.floats(0.0, 1.0),
     "energies": st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
     "eps_grid": st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4,
@@ -122,7 +121,7 @@ def test_small_accepted_configs_serve_finite_lyapunov(raw):
     try:
         cfg = ExperimentConfig.from_raw(raw)
     except ConfigError:
-        return
+        assume(False)
     _, status, payload, _, _ = _run_task("lyapunov", cfg, "k", {})
     if status == "ok":
         rows = payload["tables"]["lyapunov.csv"]
@@ -134,8 +133,7 @@ def test_small_accepted_configs_serve_finite_lyapunov(raw):
 _BOUNDED = st.fixed_dictionaries({
     "potential": st.fixed_dictionaries(
         {"coeffs": st.lists(_COEFF_SMALL, min_size=1, max_size=2).map(
-            lambda cs: sum(cs, []))},
-        optional={"eta": st.floats(0.3, 2.0)}),
+            lambda cs: sum(cs, []))}),
     "alpha": st.just("golden") | st.floats(0.0, 1.0),
     "energies": st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=2),
     "eps": st.floats(0.001, 0.2),
@@ -179,11 +177,19 @@ _BOUNDED_SECTIONS = {
 @given(_BOUNDED)
 # a subnormal energy on a constant potential overflowed det_family's
 # power-of-two scaling (OverflowError); D_5 of the free box vanishes at
-# E = 0, where eval_circle_log took -inf - -inf (RuntimeWarning)
+# E = 0, where eval_circle_log took -inf - -inf (RuntimeWarning); D_30
+# cancels to 0.0 at one riesz grid sample, where riesz_decompose took
+# -inf - -inf (RuntimeWarning)
 @example(dict(_BOUNDED_SECTIONS, potential="zero", energies=[5e-324],
               n=16, n_ladder=[14]))
 @example(dict(_BOUNDED_SECTIONS, potential="zero", energies=[0.0], n=5,
               n_ladder=[5]))
+@example(dict(_BOUNDED_SECTIONS,
+              potential={"coeffs": [[1, 0, 3.912109375],
+                                    [-1, 0, -3.912109375]]},
+              alpha=2.3339353630476474e-28, energies=[9.592388641222817],
+              n=30, n_ladder=[14], quadrature={"K": 1, "lyapunov_K": 1},
+              riesz={"n_angles": 3, "K": 1}))
 def test_every_planned_task_ends_ok_skipped_or_documented(raw):
     try:
         cfg = ExperimentConfig.from_raw(raw)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from strata_lab import Potential, det_at_phase, det_family, transfer_log_norms
-from strata_lab.determinant import (DEFAULT_DEGREE_CAP, DegreeCapError,
-                                   ScaledLaurentPoly, _horner_pair)
+from strata_lab.determinant import (_ZERO_POLY, DEFAULT_DEGREE_CAP,
+                                   DegreeCapError, ScaledLaurentPoly,
+                                   _horner_pair)
 
 
 def poly_value(poly, z):
@@ -209,24 +210,15 @@ def test_circle_scan_matches_pointwise(amo2, golden):
                                         abs=1e-10)
 
 
-def test_scaled_poly_normalizes_into_log_scale():
-    p = ScaledLaurentPoly.make(-2, np.array([4.0, 0.0, 1.0, 0.0, 8.0]),
-                               log_scale=1.0)
-    assert 0.5 <= float(np.max(np.abs(p.coeffs))) <= 2.0
-    # value survives the renormalization: (4 + 1 + 8) e at z = 1
-    assert complex(poly_value(p, 1.0 + 0.0j)) == pytest.approx(
-        13.0 * math.e, rel=1e-12)
-
-
 def test_scaled_poly_trimmed_drops_zero_edges():
-    t = ScaledLaurentPoly.make(-1, np.array([0.0, 2.0, 1.0, 0.0])).trimmed()
+    t = ScaledLaurentPoly(-1, np.array([0.0, 2.0, 1.0, 0.0]), 0.0).trimmed()
     assert (t.lo, t.hi) == (0, 1)
 
 
 def test_scaled_poly_circle_log_matches_eval_log():
     rng = np.random.default_rng(3)
-    p = ScaledLaurentPoly.make(
-        -3, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    p = ScaledLaurentPoly(
+        -3, rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.0)
     vals = p.eval_circle_log(1.1, 16)
     assert vals.shape == (16,)
     for j in (0, 5, 11):
@@ -299,7 +291,7 @@ def test_eval_log_with_zero_blocks_and_zero_ends():
     c = rng.standard_normal(135) + 1j * rng.standard_normal(135)
     c[:3] = c[-4:] = 0.0          # exact zero ends, trimmed before summing
     c[35:67] = 0.0                # an all-zero block, in z and in 1/z
-    p = ScaledLaurentPoly.make(-60, c, log_scale=3.0)
+    p = ScaledLaurentPoly(-60, c, 3.0)
     zs = np.array([0.5 * np.exp(1j), 0.999 * np.exp(2j), np.exp(0.7j),
                    1.7 * np.exp(-1j), 3e-5 + 0j, -4e4 + 1j,
                    1e-100 * np.exp(2.5j), 1e100 * np.exp(-0.5j)])
@@ -310,7 +302,7 @@ def test_eval_log_with_zero_blocks_and_zero_ends():
 
 def test_eval_log_scalar_zero_and_exact_root():
     rng = np.random.default_rng(11)
-    p = ScaledLaurentPoly.make(-40, rng.standard_normal(81))
+    p = ScaledLaurentPoly(-40, rng.standard_normal(81) + 0j, 0.0)
     la, u = p.eval_log(0.8 + 0.3j)
     assert isinstance(la, float) and isinstance(u, complex)
     las, us = p.eval_log(np.array([0.8 + 0.3j, 2.0, 0.1j]))
@@ -319,8 +311,9 @@ def test_eval_log_scalar_zero_and_exact_root():
     with pytest.raises(ValueError):
         p.eval_log(np.array([1.0, 0.0]))
     # z - 1 vanishes exactly at z = 1
-    assert ScaledLaurentPoly.make(0, [-1.0, 1.0]).eval_log(1.0) == (-np.inf, 0j)
-    assert ScaledLaurentPoly.make(0, [0.0]).eval_log(2.0) == (-np.inf, 0j)
+    z_minus_1 = ScaledLaurentPoly(0, np.array([-1.0, 1.0 + 0j]), 0.0)
+    assert z_minus_1.eval_log(1.0) == (-np.inf, 0j)
+    assert _ZERO_POLY.eval_log(2.0) == (-np.inf, 0j)
 
 
 @pytest.mark.parametrize("degree", [0, 4, 31, 32, 100])

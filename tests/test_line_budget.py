@@ -8,7 +8,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 3369
+CEILING = 3347
 
 
 def line_count() -> int:

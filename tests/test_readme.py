@@ -58,3 +58,5 @@ def test_configuration_paragraph_names_every_key_and_no_removed_one():
                if f"`{key}`" not in paragraph]
     assert missing == []
     assert [key for key in REMOVED_KEYS if key in paragraph] == []
+    # the potential spec takes `coeffs` only: the overflow bound is its strip
+    assert "`eta`" not in paragraph and '"eta"' not in paragraph

@@ -358,14 +358,15 @@ def test_lyapunov_grid_form_matches_scalar_calls(amo2, golden):
 
 
 def test_grid_refuses_eps_outside_the_strip(amo2, golden):
-    with pytest.raises(ValueError):
+    # the symbol of AMO(2) overflows a double at |eps| = 200
+    with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(amo2, golden, np.array([0.0]), 0.5,
-                           np.array([0.0, 0.5]), 4)
-    with pytest.raises(ValueError):
+                           np.array([0.0, 200.0]), 4)
+    with pytest.raises(ValueError, match="overflows a double"):
         transfer_log_norms(amo2, golden, np.array([0.0]), 0.5,
-                           np.array([-0.6, 0.1]), 4)
-    with pytest.raises(ValueError):
-        amo2.eval_theta(np.array([0.1]), [0.0, 0.7])
+                           np.array([-200.0, 0.1]), 4)
+    with pytest.raises(ValueError, match="overflows a double"):
+        amo2.eval_theta(np.array([0.1]), [0.0, 200.0])
     with pytest.raises(ValueError):
         amo2.eval_theta(np.array([0.1]), [[0.0, 0.1]])
 
