@@ -141,8 +141,7 @@ def _c8_ids_holder() -> Tuple[bool, str]:
     """IDS increments fit a positive Hoelder exponent inside the spectrum."""
     candidates = dirichlet_eigenvalues(_AMO2, _ALPHA, 0.123, 100,
                                        range(44, 56))
-    fits = holder_exponent(_AMO2, _ALPHA, np.append(candidates, 1.5),
-                           cli_harness._DELTA_LADDER, 4000, 8)[0].tolist()
+    fits = holder_exponent(_AMO2, _ALPHA, np.append(candidates, 1.5), 4000)[0]
     betas = [b for b in fits[:-1] if not math.isnan(b)][:3]  # NaN: a gap
     in_gap = math.isnan(fits[-1])
     ok = len(betas) == 3 and all(b >= 0.40 for b in betas) and in_gap

@@ -32,6 +32,7 @@ from .model import GOLDEN_MEAN, Potential
 from .cocycle import acceleration, classify_stratum, line_fit, lyapunov_n
 from .determinant import det_family
 from .spectral_localization import (
+    HOLDER_MIN_N,
     deviation_set,
     dirichlet_eigenvalues,
     eigenfunction_decay,
@@ -43,6 +44,7 @@ from .spectral_localization import (
     tail_window,
 )
 from .zeros_potential import (
+    _count_window,
     clearest_eps,
     circle_average_green,
     count_annulus,
@@ -52,7 +54,6 @@ from .zeros_potential import (
     riesz_decompose,
     riesz_kappa,
     riesz_mass,
-    window_reach,
     zero_count_vs_acceleration,
 )
 
@@ -154,14 +155,9 @@ def _parse_alpha(spec) -> float:
 
 
 # Fixtures of the lab's checks, not parameters of the paper: the riesz
-# annulus and flux-circle half-widths (R_EPS inside green_annulus's range),
-# the Jensen radii, the holder ladder of IDS half-widths and the box phases
+# annulus and flux-circle half-widths, the Jensen radii and the box phases
 _R_EPS, _EPS_R, _JENSEN_RADII = 0.05, 0.02, (0.01, 0.04)
-_DELTA_LADDER = (1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3, 2.15443469e-3,
-                 4.64158883e-3, 1e-2)
 _LOCALIZE_THETA, _SPECTRUM_THETA = 0.0, 0.123
-# the least box with the ladder's smallest rung above its resolution 10/n^2
-_HOLDER_MIN_N = math.ceil(math.sqrt(10.0 / _DELTA_LADDER[0]))
 
 # The config schema, each key once: key -> (default, kind, least value), a
 # nested dict being a section.  A kind is int or float (typed by _typed),
@@ -179,11 +175,9 @@ _CONFIG_TABLE: Dict[str, Any] = {
     "n": (512, int, 2),
     "n_ladder": ([100, 200, 400], [int], 2),
     "seed": (0, int, 0),
-    "out_dir": ("runs", str, None),
     "quadrature": {"K": (256, int, 1), "lyapunov_K": (1024, int, 1)},
-    "ids": {"n": (2000, int, 100),          # IDS estimates
-            "samples": (8, int, 1)},
-    "holder": {"n": (2000, int, _HOLDER_MIN_N)},
+    "ids": {"n": (2000, int, 100)},          # IDS estimates
+    "holder": {"n": (2000, int, HOLDER_MIN_N)},
     "ldt": {"threshold": (None, float, None), "grid_per_n": (64, int, 64),
             "scan_count": (20, int, 0)},
     "localize": {"n": (1000, int, 500), "count": (10, int, 1)},
@@ -257,7 +251,8 @@ def _check_rules(c: ExperimentConfig) -> None:
         raise ConfigError("eps_grid must span at least 1e-6")
     if len(c.n_ladder) > _MAX_LADDER:
         raise ConfigError(f"n_ladder must hold <= {_MAX_LADDER} entries")
-    reach = max(max(c.eps_grid), _R_EPS, window_reach(c.eps, _EPS_R))
+    # riesz's slope window and flux circles lie inside _R_EPS
+    reach = max(max(c.eps_grid), _R_EPS, _count_window(c.eps)[-1])
     try:
         c.potential._check_symbol_range(reach)
     except ValueError as exc:
@@ -278,10 +273,9 @@ class ExperimentConfig(SimpleNamespace):
 
 
 def config_hash(raw: Dict[str, Any]) -> str:
-    """CRC-32 of the resolved config minus the output location: a run label."""
-    resolved = _merge(_DEFAULTS, raw)
-    items = {k: v for k, v in resolved.items() if k != "out_dir"}
-    blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    """CRC-32 of the resolved config: a run label."""
+    blob = json.dumps(_merge(_DEFAULTS, raw), sort_keys=True,
+                      separators=(",", ":"))
     return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
 
@@ -510,8 +504,7 @@ def _task_riesz(cfg: ExperimentConfig, E: float) -> Dict[str, Any]:
 
 
 def _task_ids(cfg: ExperimentConfig) -> Dict[str, Any]:
-    values, spreads = ids(cfg.potential, cfg.alpha, cfg.energies, cfg.ids.n,
-                          cfg.ids.samples)
+    values, spreads = ids(cfg.potential, cfg.alpha, cfg.energies, cfg.ids.n)
     return _payload({"ids.csv": [
         {"E": E, "n": cfg.ids.n, "value": value, "spread": spread}
         for E, value, spread in zip(cfg.energies, values, spreads)]})
@@ -519,8 +512,7 @@ def _task_ids(cfg: ExperimentConfig) -> Dict[str, Any]:
 
 def _task_holder(cfg: ExperimentConfig) -> Dict[str, Any]:
     betas, stderrs = holder_exponent(cfg.potential, cfg.alpha, cfg.energies,
-                                     _DELTA_LADDER, cfg.holder.n,
-                                     cfg.ids.samples)
+                                     cfg.holder.n)
     return _payload({"holder.csv": [{
         "E0": E0, "n": cfg.holder.n, "beta": beta, "beta_stderr": stderr,
         "in_gap": math.isnan(beta), "message": "in gap, locally constant IDS"
@@ -821,7 +813,7 @@ def _load_config(config) -> Dict[str, Any]:
     if config is None:
         return {}
     if isinstance(config, dict):
-        return dict(config)
+        return config
     with open(config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -832,23 +824,18 @@ def _load_config(config) -> Dict[str, Any]:
     return raw
 
 
-def run(subcommand: str, config=None, out_dir: Optional[str] = None,
-        threads: int = 1, seed: Optional[int] = None,
-        dry_run: bool = False) -> RunManifest:
+def run(subcommand: str, config=None, out_dir: str = "runs",
+        threads: int = 1, dry_run: bool = False) -> RunManifest:
     """Plan and execute one subcommand; returns the manifest.
 
-    `config` is a dict, a path to a JSON file, or None for pure defaults.
-    Results land in CSV/JSON files under out_dir (config out_dir unless
-    overridden here).  Planning order fixes row order, so thread count
-    never changes the bytes written.
+    `config` is a dict, a path to a JSON file, or None for pure defaults;
+    it alone sets the seed.  Results land in CSV/JSON files under out_dir;
+    planning order fixes row order, so thread count never changes a byte.
     """
     if subcommand not in _REGISTRY:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     raw = _load_config(config)
-    if seed is not None:
-        raw["seed"] = int(seed)
     cfg = ExperimentConfig.from_raw(raw)
-    target = out_dir if out_dir is not None else cfg.out_dir
     started = _utc_now()
     spec = _REGISTRY[subcommand]
     plan = spec.plan(cfg)
@@ -858,7 +845,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
         for key, _ in plan:
             print(f"  {key}")
         return RunManifest(subcommand, __version__, config_hash(raw),
-                           cfg.seed, threads, target, started, _utc_now(),
+                           cfg.seed, threads, out_dir, started, _utc_now(),
                            tuple({"key": key, "status": "planned",
                                   "seconds": 0.0, "error": ""}
                                  for key, _ in plan), ())
@@ -876,7 +863,7 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
     else:
         results = [_run_task(subcommand, cfg, *task) for task in plan]
 
-    os.makedirs(target, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     tables: Dict[str, List[dict]] = {f: [] for f in spec.tables}
     json_files: Dict[str, Any] = {}
     task_records = []
@@ -889,17 +876,17 @@ def run(subcommand: str, config=None, out_dir: Optional[str] = None,
 
     files = []
     for fname, columns in spec.tables.items():
-        _write_table(os.path.join(target, fname), columns, tables[fname])
+        _write_table(os.path.join(out_dir, fname), columns, tables[fname])
         files.append(fname)
     for fname, obj in json_files.items():
-        with open(os.path.join(target, fname), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
         files.append(fname)
 
     manifest = RunManifest(subcommand, __version__, config_hash(raw),
-                           cfg.seed, threads, target, started, _utc_now(),
+                           cfg.seed, threads, out_dir, started, _utc_now(),
                            tuple(task_records), tuple(files))
-    with open(os.path.join(target, "manifest.json"), "w",
+    with open(os.path.join(out_dir, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest._asdict(), fh, indent=2, sort_keys=True)
     return manifest
@@ -917,11 +904,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", default=None,
                         help="JSON config file (defaults apply when omitted)")
-    parser.add_argument("--out", default=None,
-                        help="output directory (overrides config out_dir)")
+    parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
     parser.add_argument("--dry-run", action="store_true",
                         help="print the task plan without computing")
     return parser
@@ -934,8 +918,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         manifest = run(args.subcommand, config=args.config, out_dir=args.out,
-                       threads=args.threads, seed=args.seed,
-                       dry_run=args.dry_run)
+                       threads=args.threads, dry_run=args.dry_run)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

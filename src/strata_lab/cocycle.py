@@ -41,12 +41,14 @@ def _rescale_interval(potential: Potential, energies: np.ndarray,
     A rescaling leaves M in [1/2, 1); with G^S <= 2^900, M stays between
     2^-901 and 2^900 until the next one, far from overflow and underflow.
     1 <= S <= 900, so huge energies still run, rescaled at every step.
-    A strip on which the symbol bound overflows is refused.
+    A non-finite E or eps, and a strip that overflows the symbol, are refused.
     """
     width = float(np.max(np.abs(grid), initial=0.0))
     bound = math.exp(potential._check_symbol_range(width))
-    growth = float(np.max(np.abs(energies), initial=0.0)) + 1.0 + bound
-    return max(1, int(900.0 / max(1.0, math.log2(growth))))
+    top = float(np.max(np.abs(energies), initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError(f"energies must be finite, got |E| = {top}")
+    return max(1, int(900.0 / max(1.0, math.log2(top + 1.0 + bound))))
 
 
 def _phases(alpha: float, n: int) -> np.ndarray:

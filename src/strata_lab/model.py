@@ -121,7 +121,7 @@ class Potential:
         if grid.ndim > 1:
             raise ValueError("eps must be a scalar or a 1-D grid")
         rows = grid.reshape(-1).tolist()
-        self._check_symbol_range(max(map(abs, rows), default=0.0))
+        self._check_symbol_range(float(np.max(np.abs(grid), initial=0.0)))
         real = not any(rows)
         c0, terms = self._rotation_terms(theta, rows)
         out = sum((a for _, a, _ in terms),
@@ -135,7 +135,9 @@ class Potential:
         i eps)| for |eps| <= width.  A width at which it reaches the largest
         double is refused: the symbol, and the transfer products, would
         overflow there.  So would the factor 2 cosh(2 pi k0 width) of
-        `eval_theta`, however small c_k0."""
+        `eval_theta`, however small c_k0.  So is a width that is not finite."""
+        if not math.isfinite(width):
+            raise ValueError(f"eps must be finite, got |eps| = {width}")
         logs = [math.log(abs(c)) + TWO_PI * abs(k) * width
                 for k, c in self._terms]
         log_bound = float(np.logaddexp.reduce(logs)) if logs else -math.inf

@@ -212,11 +212,19 @@ def eigenfunction_decay(potential: Potential, alpha: float, theta: float,
 # integrated density of states
 # ----------------------------------------------------------------------
 
-def ids(potential: Potential, alpha: float, Es: Sequence[float], n: int,
-        theta_samples: int) -> Tuple[np.ndarray, np.ndarray]:
+_IDS_SAMPLES = 8  # every IDS estimate averages the phases (i + 1/2) / 8
+# the holder ladder of IDS half-widths, 1e-4 to 1e-2 at three per decade,
+# and the least box whose resolution 10/n^2 is at most its smallest rung
+DELTA_LADDER = (1e-4, 2.15443469e-4, 4.64158883e-4, 1e-3, 2.15443469e-3,
+                4.64158883e-3, 1e-2)
+HOLDER_MIN_N = math.ceil(math.sqrt(10.0 / DELTA_LADDER[0]))
+
+
+def ids(potential: Potential, alpha: float, Es: Sequence[float],
+        n: int) -> Tuple[np.ndarray, np.ndarray]:
     """IDS approximants k_n(E) at the energies Es: eigenvalue fractions
-    below E, averaged over the phases (i + 1/2) / theta_samples; returns
-    (values, spreads), one entry per energy.
+    below E, averaged over the phases (i + 1/2) / 8; returns (values,
+    spreads), one entry per energy.
 
     Boundary effects move at most O(1) eigenvalues, so the per-phase
     values agree to O(1/n); the spread, the largest minus the least
@@ -224,58 +232,33 @@ def ids(potential: Potential, alpha: float, Es: Sequence[float], n: int,
     """
     if n < 100:
         raise ValueError("IDS estimates need n >= 100")
-    if theta_samples < 1:
-        raise ValueError("need at least one phase sample")
-    phases = (np.arange(theta_samples) + 0.5) / theta_samples
+    phases = (np.arange(_IDS_SAMPLES) + 0.5) / _IDS_SAMPLES
     vals = sturm_count(potential, alpha, phases, Es, n) / n
     return np.mean(vals, axis=0), np.max(vals, axis=0) - np.min(vals, axis=0)
 
 
-def check_delta_ladder(delta_ladder: Sequence[float], n: int) -> np.ndarray:
-    """The sorted ladder of IDS half-widths; ValueError names a broken rule.
+def holder_exponent(potential: Potential, alpha: float, E0,
+                    n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Hoelder exponents of the IDS at the energies E0 on the n-site box,
+    n >= `HOLDER_MIN_N`: (betas, beta_stderrs), the slopes and their
+    standard errors, each of E0's shape.
 
-    The ladder needs three or more positive rungs spanning at least two
-    decades, all above the eigenvalue-spacing resolution 10/n^2 of the box.
+    Fits log(k(E0+delta) - k(E0-delta)) against log delta over
+    `DELTA_LADDER`, one fit per E0, on one `ids` call over every E0 +- delta;
+    symmetric increments cancel the odd part of the finite-volume error.  A
+    vanishing increment at the smallest half-width means the IDS is locally
+    constant: a gap, not fitted, and reported as (nan, nan), the only NaN.
     """
-    deltas = np.sort(np.asarray(delta_ladder, dtype=np.float64))
-    if deltas.size < 3:
-        raise ValueError("delta ladder needs at least three rungs")
-    if np.any(deltas <= 0):
-        raise ValueError("delta ladder must be positive")
-    if math.log10(deltas[-1] / deltas[0]) < 2.0 - 1e-9:
-        raise ValueError("delta ladder must span at least two decades")
-    if deltas[0] < 10.0 / n ** 2:
-        raise ValueError(
-            f"smallest delta {deltas[0]:g} is below the resolution "
-            f"guard 10/n^2 = {10.0 / n ** 2:g}")
-    return deltas
-
-
-def holder_exponent(
-    potential: Potential,
-    alpha: float,
-    E0,
-    delta_ladder: Sequence[float],
-    n: int,
-    theta_samples: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hoelder exponents of the IDS at the energies E0 from a ladder of
-    increments; returns (betas, beta_stderrs), the slopes and their standard
-    errors, each of E0's shape.
-
-    Fits log(k(E0+delta) - k(E0-delta)) against log delta, one fit per E0,
-    on the values of one `ids` call over every E0 +- delta.  Symmetric
-    increments cancel the odd part of the finite-volume error.  The ladder
-    must pass `check_delta_ladder`.  A vanishing increment at the smallest
-    half-width means the IDS is locally constant: a gap, not fitted, and
-    reported as (nan, nan), the only NaN returned.
-    """
-    deltas = check_delta_ladder(delta_ladder, n)
+    if n < HOLDER_MIN_N:
+        raise ValueError(f"holder needs n >= {HOLDER_MIN_N}: the resolution "
+                         f"guard 10/n^2 = {10.0 / n ** 2:g} is above the "
+                         f"smallest delta {DELTA_LADDER[0]:g}")
+    deltas = np.asarray(DELTA_LADDER)
     E0 = np.asarray(E0, dtype=np.float64)
     Es = np.concatenate([E0[..., None] + deltas, E0[..., None] - deltas], -1)
-    vals = ids(potential, alpha, Es, n, theta_samples)[0]
+    vals = ids(potential, alpha, Es, n)[0]
     incs = vals[..., :deltas.size] - vals[..., deltas.size:]
-    x = np.log(deltas)  # three or more rungs over two decades: not constant
+    x = np.log(deltas)
     sxx = float(np.sum((x - np.mean(x)) ** 2))
     betas, stderrs = np.full(E0.shape, math.nan), np.full(E0.shape, math.nan)
     for i in np.ndindex(E0.shape):

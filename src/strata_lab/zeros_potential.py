@@ -583,17 +583,6 @@ def _count_window(eps: float) -> np.ndarray:
     return np.linspace(eps * 0.2, eps * 1.2, 6)
 
 
-def window_reach(eps: float, eps_r: float) -> float:
-    """Largest |eps| at which the verify and riesz pipelines evaluate L(E, .).
-
-    That is the top of the slope window of `zero_count_vs_acceleration`
-    at `eps`, and at `eps_r` the top of the `riesz_kappa` window and the
-    outer flux circle of `riesz_mass`.  A config whose potential serves its
-    reach (`Potential._check_symbol_range`) never fails there late."""
-    return float(max(_count_window(eps)[-1], np.max(_kappa_window(eps_r)),
-                     eps_r + 2.0 * _FLUX_DELTA))
-
-
 def _affine_kappa(potential: Potential, alpha: float, E: float,
                   window: np.ndarray, n: int, K: int) -> int:
     """The acceleration fitted on the ascending eps `window`.  Raises

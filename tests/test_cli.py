@@ -66,7 +66,7 @@ def read_rows(path):
     # sizes that used to pass validation and fail every task
     {"localize": {"n": 499, "window_len": 120}},   # decay needs n >= 500
     {"ids": {"n": 99}},                            # IDS needs n >= 100
-    {"ids": {"samples": 0}},
+    {"ids": {"samples": 0}},                       # the 8 phases are fixed
     {"holder": {"n": 99, "delta_ladder": [1e-3, 1e-2, 1e-1]}},
     {"holder": {"n": 316}},                        # 10/n^2 above 1e-4
     {"holder": {"delta_ladder": [1e-3, 1e-2]}},
@@ -184,6 +184,9 @@ def test_widest_strip_below_the_overflow_is_served(tmp_path):
     ({"energies": {"start": 0, "stop": 1, "count": 50001}, "n_ladder": [2, 3]},
      "energies x n_ladder"),
     ({"riesz": {"R_eps": 0.0, "jensen_radii": [0.001, 0.002]}}, "riesz.R_eps"),
+    # set by --out alone, and fixed at 8 phases
+    ({"out_dir": "runs"}, "out_dir"),
+    ({"ids": {"samples": 8}}, "ids.samples"),
 ])
 def test_refusal_exits_two_at_config_time_naming_the_key(raw, key, tmp_path,
                                                           capsys):
@@ -327,7 +330,7 @@ def test_config_accepts_the_minimums():
         "strata": {"spectrum_box": 1},
         "ldt": {"grid_per_n": 64},
         "localize": {"n": 500},
-        "ids": {"n": 100, "samples": 1},
+        "ids": {"n": 100},
         "holder": {"n": 317},  # 10/n^2 below the ladder's 1e-4
     })
     ExperimentConfig.from_raw({"ldt": {"threshold": None}})
@@ -335,7 +338,7 @@ def test_config_accepts_the_minimums():
     ExperimentConfig.from_raw({"eps": 0.41})   # verify window top 0.492
     ExperimentConfig.from_raw({   # verify window top 108 below the overflow
         "potential": {"coeffs": [[1, 10, 0], [-1, 10, 0]]}, "eps": 90})
-    ExperimentConfig.from_raw({"ids": {"samples": 8.0}})  # an integral float
+    ExperimentConfig.from_raw({"ids": {"n": 2000.0}})  # an integral float
 
 
 def test_riesz_annulus_counts_in_the_strip_reach():
@@ -351,16 +354,31 @@ def test_riesz_annulus_counts_in_the_strip_reach():
         "coeffs": [[1, 6.14e307, 0.0], [-1, 6.14e307, 0.0]]}))
 
 
+def test_riesz_strip_widths_lie_inside_its_annulus():
+    # so the reach rule needs no riesz window of its own: the riesz task runs
+    # the strip kernel at L_ref's _R_EPS, on its slope window up to 1.6 _EPS_R
+    # and on its flux circles up to _EPS_R + 2 _FLUX_DELTA, and nowhere else
+    from strata_lab.zeros_potential import _FLUX_DELTA, _kappa_window
+    R_eps, eps_r = cli_harness._R_EPS, cli_harness._EPS_R
+    assert _kappa_window(eps_r)[-1] <= R_eps
+    assert eps_r + 2 * _FLUX_DELTA <= R_eps
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("riesz", "R_eps", 0.05), ("riesz", "eps_r", 0.02),
     ("riesz", "jensen_radii", [0.01, 0.04]),
     ("holder", "delta_ladder", [1e-4, 1e-3, 1e-2]),
-    ("localize", "theta", 0.0), ("strata", "spectrum_theta", 0.123)])
+    ("localize", "theta", 0.0), ("strata", "spectrum_theta", 0.123),
+    ("ids", "samples", 8), (None, "out_dir", "runs")])
 def test_key_fixed_by_the_code_is_refused_as_unknown(section, key, value):
-    # even at the value the code fixes, a config may not set it
+    # even at the value the code fixes, a config may not set it; out_dir is
+    # set by --out and run(out_dir=) alone
+    raw, name = {key: value}, key
+    if section is not None:
+        raw, name = {section: raw}, f"{section}.{key}"
     with pytest.raises(ConfigError,
-                       match=rf"unknown config keys \['{section}\.{key}'\]"):
-        ExperimentConfig.from_raw({section: {key: value}})
+                       match=rf"unknown config keys \['{name}'\]"):
+        ExperimentConfig.from_raw(raw)
 
 
 @pytest.mark.parametrize("section,key", [
@@ -385,8 +403,8 @@ def test_config_energy_range_form():
     assert cfg.energies == tuple(np.linspace(-1.0, 1.0, 5))
 
 
-def test_config_hash_ignores_out_dir_only():
-    assert config_hash({}) == config_hash({"out_dir": "elsewhere"})
+def test_config_hash_labels_the_whole_resolved_config():
+    assert config_hash({}) == config_hash({"seed": 0})  # a default restated
     assert config_hash({}) != config_hash({"seed": 1})
     assert config_hash(SMALL) == config_hash(dict(SMALL))
 
@@ -449,10 +467,16 @@ def test_reruns_and_threads_are_byte_identical(tmp_path):
     assert outs["a"] == outs["c"]
 
 
-def test_seed_override_changes_hash(tmp_path):
-    man = run("lyapunov", config=SMALL, out_dir=str(tmp_path), seed=99)
+def test_the_config_alone_sets_the_seed(tmp_path):
+    man = run("lyapunov", config=dict(SMALL, seed=99), out_dir=str(tmp_path),
+              dry_run=True)
     assert man.seed == 99
     assert man.config_hash == config_hash(dict(SMALL, seed=99))
+    with pytest.raises(TypeError):
+        run("lyapunov", config=SMALL, out_dir=str(tmp_path), seed=99)
+    with pytest.raises(SystemExit) as exc:
+        main(["lyapunov", "--out", str(tmp_path), "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_dry_run_writes_nothing(tmp_path):

@@ -45,6 +45,26 @@ def test_transfer_refuses_a_strip_that_overflows_the_symbol(golden):
         transfer_log_norms(tiny, golden, np.array([0.0]), 0.5, 115.0, 4)
 
 
+@pytest.mark.parametrize("E,eps,name,value", [
+    (0.5, math.nan, "eps", "nan"), (math.nan, 0.0, "energies", "nan"),
+    ([0.5, math.inf], 0.0, "energies", "inf")])
+def test_transfer_refuses_a_non_finite_energy_or_eps(amo2, golden, E, eps,
+                                                     name, value):
+    # each served a NaN log-norm
+    with pytest.raises(ValueError, match=rf"{name} must be finite.* {value}"):
+        transfer_log_norms(amo2, golden, np.array([0.0]), E, eps, 4)
+
+
+@pytest.mark.parametrize("E,eps,name,value", [
+    (0.5, [0.1, math.nan], "eps", "nan"),
+    ([0.5, math.inf], 0.0, "energies", "inf")])
+def test_lyapunov_refuses_a_non_finite_energy_or_eps(amo2, golden, E, eps,
+                                                     name, value):
+    # each served a NaN row
+    with pytest.raises(ValueError, match=rf"{name} must be finite.* {value}"):
+        lyapunov_n(amo2, golden, E, 16, eps, 8)
+
+
 def test_lyapunov_is_log_coupling(amo2, golden):
     est = lyapunov_n(amo2, golden, 0.5, 512, 0.0, K=256)
     assert est.shape == (2,)    # the estimate and its standard error

@@ -59,7 +59,6 @@ _PARSED = {
                      {"start": _FLOATS, "stop": _FLOATS,
                       "count": _COUNTS | _COUNTS.map(float) | _WRONG},
                      optional={"qty": _INTS})),
-    "out_dir": st.just("runs"),
 }
 
 
@@ -145,8 +144,7 @@ _BOUNDED = st.fixed_dictionaries({
     "seed": st.integers(0, 2 ** 32),
     "quadrature": st.fixed_dictionaries({"K": st.integers(1, 64),
                                          "lyapunov_K": st.integers(1, 64)}),
-    "ids": st.fixed_dictionaries({"n": st.just(100),
-                                  "samples": st.integers(1, 3)}),
+    "ids": st.fixed_dictionaries({"n": st.just(100)}),
     "holder": st.fixed_dictionaries({"n": st.just(317)}),
     "ldt": st.fixed_dictionaries({
         "threshold": st.none() | st.floats(0.0, 1.0),
@@ -166,7 +164,7 @@ _DOCUMENTED = ("ValueError: ", "RootConvergenceError: ", "DegreeCapError: ",
 # the sections of _BOUNDED at their smallest, for the explicit examples
 _BOUNDED_SECTIONS = {
     "quadrature": {"K": 16, "lyapunov_K": 16},
-    "ids": {"n": 100, "samples": 1},
+    "ids": {"n": 100},
     "holder": {"n": 317},
     "localize": {"n": 500, "count": 1},
     "riesz": {"K": 64, "n_angles": 8},

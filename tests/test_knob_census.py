@@ -11,7 +11,7 @@ from pathlib import Path
 
 import strata_lab
 
-CEILING = 9
+CEILING = 8
 
 
 def census() -> int:

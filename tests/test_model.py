@@ -48,6 +48,17 @@ class TestPotential:
         with pytest.raises(ValueError, match="overflows a double"):
             pot.eval_theta(np.array([0.1]), [0.2, -200.0])
 
+    @pytest.mark.parametrize("eps", [math.nan, [math.nan, 0.1], [0.1, math.nan],
+                                     -math.inf])
+    @pytest.mark.parametrize("pot", [Potential.amo(2.0), Potential.zero()])
+    def test_non_finite_eps_is_refused(self, pot, eps):
+        # a NaN width passed the overflow check, Python's max skipped a NaN
+        # after the first grid entry, and f = 0 has no term to overflow:
+        # each served nan + nanj or 0j
+        with pytest.raises(ValueError,
+                           match=r"eps must be finite, got \|eps\| = (nan|inf)"):
+            pot.eval_theta(0.1, eps)
+
     def test_reality_enforced(self):
         with pytest.raises(ValueError):
             Potential({1: 1.0})

@@ -1,6 +1,7 @@
 """README's "Library tour" example runs against the package as published."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ REMOVED_KEYS = ("strata.tau_pos", "green.samples", "green.boundary_tol",
                 "localize.window_margin", "localize.window_len",
                 "riesz.n_radii", "riesz.R_eps", "riesz.eps_r",
                 "riesz.jensen_radii", "holder.delta_ladder", "localize.theta",
-                "strata.spectrum_theta")
+                "strata.spectrum_theta", "out_dir", "ids.samples")
 
 
 def _configuration_paragraph() -> str:
@@ -60,3 +61,15 @@ def test_configuration_paragraph_names_every_key_and_no_removed_one():
     assert [key for key in REMOVED_KEYS if key in paragraph] == []
     # the potential spec takes `coeffs` only: the overflow bound is its strip
     assert "`eta`" not in paragraph and '"eta"' not in paragraph
+
+
+def test_usage_line_lists_the_parser_options_and_no_seed():
+    from strata_lab.cli_harness import _build_parser
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("## Command line"):]
+    start = block.index("```sh\n") + len("```sh\n")
+    usage = block[start:block.index("```", start)]
+    options = {opt for action in _build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options - {"--help"}
+    assert "--seed" not in usage

@@ -11,7 +11,8 @@ from strata_lab import (Potential, acceleration, classify_stratum,
                         lyapunov_n, sturm_count)
 from strata_lab import transfer_log_norms
 from strata_lab.cli_harness import ExperimentConfig, _task_holder
-from strata_lab.spectral_localization import (DeviationSetGeometry,
+from strata_lab.spectral_localization import (DELTA_LADDER, HOLDER_MIN_N,
+                                              DeviationSetGeometry,
                                               dirichlet_diagonal,
                                               dirichlet_eigenpair)
 
@@ -196,13 +197,13 @@ def test_decay_needs_room(amo2, golden):
 # ------------------------------------------------------------------- ids
 
 def test_ids_free_values(free, golden):
-    values, spreads = ids(free, golden, [-3.0, 0.0, 3.0], 200, 4)
+    values, spreads = ids(free, golden, [-3.0, 0.0, 3.0], 200)
     assert values.tolist() == [0.0, 0.5, 1.0]
     assert spreads.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_ids_monotone_in_energy(amo2, golden):
-    vals = ids(amo2, golden, [-3.5, -1.0, 0.5, 2.0, 3.8], 150, 4)[0]
+    vals = ids(amo2, golden, [-3.5, -1.0, 0.5, 2.0, 3.8], 150)[0]
     assert vals.tolist() == sorted(vals.tolist())
 
 
@@ -213,8 +214,8 @@ def test_ids_obeys_aubry_duality(golden, lam, n):
     # 1/lam (Aubry & Andre 1980), so N_lam(E) = N_{1/lam}(E/lam); the box
     # IDS moves by O(1) eigenvalues, hence the bound 2/n
     Es = np.linspace(-4.5, 4.5, 37)
-    N = ids(Potential.amo(lam), golden, Es, n, 8)[0]
-    dual = ids(Potential.amo(1.0 / lam), golden, Es / lam, n, 8)[0]
+    N = ids(Potential.amo(lam), golden, Es, n)[0]
+    dual = ids(Potential.amo(1.0 / lam), golden, Es / lam, n)[0]
     assert np.max(np.abs(N - dual)) <= 2.0 / n
 
 
@@ -238,14 +239,13 @@ def test_thouless_formula(golden, dense_box, coeffs):
 
 def test_ids_minimum_size(amo2, golden):
     with pytest.raises(ValueError):
-        ids(amo2, golden, 0.5, 99, 8)
+        ids(amo2, golden, 0.5, 99)
 
 
 # ---------------------------------------------------------------- holder
 
 def test_holder_reports_spectral_gap(amo2, golden):
-    ladder = list(np.geomspace(1e-4, 1e-2, 7))
-    beta, beta_stderr = holder_exponent(amo2, golden, 1.5, ladder, 1000, 8)
+    beta, beta_stderr = holder_exponent(amo2, golden, 1.5, 1000)
     assert math.isnan(beta) and math.isnan(beta_stderr)   # in gap
     # the holder task names the gap in its row
     cfg = ExperimentConfig.from_raw({"energies": [1.5],
@@ -257,13 +257,14 @@ def test_holder_reports_spectral_gap(amo2, golden):
 
 
 def test_holder_batch_equals_one_call_per_energy(amo2, golden):
-    # one ids call over every E0 +- delta serves each fit bit for bit
-    ladder = list(np.geomspace(1e-3, 1e-1, 5))
+    # one ids call over every E0 +- delta serves each fit bit for bit; at
+    # n = 2000 the ladder's increments at 0.5 no longer vanish (at n <= 1000
+    # its finite-n IDS is flat on the smallest rung there)
     E0s = np.array([[-2.1, 0.5], [1.5, 0.1234]])
-    betas, stderrs = holder_exponent(amo2, golden, E0s, ladder, 500, 4)
+    betas, stderrs = holder_exponent(amo2, golden, E0s, 2000)
     assert betas.shape == stderrs.shape == E0s.shape
     for E0, beta, stderr in zip(E0s.ravel(), betas.ravel(), stderrs.ravel()):
-        one = holder_exponent(amo2, golden, E0, ladder, 500, 4)
+        one = holder_exponent(amo2, golden, E0, 2000)
         np.testing.assert_array_equal(one, (beta, stderr))
     assert math.isnan(betas[1, 0]) and not np.isnan(betas[0, 1])
 
@@ -274,18 +275,20 @@ def test_holder_positive_at_spectrum_point(amo2, golden):
     n = 1000
     theta4 = (4 + 0.5) / 8
     E0 = float(dirichlet_eigenvalues(amo2, golden, theta4, n, [500])[0])
-    beta, _ = holder_exponent(amo2, golden, E0,
-                              list(np.geomspace(1e-3, 1e-1, 5)), n, 8)
+    beta, _ = holder_exponent(amo2, golden, E0, n)
     assert not math.isnan(beta)   # not in a gap
     assert 0.1 < beta < 2.0
 
 
 def test_holder_ladder_validation(amo2, golden):
-    with pytest.raises(ValueError, match="two decades"):
-        holder_exponent(amo2, golden, 0.0,
-                        list(np.geomspace(1e-3, 5e-3, 4)), 2000, 8)
+    # the ladder's least rung 1e-4 must be >= 10/n^2: n = 317 is the least
+    assert HOLDER_MIN_N == 317 and DELTA_LADDER[0] == 1e-4
     with pytest.raises(ValueError, match="resolution guard"):
-        holder_exponent(amo2, golden, 0.0, [1e-8, 1e-6, 1e-4, 1e-2], 100, 8)
+        holder_exponent(amo2, golden, 0.0, HOLDER_MIN_N - 1)
+    with pytest.raises(ValueError, match="resolution guard"):
+        holder_exponent(amo2, golden, 0.0, 100)
+    beta, _ = holder_exponent(amo2, golden, 0.0, HOLDER_MIN_N)
+    assert beta.shape == ()
 
 
 # --------------------------------------------------------- deviation sets
